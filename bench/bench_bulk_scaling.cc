@@ -15,38 +15,30 @@
 // (intra-trial parallelism); at n <= 1M every parallel trial is
 // re-executed serially and compared bitwise — outputs, aggregate AND
 // per-node metrics — which is the cross-check the bulk-large-n CI job
-// drives with `bench_bulk_scaling 1000000 1 2 --gen sharded`.
+// drives with `bench_bulk_scaling 1000000 1 2 --gen sharded`. The lanes
+// also first-touch the engine's hot per-node arrays (and a sharded
+// build's CSR), so pages land next to the lanes that scan them (NUMA
+// placement; bitwise no-op).
 //
 // `--gen sharded` switches graph generation to the counter-based
 // per-block schedule (gen::gnp_avg_degree_sharded_csr): the CSR build
 // itself shards over the `threads` lanes, and at n <= 1M a sharded
 // build is re-run serially and compared bitwise CSR-for-CSR (the
-// generator-level determinism gate). Sharded graphs are memory-diet
-// (no edge list) regardless of `--mem-diet`.
+// generator-level determinism gate). Sharded graphs are CSR-only (no
+// edge list).
 //
-// `--mem-diet` switches to the 10^8-node memory envelope: the graph is
-// streamed straight into CSR with no edge list and per-node
-// sim::Metrics are disabled (aggregate counters, outputs, and the MIS
-// validity check remain exact). `--first-touch` additionally
-// initializes the CSR and the engine's hot per-node arrays from the
-// lanes that will scan them (NUMA page placement; bitwise no-op).
-// The 10^8 recipe:
+// `--mem-diet` disables per-node sim::Metrics (aggregate counters,
+// outputs, and the MIS validity check remain exact). Together with the
+// CSR-only sharded build it is the 10^8-node memory envelope:
 //
-//   bench_bulk_scaling 100000000 1 8 --mem-diet --gen sharded --first-touch
-//
-// The final lines `BENCH-SPLIT build_ms=<b> run_ms=<r>`,
-// `BENCH-PHASE gen=<b>` / `BENCH-PHASE run=<r>`, and
-// `BENCH-RSS peak_kb=<kb>` feed tools/run_bench.sh, which records the
-// phase split and the peak RSS in the BENCH_*.json (slumber-bench-v3)
-// baselines.
+//   bench_bulk_scaling 100000000 1 8 --mem-diet --gen sharded
 //
 // Telemetry flags (`--obs-out FILE.jsonl`, `--obs-trace FILE.json`,
 // `--progress`) stream the run's spans and counters out of band; see
 // obs/obs.h. They never change any decided output.
 //
 //   bench_bulk_scaling [max_n] [seeds] [threads] [--mem-diet]
-//       [--gen legacy|sharded] [--first-touch]
-//       [--obs-out F] [--obs-trace F] [--progress]
+//       [--gen legacy|sharded] [--obs-out F] [--obs-trace F] [--progress]
 //       (default: 10,000,000 / 1 / 1 / legacy)
 #include <chrono>
 #include <cstdlib>
@@ -97,7 +89,6 @@ std::uint64_t parse_uint_or_die(const std::string& token, const char* what,
 
 int main(int argc, char** argv) {
   bool mem_diet = false;
-  bool first_touch = false;
   gen::Schedule schedule = gen::Schedule::kLegacy;
   obs::Options obs_options;
   std::vector<std::string> args;
@@ -105,8 +96,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--mem-diet") {
       mem_diet = true;
-    } else if (arg == "--first-touch") {
-      first_touch = true;
     } else if (arg == "--obs-out" || arg == "--obs-trace") {
       if (i + 1 >= argc) {
         std::cerr << "error: " << arg << " needs a path\n";
@@ -149,8 +138,7 @@ int main(int argc, char** argv) {
       "bulk engine scaling / SleepingMIS on G(n, 8/n), up to n = " +
       std::to_string(max_n) + ", " + std::to_string(threads) + " lane(s), " +
       gen::schedule_name(schedule) + " generator" +
-      (mem_diet ? ", memory diet" : "") +
-      (first_touch ? ", first touch" : ""));
+      (mem_diet ? ", memory diet" : ""));
 
   // Declared before the pool so finalize() runs after every
   // instrumented worker has exited (the obs/obs.h contract).
@@ -174,8 +162,6 @@ int main(int argc, char** argv) {
                          "worst awake", "Mawake-rounds/s", "virtual rounds",
                          "speedup vs coroutine"});
   bool all_valid = true;
-  double total_build_ms = 0.0;
-  double total_run_ms = 0.0;
 
   for (const VertexId n : sizes) {
     for (std::uint32_t s = 0; s < seeds; ++s) {
@@ -187,17 +173,12 @@ int main(int argc, char** argv) {
         // lanes; output is bitwise identical at every lane count.
         gen::ShardedGnpOptions gen_options;
         gen_options.pool = pool.num_threads() > 1 ? &pool : nullptr;
-        gen_options.first_touch = first_touch;
         g = gen::gnp_avg_degree_sharded_csr(n, 8.0, seed, gen_options);
       } else {
         Rng rng(seed);
-        // The diet path streams the identical edge set into CSR with
-        // no edge-list stage and leaves the RNG in the same state.
-        g = mem_diet ? gen::gnp_avg_degree_csr(n, 8.0, rng)
-                     : gen::gnp_avg_degree(n, 8.0, rng);
+        g = gen::gnp_avg_degree(n, 8.0, rng);
       }
       const double build_ms = ms_since(t0);
-      total_build_ms += build_ms;
 
       // Generator-level determinism gate: a parallel sharded build
       // must reproduce the serial sharded build CSR for CSR.
@@ -215,13 +196,11 @@ int main(int argc, char** argv) {
       options.max_message_bits = sim::congest_bits_for(g.num_vertices());
       options.pool = pool.num_threads() > 1 ? &pool : nullptr;
       options.node_metrics = !mem_diet;
-      options.first_touch = first_touch;
 
       t0 = std::chrono::steady_clock::now();
       const bulk::BulkResult bulk_run =
           bulk::bulk_sleeping_mis(g, seed, {}, nullptr, options);
       const double run_ms = ms_since(t0);
-      total_run_ms += run_ms;
 
       const bool valid = analysis::check_mis(g, bulk_run.outputs).ok();
       all_valid = all_valid && valid;
@@ -290,12 +269,5 @@ int main(int argc, char** argv) {
   std::cout << table.render();
   std::cout << "\nnode-averaged awake stays O(1) while the virtual schedule "
                "grows ~n^3; the bulk engine's cost tracks awake work only.\n";
-  std::cout << "BENCH-SPLIT build_ms=" << static_cast<long long>(total_build_ms)
-            << " run_ms=" << static_cast<long long>(total_run_ms) << "\n";
-  std::cout << "BENCH-PHASE gen=" << static_cast<long long>(total_build_ms)
-            << "\n"
-            << "BENCH-PHASE run=" << static_cast<long long>(total_run_ms)
-            << "\n"
-            << "BENCH-RSS peak_kb=" << obs::peak_rss_kb() << "\n";
   return all_valid ? 0 : 1;
 }

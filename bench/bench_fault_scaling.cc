@@ -16,15 +16,12 @@
 // The shared flag grammar (analysis/trial_spec.h) applies: --threads
 // sets the intra-trial lane count, --gen picks the G(n, p) schedule
 // (sharded builds CSR-only memory-diet graphs in parallel — the 10^7
-// recipe). The paper-scale invocation behind the committed baseline's
-// acceptance row:
+// recipe). The paper-scale invocation:
 //
 //   bench_fault_scaling 10000000 --threads 8 --gen sharded
 //
-// The final `BENCH-SPLIT build_ms=<b> run_ms=<r>`,
-// `BENCH-PHASE gen=<b>` / `BENCH-PHASE run=<r>`, and
-// `BENCH-RSS peak_kb=<kb>` lines feed tools/run_bench.sh
-// (slumber-bench-v3 baselines). The shared telemetry flags (--obs-out,
+// The process exits nonzero when a fault-free, churn, or live-dynamics
+// row ends in an invalid MIS. The shared telemetry flags (--obs-out,
 // --obs-trace, --progress) work here too; see obs/obs.h.
 //
 //   bench_fault_scaling [n] [seed] [--threads N] [--gen legacy|sharded]
@@ -172,7 +169,6 @@ int main(int argc, char** argv) {
                          "live -/+", "lost msgs", "alive", "MIS size",
                          "indep viol", "uncovered", "repair", "valid",
                          "run ms"});
-  const auto run_start = std::chrono::steady_clock::now();
   bool all_clean_valid = true;
   bool churn_valid = true;
   bool live_valid = true;
@@ -213,14 +209,6 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << table.render();
-  const double run_ms_total = ms_since(run_start);
-  std::cout << "\nBENCH-SPLIT build_ms=" << static_cast<std::uint64_t>(build_ms)
-            << " run_ms=" << static_cast<std::uint64_t>(run_ms_total) << "\n"
-            << "BENCH-PHASE gen=" << static_cast<std::uint64_t>(build_ms)
-            << "\n"
-            << "BENCH-PHASE run=" << static_cast<std::uint64_t>(run_ms_total)
-            << "\n"
-            << "BENCH-RSS peak_kb=" << obs::peak_rss_kb() << "\n";
   if (!all_clean_valid) {
     std::cerr << "FAULT-SCALING FAILURE: a fault-free run produced an "
                  "invalid MIS\n";

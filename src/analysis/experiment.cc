@@ -171,7 +171,6 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
     options.pool = opts.pool;
     options.fault = opts.fault;
     options.node_metrics = opts.node_metrics;
-    options.first_touch = opts.first_touch;
     bulk::BulkResult result = bulk::run_bulk(g, seed, *protocol, options);
     if (!churn && result.crashed.empty() && result.departed.empty()) {
       return finish_run(engine, g, seed, std::move(result.metrics),

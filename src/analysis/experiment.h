@@ -84,8 +84,6 @@ struct RunOptions {
   /// Bulk back end only: collect per-node metrics (awake rounds,
   /// finish rounds). Off saves 2 words/node at 10^8 scale.
   bool node_metrics = true;
-  /// Bulk back end only: first-touch placement of hot per-node arrays.
-  bool first_touch = false;
 };
 
 /// One run's results: the four measures of the paper's Table 1 plus

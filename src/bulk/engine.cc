@@ -19,16 +19,12 @@ BulkEngine::BulkEngine(const Graph& g, std::uint64_t seed, BulkOptions options)
   if (fault_.has_crashes()) crashed_.assign(n, 0);
   if (fault_.has_live_churn()) departed_.assign(n, 0);
   outputs_.assign(n, -1);
-  // With first_touch, each lane initializes (and so places) the slice
-  // of the hot per-node arrays that parallel_for_range will hand it on
-  // every subsequent sharded scan. Contents are identical either way.
-  util::ThreadPool* touch_pool =
-      options_.first_touch && options_.pool != nullptr &&
-              options_.pool->num_threads() > 1
-          ? options_.pool
-          : nullptr;
-  decided_ = util::sharded_fill<std::uint8_t>(n, 0, touch_pool);
-  awake_epoch_ = util::sharded_fill<std::uint32_t>(n, 0, touch_pool);
+  // With a multi-lane pool, each lane initializes (and so places) the
+  // slice of the hot per-node arrays that parallel_for_range will hand
+  // it on every subsequent sharded scan. Contents are identical either
+  // way.
+  decided_ = util::sharded_fill<std::uint8_t>(n, 0, options_.pool);
+  awake_epoch_ = util::sharded_fill<std::uint32_t>(n, 0, options_.pool);
 }
 
 void BulkEngine::merge_chunk(const BulkChunk& chunk) {
@@ -171,40 +167,6 @@ void BulkEngine::charge_round(std::span<const VertexId> awake,
           ++metrics_.node[awake[i]].awake_rounds;
         }
       });
-}
-
-void BulkEngine::charge_send(VertexId v, std::uint64_t attempted,
-                             std::uint64_t delivered, std::uint32_t bits,
-                             std::uint64_t lost) {
-  BulkChunk chunk(this);
-  chunk.charge_send(v, attempted, delivered, bits, lost);
-  merge_chunk(chunk);
-}
-
-void BulkEngine::charge_received(VertexId v, std::uint64_t count) {
-  BulkChunk chunk(this);
-  chunk.charge_received(v, count);
-  merge_chunk(chunk);
-}
-
-void BulkEngine::charge_symmetric_broadcast(VertexId v,
-                                            std::uint64_t awake_neighbors,
-                                            std::uint32_t bits) {
-  BulkChunk chunk(this);
-  chunk.charge_symmetric_broadcast(v, awake_neighbors, bits);
-  merge_chunk(chunk);
-}
-
-void BulkEngine::decide(VertexId v, std::int64_t output, VirtualRound round) {
-  BulkChunk chunk(this);
-  chunk.decide(v, output, round);
-  merge_chunk(chunk);
-}
-
-void BulkEngine::finish(VertexId v, VirtualRound round) {
-  BulkChunk chunk(this);
-  chunk.finish(v, round);
-  merge_chunk(chunk);
 }
 
 std::vector<VertexId> BulkEngine::apply_dynamics(

@@ -88,7 +88,11 @@ struct BulkOptions {
   bool throw_on_congest_violation = true;
   /// Intra-trial parallelism: when non-null, awake-set scans shard over
   /// this pool's lanes (bitwise-identical results for every lane
-  /// count). The pool is borrowed, not owned, and must outlive the run.
+  /// count). With more than one lane, the hot per-node arrays (awake
+  /// stamps, decision flags) are also first touched in the pool's
+  /// parallel_for_range chunk layout, so each page lands near the lane
+  /// that scans it (NUMA placement only; contents unaffected). The pool
+  /// is borrowed, not owned, and must outlive the run.
   util::ThreadPool* pool = nullptr;
   /// Awake sets smaller than this run single-chunk on the calling
   /// thread even when a pool is set (fork-join overhead dwarfs the work
@@ -100,13 +104,6 @@ struct BulkOptions {
   /// Metrics::makespan is then taken from the saturated virtual
   /// makespan instead of max finish_round.
   bool node_metrics = true;
-  /// First-touch page placement: initialize the engine's hot per-node
-  /// arrays (awake stamps, decision flags) in the pool's
-  /// parallel_for_range chunk layout, so each page lands near the lane
-  /// that scans that slice of every per-node array (matters past ~16
-  /// cores on NUMA machines). Placement only — contents and results
-  /// are bitwise unaffected. No effect without a pool.
-  bool first_touch = false;
   /// Fault injection (fault/fault.h): crash schedules, probabilistic
   /// crashes, and message loss. Borrowed; must outlive the run. Every
   /// fault decision is a keyed util::stream_rng draw evaluated
@@ -157,15 +154,9 @@ class BulkChunk {
 
   /// Symmetric broadcast shorthand for rounds in which every awake node
   /// broadcasts on all ports: v sends deg(v), of which `awake_neighbors`
-  /// are delivered, and receives exactly `awake_neighbors` in turn.
-  void charge_symmetric_broadcast(VertexId v, std::uint64_t awake_neighbors,
-                                  std::uint32_t bits);
-
-  /// Lossy symmetric broadcast: of v's `awake_neighbors` reachable
-  /// targets only `delivered` survived the link draws. Loss being
-  /// symmetric per link per round, v also hears exactly `delivered`
-  /// messages. Reduces to the reliable form when delivered ==
-  /// awake_neighbors.
+  /// are reachable and only `delivered` survived the link draws. Loss
+  /// being symmetric per link per round, v also hears exactly
+  /// `delivered` messages (delivered == awake_neighbors without loss).
   void charge_symmetric_broadcast(VertexId v, std::uint64_t awake_neighbors,
                                   std::uint64_t delivered,
                                   std::uint32_t bits);
@@ -339,19 +330,6 @@ class BulkEngine {
       std::vector<VertexId> awake, VirtualRound round,
       const std::function<void(VertexId)>& on_reenter = {});
 
-  // --- single-node accounting (serial convenience) ------------------
-
-  /// One-node forms of the BulkChunk accounting methods, for serial
-  /// protocol phases outside any scan.
-  void charge_send(VertexId v, std::uint64_t attempted,
-                   std::uint64_t delivered, std::uint32_t bits,
-                   std::uint64_t lost = 0);
-  void charge_received(VertexId v, std::uint64_t count);
-  void charge_symmetric_broadcast(VertexId v, std::uint64_t awake_neighbors,
-                                  std::uint32_t bits);
-  void decide(VertexId v, std::int64_t output, VirtualRound round);
-  void finish(VertexId v, VirtualRound round);
-
   bool decided(VertexId v) const { return decided_[v] != 0; }
   std::int64_t output(VertexId v) const { return outputs_[v]; }
 
@@ -381,8 +359,8 @@ class BulkEngine {
   // BulkResult::outputs, and it is write-once rather than scanned
   // every round.
   std::vector<std::int64_t> outputs_;
-  // The per-round hot arrays are PodVector + util::sharded_fill so
-  // BulkOptions::first_touch can place each lane's slice on its own
+  // The per-round hot arrays are PodVector + util::sharded_fill so a
+  // multi-lane BulkOptions::pool places each lane's slice on its own
   // pages.
   util::PodVector<std::uint8_t> decided_;
   // 32-bit epoch stamps keep the array at 4 bytes/node for the 10^8
@@ -449,13 +427,6 @@ inline void BulkChunk::charge_received(VertexId v, std::uint64_t count) {
   if (eng_->options_.node_metrics) {
     eng_->metrics_.node[v].messages_received += count;
   }
-}
-
-inline void BulkChunk::charge_symmetric_broadcast(VertexId v,
-                                                  std::uint64_t awake_neighbors,
-                                                  std::uint32_t bits) {
-  charge_send(v, eng_->graph_.degree(v), awake_neighbors, bits);
-  charge_received(v, awake_neighbors);
 }
 
 inline void BulkChunk::charge_symmetric_broadcast(VertexId v,

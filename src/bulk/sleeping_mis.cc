@@ -265,16 +265,12 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   w.reenter = [&w](VertexId v) { w.set_value(v, core::MisValue::kUnknown); };
 
   // First-touch placement for the protocol's per-node arrays (packed
-  // coin bits, tri-state statuses): fill them in the pool's chunk
-  // layout so each lane's slice of every subsequent sharded scan lands
-  // on pages that lane touched first. Placement only — sharded_fill
-  // writes the same value everywhere, so contents (and every result)
-  // are bitwise unaffected.
-  util::ThreadPool* touch_pool =
-      engine.options().first_touch && engine.options().pool != nullptr &&
-              engine.options().pool->num_threads() > 1
-          ? engine.options().pool
-          : nullptr;
+  // coin bits, tri-state statuses): with a multi-lane pool, fill them
+  // in the pool's chunk layout so each lane's slice of every subsequent
+  // sharded scan lands on pages that lane touched first. Placement only
+  // — sharded_fill writes the same value everywhere, so contents (and
+  // every result) are bitwise unaffected.
+  util::ThreadPool* touch_pool = engine.options().pool;
   {
     obs::Span span("mis", "placement", n);
     w.bits = util::sharded_fill<std::uint64_t>(n * w.words_per_node, 0,
@@ -320,7 +316,12 @@ void BulkSleepingMis::run(BulkEngine& engine) {
     // K = 0: the whole run is the base case, executed at round 0 with no
     // communication (matches the coroutine engine on n <= 1).
     w.base_case(0, 0, everyone);
-    for (VertexId v = 0; v < n; ++v) engine.finish(v, 0);
+    engine.scan_range(n, [](BulkChunk& chunk, std::size_t begin,
+                            std::size_t end) {
+      for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
+        chunk.finish(v, 0);
+      }
+    });
     return;
   }
 

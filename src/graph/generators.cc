@@ -158,18 +158,6 @@ Graph clique_chain(VertexId n, VertexId clique_size) {
   return std::move(builder).build();
 }
 
-namespace {
-
-/// The legacy single-stream schedule: one draw sequence across the
-/// whole vertex triangle. Both gnp entry points drive this with the
-/// same RNG draws, so they realize the identical edge set.
-template <typename Fn>
-void for_each_gnp_edge(VertexId n, double p, Rng& rng, Fn&& fn) {
-  detail::for_each_gnp_edge_rows(0, n, p, rng, std::forward<Fn>(fn));
-}
-
-}  // namespace
-
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg) {
   return std::min(1.0, avg_deg / static_cast<double>(n - 1));
 }
@@ -187,12 +175,13 @@ Graph gnp(VertexId n, double p, Rng& rng) {
   if (p <= 0.0 || n < 2) return std::move(builder).build();
   if (p >= 1.0) return complete(n);
   builder.reserve(gnp_reserve_hint(n, p));
-  // Edges are staged through a fixed-size chunk and flushed via
-  // add_edges, the streaming construction path.
+  // The legacy single-stream schedule: one draw sequence across the
+  // whole vertex triangle. Edges are staged through a fixed-size chunk
+  // and flushed via add_edges, the streaming construction path.
   std::vector<Edge> chunk;
   constexpr std::size_t kChunk = 1 << 14;
   chunk.reserve(kChunk);
-  for_each_gnp_edge(n, p, rng, [&](VertexId u, VertexId v) {
+  detail::for_each_gnp_edge_rows(0, n, p, rng, [&](VertexId u, VertexId v) {
     chunk.push_back({u, v});
     if (chunk.size() == kChunk) {
       builder.add_edges(chunk);
@@ -206,48 +195,6 @@ Graph gnp(VertexId n, double p, Rng& rng) {
 Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng) {
   if (n < 2) return empty(n);
   return gnp(n, gnp_probability_for_avg_degree(n, avg_deg), rng);
-}
-
-Graph gnp_csr(VertexId n, double p, Rng& rng) {
-  if (p <= 0.0 || n < 2) {
-    util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
-    return Graph::from_csr(n, std::move(offsets), {});
-  }
-  if (p >= 1.0) return detail::complete_csr(n);
-  // Pass 1 on a copy of the RNG: count degrees.
-  util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
-  std::uint64_t m = 0;
-  {
-    std::vector<std::uint32_t> deg(n, 0);
-    Rng probe = rng;
-    for_each_gnp_edge(n, p, probe, [&](VertexId u, VertexId v) {
-      ++deg[u];
-      ++deg[v];
-      ++m;
-    });
-    checked_edge_count(m, "gnp_csr");
-    for (VertexId v = 0; v < n; ++v) {
-      offsets[std::uint64_t{v} + 1] = offsets[v] + deg[v];
-    }
-  }
-  // Pass 2 replays the identical draw sequence on the caller's RNG
-  // (leaving it in the same final state as gnp) and scatters into the
-  // adjacency array. The stream is v-major with ascending coordinates,
-  // so every vertex's range comes out sorted: u < x entries land while
-  // the stream is at v == x, all v > x entries after, each ascending.
-  util::PodVector<VertexId> adjacency;
-  adjacency.resize(offsets[n]);
-  std::vector<CsrOffset> cursor(offsets.begin(), offsets.end() - 1);
-  for_each_gnp_edge(n, p, rng, [&](VertexId u, VertexId v) {
-    adjacency[cursor[u]++] = v;
-    adjacency[cursor[v]++] = u;
-  });
-  return Graph::from_csr(n, std::move(offsets), std::move(adjacency));
-}
-
-Graph gnp_avg_degree_csr(VertexId n, double avg_deg, Rng& rng) {
-  if (n < 2) return gnp_csr(n, 0.0, rng);
-  return gnp_csr(n, gnp_probability_for_avg_degree(n, avg_deg), rng);
 }
 
 Graph random_tree(VertexId n, Rng& rng) {
@@ -458,8 +405,7 @@ bool schedule_from_name(const std::string& name, Schedule* out) {
 Graph make(Family family, VertexId n, std::uint64_t seed,
            const MakeOptions& options) {
   if (options.schedule == Schedule::kSharded) {
-    const ShardedGnpOptions sharded{options.pool, options.first_touch,
-                                    nullptr};
+    const ShardedGnpOptions sharded{.pool = options.pool};
     switch (family) {
       case Family::kGnpSparse:
         return gnp_avg_degree_sharded_csr(n, 8.0, seed, sharded);

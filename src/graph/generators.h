@@ -15,10 +15,10 @@
 // realize *different* (equally distributed) edge sets from the same
 // seed:
 //
-//  * Legacy single-stream (gnp / gnp_avg_degree / gnp_csr /
-//    gnp_avg_degree_csr): one Rng& consumed sequentially across the
-//    whole vertex triangle. Bit-reproducible given (n, p, rng state),
-//    but inherently serial — pair t+1's draw depends on pair t's.
+//  * Legacy single-stream (gnp / gnp_avg_degree): one Rng& consumed
+//    sequentially across the whole vertex triangle. Bit-reproducible
+//    given (n, p, rng state), but inherently serial — pair t+1's draw
+//    depends on pair t's.
 //  * Counter-based per-block (gnp_sharded_csr /
 //    gnp_avg_degree_sharded_csr): vertices are split into fixed-size
 //    blocks and block b draws from util::stream_rng(seed, b), a pure
@@ -91,18 +91,6 @@ Graph gnp(VertexId n, double p, Rng& rng);
 /// Erdos-Renyi with expected average degree `avg_deg` (p = avg_deg/(n-1)).
 Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng);
 
-/// Memory-diet G(n, p): the identical edge set (and final RNG state) as
-/// gnp(n, p, rng), but streamed straight into CSR with no edge-list
-/// stage — pass 1 counts degrees on a copy of the RNG, pass 2 replays
-/// the same skip sequence into the adjacency array. The result drops
-/// Graph::edges() (has_edge_list() == false), cutting peak memory from
-/// ~16 bytes/edge (CSR + staged edge list) to the CSR arrays alone;
-/// this is the 10^8-node path of bench_bulk_scaling --mem-diet.
-Graph gnp_csr(VertexId n, double p, Rng& rng);
-
-/// Memory-diet companion of gnp_avg_degree (p = avg_deg/(n-1)).
-Graph gnp_avg_degree_csr(VertexId n, double avg_deg, Rng& rng);
-
 /// The edge probability every gnp_avg_degree* variant derives from a
 /// target average degree: min(1, avg_deg / (n - 1)). Requires n >= 2.
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg);
@@ -127,13 +115,12 @@ struct ShardedGnpStats {
 struct ShardedGnpOptions {
   /// Shards both CSR passes (degree count, fill) and the up-range sort
   /// over this pool's lanes; null runs the identical block schedule
-  /// serially (the bitwise reference). Borrowed, not owned.
+  /// serially (the bitwise reference). With more than one lane the CSR
+  /// arrays are also first touched in the contiguous chunks
+  /// ThreadPool::parallel_for_range later hands to scanning lanes
+  /// (util::sharded_fill): page placement only, contents unaffected.
+  /// Borrowed, not owned.
   util::ThreadPool* pool = nullptr;
-  /// First-touch page placement: pre-touch the CSR arrays in the same
-  /// contiguous chunks ThreadPool::parallel_for_range later hands to
-  /// scanning lanes (util::sharded_fill). Placement only — contents
-  /// and determinism are unaffected. No effect without a pool.
-  bool first_touch = false;
   /// When non-null, receives build instrumentation.
   ShardedGnpStats* stats_out = nullptr;
 };
@@ -229,7 +216,6 @@ struct MakeOptions {
   /// Build-time parallelism + first-touch placement for the sharded
   /// schedule (forwarded to ShardedGnpOptions); ignored by kLegacy.
   util::ThreadPool* pool = nullptr;
-  bool first_touch = false;
 };
 
 /// make() with an explicit generation schedule. kSharded routes the

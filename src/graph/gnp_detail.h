@@ -1,7 +1,7 @@
 // Internal shared core of the G(n, p) generator family. Included by
-// generators.cc (legacy single-stream gnp / gnp_csr) and
-// sharded_gnp.cc (counter-based per-block sharded builders); not part
-// of the public generator API.
+// generators.cc (legacy single-stream gnp) and sharded_gnp.cc
+// (counter-based per-block sharded builders); not part of the public
+// generator API.
 #pragma once
 
 #include <cmath>
@@ -38,7 +38,7 @@ void for_each_gnp_edge_rows(VertexId row_begin, VertexId row_end, double p,
 }
 
 /// K_n streamed straight into CSR (the p >= 1 degenerate case of the
-/// memory-diet builders).
+/// sharded builders).
 inline Graph complete_csr(VertexId n) {
   // Fill-constructed (not resize): PodVector::resize skips
   // initialization, and the n < 2 return below must hand from_csr

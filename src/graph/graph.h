@@ -69,7 +69,7 @@ class Graph {
   /// both endpoint ranges (all validated, throws std::invalid_argument).
   /// This is the 10^8-node path: peak memory is the CSR arrays
   /// themselves, skipping the ~8 bytes/edge staging list of
-  /// GraphBuilder (see gen::gnp_csr / gen::gnp_sharded_csr). The arrays
+  /// GraphBuilder (see gen::gnp_sharded_csr). The arrays
   /// are util::PodVector so producers can size them without a serial
   /// zero-fill and first-touch pages from the lanes that will scan them
   /// (util::sharded_fill). `pool`, when non-null, shards the validation

@@ -1,8 +1,8 @@
 // Sharded G(n, p) generation: counter-based per-block RNG streams and
 // a parallel two-pass CSR build.
 //
-// The legacy gnp/gnp_csr builders consume one RNG stream sequentially
-// across the whole vertex triangle, which makes generation inherently
+// The legacy gnp builder consumes one RNG stream sequentially across
+// the whole vertex triangle, which makes generation inherently
 // serial — at n = 10^8 the build is ~40% of a bulk trial's wall time.
 // Here the triangle's rows are split into fixed-size vertex blocks
 // (kBlockVertices rows per block, a constant — never a function of the
@@ -35,9 +35,9 @@
 // Memory stays on the diet path: no edge list is staged, and the
 // transient arrays (two u32 degree halves + the u64 cursor) are freed
 // as soon as the offsets are fixed, so peak is CSR + ~16 bytes/vertex
-// over the final graph. With ShardedGnpOptions::first_touch the CSR
-// arrays are pre-touched in ThreadPool::parallel_for_range's chunk
-// layout so pages land near the lanes that later scan them.
+// over the final graph. With a multi-lane pool the CSR arrays are
+// pre-touched in ThreadPool::parallel_for_range's chunk layout so pages
+// land near the lanes that later scan them.
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
@@ -105,8 +105,6 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
 
   util::ThreadPool* pool = options.pool;
   const std::uint64_t blocks = block_count(n);
-  const bool first_touch =
-      options.first_touch && pool != nullptr && pool->num_threads() > 1;
   obs::progress_phase("generate");
   obs::Span gen_span("gen", "gnp_sharded_csr", n);
 
@@ -114,9 +112,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
   // down[x] = |{u < x adjacent to x}| (single writer: block(x));
   // up[u]   = |{v > u adjacent to u}| (relaxed atomic sum).
   util::PodVector<std::uint32_t> down =
-      util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
+      util::sharded_fill<std::uint32_t>(n, 0, pool);
   util::PodVector<std::uint32_t> up =
-      util::sharded_fill<std::uint32_t>(n, 0, first_touch ? pool : nullptr);
+      util::sharded_fill<std::uint32_t>(n, 0, pool);
   std::atomic<std::uint64_t> edge_total{0};
   std::atomic<std::uint64_t> rng_digest{0};
   {
@@ -147,8 +145,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
 
   // --- offsets + up-half cursors ------------------------------------
   util::PodVector<CsrOffset> offsets =
-      util::sharded_fill<CsrOffset>(std::uint64_t{n} + 1, 0,
-                                    first_touch ? pool : nullptr);
+      util::sharded_fill<CsrOffset>(std::uint64_t{n} + 1, 0, pool);
   {
     obs::Span span("gen", "offsets", n);
     for (VertexId v = 0; v < n; ++v) {
@@ -177,7 +174,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
   // --- pass 2: fill -------------------------------------------------
   util::PodVector<VertexId> adjacency;
   adjacency.resize(offsets[n]);
-  if (first_touch) {
+  if (pool != nullptr && pool->num_threads() > 1) {
     // Deliberate page placement; every slot is overwritten below.
     VertexId* adj = adjacency.data();
     for_each_range(offsets[n], pool,

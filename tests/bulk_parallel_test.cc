@@ -225,37 +225,25 @@ TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
   }
 }
 
-// --- memory-diet graphs: streaming CSR construction ------------------
-
-TEST(BulkMemoryDiet, GnpCsrMatchesGnpBitwise) {
-  for (const VertexId n : {2u, 97u, 4000u}) {
-    Rng rng_list(n);
-    Rng rng_csr(n);
-    const Graph a = gen::gnp_avg_degree(n, 8.0, rng_list);
-    const Graph b = gen::gnp_avg_degree_csr(n, 8.0, rng_csr);
-    ASSERT_EQ(a.num_vertices(), b.num_vertices());
-    EXPECT_EQ(a.num_edges(), b.num_edges());
-    EXPECT_EQ(a.max_degree(), b.max_degree());
-    for (VertexId v = 0; v < n; ++v) {
-      ASSERT_EQ(a.degree(v), b.degree(v)) << "n=" << n << " v=" << v;
-      const auto na = a.neighbors(v);
-      const auto nb = b.neighbors(v);
-      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-          << "n=" << n << " v=" << v;
-    }
-    // Both generators must leave the caller's RNG in the same state.
-    EXPECT_EQ(rng_list.next(), rng_csr.next()) << "n=" << n;
-    EXPECT_TRUE(a.has_edge_list());
-    EXPECT_FALSE(b.has_edge_list());
-    EXPECT_THROW(b.edges(), std::logic_error);
-  }
-}
+// --- memory-diet graphs: CSR-only construction -----------------------
 
 TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
-  Rng rng_list(3);
-  Rng rng_csr(3);
-  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng_list);
-  const Graph b = gen::gnp_avg_degree_csr(1500, 8.0, rng_csr);
+  Rng rng(3);
+  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
+  // The CSR-only twin: a's own arrays, with no edge list retained.
+  const VertexId n = a.num_vertices();
+  util::PodVector<CsrOffset> offsets{0};
+  util::PodVector<VertexId> adjacency;
+  for (VertexId v = 0; v < n; ++v) {
+    const auto nbrs = a.neighbors(v);
+    adjacency.insert(adjacency.end(), nbrs.begin(), nbrs.end());
+    offsets.push_back(adjacency.size());
+  }
+  const Graph b = Graph::from_csr(n, std::move(offsets), std::move(adjacency));
+  ASSERT_TRUE(b.same_csr(a));
+  EXPECT_TRUE(a.has_edge_list());
+  EXPECT_FALSE(b.has_edge_list());
+  EXPECT_THROW(b.edges(), std::logic_error);
   const auto run_a = run_bulk_mis(MisEngine::kSleeping, a, 3, nullptr);
   const auto run_b = run_bulk_mis(MisEngine::kSleeping, b, 3, nullptr);
   EXPECT_EQ(run_a.outputs, run_b.outputs);

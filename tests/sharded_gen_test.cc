@@ -94,14 +94,13 @@ TEST(ShardedGen, DenseAndEdgeCasesAcrossLaneCounts) {
 }
 
 TEST(ShardedGen, FirstTouchPlacementIsBitwiseInvariant) {
+  // A multi-lane pool pre-touches every CSR array in its chunk layout;
+  // the pool-less build touches nothing ahead of the real writes.
   util::ThreadPool pool(4);
-  gen::ShardedGnpOptions plain;
-  plain.pool = &pool;
-  gen::ShardedGnpOptions touched;
-  touched.pool = &pool;
-  touched.first_touch = true;
-  const Graph a = gen::gnp_avg_degree_sharded_csr(20000, 8.0, 5, plain);
-  const Graph b = gen::gnp_avg_degree_sharded_csr(20000, 8.0, 5, touched);
+  gen::ShardedGnpOptions pooled;
+  pooled.pool = &pool;
+  const Graph a = gen::gnp_avg_degree_sharded_csr(20000, 8.0, 5);
+  const Graph b = gen::gnp_avg_degree_sharded_csr(20000, 8.0, 5, pooled);
   ExpectSameCsr(a, b);
 }
 
@@ -271,7 +270,6 @@ TEST(ShardedGen, BulkFirstTouchIsBitwiseInvariant) {
   bulk::BulkOptions touched = base;
   touched.pool = &pool;
   touched.parallel_cutoff = 1;
-  touched.first_touch = true;
   const bulk::BulkResult run =
       bulk::bulk_sleeping_mis(g, 23, {}, nullptr, touched);
   EXPECT_EQ(reference.outputs, run.outputs);
