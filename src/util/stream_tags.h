@@ -13,7 +13,7 @@
 // collision check at all.
 //
 // Registry rules (machine-checked by slumber-d6 in
-// tools/lint/ast_checks.py, and by the static_assert below):
+// tools/lint/slumber_checks.py, and by the static_assert below):
 //
 //   1. Every tag is declared in THIS file, in the strict format
 //          // SLUMBER-STREAM-TAG(<name>): <what the stream draws>

@@ -1,8 +1,8 @@
 // Must-flag fixture for slumber-d1 telemetry leakage: src/ code
 // outside src/obs/ reading the wall clock or consuming a telemetry
-// value. Each annotated line must produce exactly one slumber-d1
-// finding — measurements steering computation would make trial output
-// machine-dependent.
+// value (a slumber-d1 finding per read), and the functions holding a
+// telemetry read (slumber-d8) — measurements steering computation would
+// make trial output machine-dependent.
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -21,14 +21,14 @@ std::size_t bad_adaptive_cutoff() {
   return static_cast<std::size_t>(start.time_since_epoch().count() & 0xff);
 }
 
-std::size_t bad_rss_steered_chunks(std::size_t n) {
+std::size_t bad_rss_steered_chunks(std::size_t n) {  // MUST-FLAG(slumber-d8)
   if (slumber::obs::peak_rss_kb() > 1000000) {  // MUST-FLAG(slumber-d1)
     return n / 2;
   }
   return n;
 }
 
-std::uint64_t bad_proc_readback() {
+std::uint64_t bad_proc_readback() {  // MUST-FLAG(slumber-d8)
   return slumber::obs::proc::current_rss_kb();  // MUST-FLAG(slumber-d1)
 }
 

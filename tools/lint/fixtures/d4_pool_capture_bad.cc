@@ -1,6 +1,6 @@
-// Must-flag fixture for slumber-d4b: bare scalar writes to
-// by-reference captures inside pool lambdas -- every lane mutates the
-// same location and the merge order is scheduling-dependent.
+// Must-flag fixture for slumber-d5 on bare scalar captures: every lane
+// mutates the same by-reference capture inside a pool lambda, and the
+// merge order is scheduling-dependent.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -24,7 +24,7 @@ std::uint64_t bad_shared_accumulator(Pool& pool,
   pool.parallel_for_range(
       xs.size(), [&](std::size_t chunk, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          total += xs[i];  // MUST-FLAG(slumber-d4)
+          total += xs[i];  // MUST-FLAG(slumber-d5)
         }
       });
   return total;
@@ -34,7 +34,7 @@ std::uint64_t bad_shared_counter(Pool& pool, std::size_t n) {
   std::uint64_t hits = 0;
   pool.parallel_for_index(n, [&](std::size_t i) {
     if (i % 3 == 0) {
-      ++hits;  // MUST-FLAG(slumber-d4)
+      ++hits;  // MUST-FLAG(slumber-d5)
     }
   });
   return hits;

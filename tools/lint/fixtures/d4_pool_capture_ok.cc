@@ -1,4 +1,4 @@
-// Must-pass fixture for slumber-d4b: the repo's sanctioned sharding
+// Must-pass fixture for slumber-d5: the repo's sanctioned sharding
 // disciplines -- chunk-indexed partials merged after the barrier,
 // locals inside the lambda, and atomic integer accounting.
 #include <atomic>

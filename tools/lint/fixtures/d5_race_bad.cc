@@ -30,3 +30,9 @@ void fx_bad_span(Engine& eng, const std::vector<Vertex>& fx_members,
                    }
                  });
 }
+
+void fx_bad_deref(Pool* pool, std::uint64_t* fx_last) {
+  pool->parallel_for_index(8, [&](std::size_t b) {
+    *fx_last = b;  // MUST-FLAG(slumber-d5)
+  });
+}

@@ -1,7 +1,8 @@
 // slumber-d5 must-pass fixture: the repo's sanctioned patterns --
-// chunk-indexed partials, indices derived from the lane's parameters
-// (transitively), range-fors over the handed span, atomics, and a
-// nested dispatcher whose own index parameters stay its own.
+// chunk-indexed partials (also through a lane-local pointer), indices
+// derived from the lane's parameters (transitively), range-fors over
+// the handed span, atomics, and a nested dispatcher whose own index
+// parameters stay its own.
 
 void fx_ok_scan(Engine& eng, Pool* pool,
                 const std::vector<Vertex>& fx_members,
@@ -18,6 +19,8 @@ void fx_ok_scan(Engine& eng, Pool* pool,
           fx_stamp[fx_slot] = 1;
         }
         fx_parts[c] += fx_local;
+        std::uint64_t* fx_part = &fx_parts[c];
+        *fx_part += 1;
         fx_atomic_total += fx_local;
       });
   eng.scan_awake(fx_members,

@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""Mutation test for the slumber-lint v2 dataflow analyzer.
+"""Mutation test for the slumber-lint determinism analyzer.
 
-Plants known determinism bugs into copies of the real tree -- the bug
-classes D5-D8 exist to catch, at the exact call sites that motivated
-them -- and asserts that tools/lint/ast_checks.py flags each plant with
-the expected rule. A final run on the unmutated copy must be clean, so
-the test also pins "zero findings on the real tree" as a regression
+Plants known determinism bugs into copies of the real src/ tree -- at
+the call sites that motivated the D1 and D5-D8 rules -- and asserts
+that tools/lint/slumber_checks.py flags each plant with the expected
+rule in the expected file. A run on the unmutated copy must be clean,
+so the test also pins "zero findings on the real tree" as a regression
 gate.
 
 The copies live in a temp directory; the repo itself is never touched.
-Runs the structural engine so the gate holds in containers without
-libclang; pass --engine ast to exercise the AST engine where available.
 
 Exit status: 0 all plants flagged + clean tree clean, 1 otherwise.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -26,19 +24,29 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.abspath(os.path.join(HERE, "..", ".."))
-AST_CHECKS = os.path.join(HERE, "ast_checks.py")
+CHECKER = os.path.join(HERE, "slumber_checks.py")
 
-# (id, repo-relative file, exact original text, mutated text, rule that
-# must fire). Originals are exact substrings of the current tree; the
-# test fails loudly if drift makes one unmatchable, which is the signal
-# to re-aim the plant rather than let the gate rot.
+# (id, repo-relative file to mutate, exact original text, mutated text,
+# rule that must fire, file the finding must land in). Originals are
+# exact substrings of the current tree; the test fails loudly if drift
+# makes one unmatchable, which is the signal to re-aim the plant rather
+# than let the gate rot.
 PLANTS = [
+    (
+        "d1-trial-threads-hardware",
+        "src/analysis/parallel.cc",
+        "return util::ThreadPool::hardware_threads();",
+        "return std::thread::hardware_concurrency();",
+        "slumber-d1",
+        "src/analysis/parallel.cc",
+    ),
     (
         "d5-engine-mark-awake",
         "src/bulk/engine.cc",
         "awake_epoch_[awake[i]] = epoch;",
         "awake_epoch_[0] = epoch;",
         "slumber-d5",
+        "src/bulk/engine.cc",
     ),
     (
         "d5-churn-leave-counter",
@@ -46,6 +54,7 @@ PLANTS = [
         "++leave_parts[c];",
         "++leave_parts[0];",
         "slumber-d5",
+        "src/fault/churn.cc",
     ),
     (
         "d6-registry-high32-collision",
@@ -53,6 +62,7 @@ PLANTS = [
         "0xC4A54AD0'5EED'0002ULL",
         "0x10557AD0'5EED'0002ULL",
         "slumber-d6",
+        "src/util/stream_tags.h",
     ),
     (
         "d6-churn-unregistered-stream",
@@ -60,6 +70,7 @@ PLANTS = [
         "util::stream_tags::kChurnTag ^ static_cast<VertexId>(v)",
         "0x99990000ULL ^ static_cast<VertexId>(v)",
         "slumber-d6",
+        "src/fault/churn.cc",
     ),
     (
         "d6-live-churn-unregistered-stream",
@@ -67,6 +78,7 @@ PLANTS = [
         "util::stream_tags::kLiveChurnTag ^ v",
         "0xBADC0DE5EEDULL ^ v",
         "slumber-d6",
+        "src/fault/fault.h",
     ),
     (
         "d6-burst-unregistered-stream",
@@ -74,6 +86,7 @@ PLANTS = [
         "util::stream_tags::kBurstTag ^ edge",
         "0xFEED5EEDULL ^ edge",
         "slumber-d6",
+        "src/fault/fault.h",
     ),
     (
         "d7-engine-truncated-makespan",
@@ -82,14 +95,27 @@ PLANTS = [
         "metrics_.makespan = "
         "static_cast<std::uint64_t>(virtual_makespan_);",
         "slumber-d7",
+        "src/bulk/engine.cc",
+    ),
+    (
+        # The taint must cross into the header template that calls the
+        # tainted function, past its brace-bearing trailing return type.
+        "d8-trial-threads-rss",
+        "src/analysis/parallel.cc",
+        "return util::ThreadPool::hardware_threads();",
+        "return static_cast<unsigned>(obs::peak_rss_kb() % 64 + 1);",
+        "slumber-d8",
+        "src/analysis/parallel.h",
     ),
 ]
 
+FINDING_RE = re.compile(r"^(?P<path>\S+):\d+: \[(?P<rule>slumber-[\w-]+)\]",
+                        re.MULTILINE)
 
-def run_linter(root: str, engine: str) -> tuple[int, str]:
+
+def run_linter(root: str) -> tuple[int, str]:
     proc = subprocess.run(
-        [sys.executable, AST_CHECKS, "--root", root, "--engine", engine,
-         "--no-cache"],
+        [sys.executable, CHECKER, "--root", root],
         capture_output=True, text=True, check=False)
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -100,23 +126,18 @@ def copy_src(dest_root: str) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--engine", default="structural",
-                        choices=("ast", "structural"))
-    args = parser.parse_args()
-
     failures: list[str] = []
     with tempfile.TemporaryDirectory(prefix="slumber-mutation-") as tmp:
         clean_root = os.path.join(tmp, "clean")
         copy_src(clean_root)
-        code, out = run_linter(clean_root, args.engine)
+        code, out = run_linter(clean_root)
         if code != 0:
             failures.append(
                 f"clean tree: expected exit 0, got {code}\n{out}")
         else:
-            print(f"mutation_test: clean tree OK (engine={args.engine})")
+            print("mutation_test: clean tree OK")
 
-        for plant_id, relpath, original, mutated, rule in PLANTS:
+        for plant_id, relpath, original, mutated, rule, lands_in in PLANTS:
             root = os.path.join(tmp, plant_id)
             copy_src(root)
             target = os.path.join(root, relpath)
@@ -129,15 +150,18 @@ def main() -> int:
                 continue
             with open(target, "w", encoding="utf-8") as fh:
                 fh.write(text.replace(original, mutated, 1))
-            code, out = run_linter(root, args.engine)
+            code, out = run_linter(root)
+            hits = {(m.group("path"), m.group("rule"))
+                    for m in FINDING_RE.finditer(out)}
             if code != 1:
                 failures.append(
                     f"{plant_id}: expected exit 1, got {code}\n{out}")
-            elif rule not in out:
+            elif (lands_in, rule) not in hits:
                 failures.append(
-                    f"{plant_id}: flagged, but not with {rule}:\n{out}")
+                    f"{plant_id}: no {rule} finding in {lands_in}:\n{out}")
             else:
-                print(f"mutation_test: {plant_id} caught ({rule})")
+                print(f"mutation_test: {plant_id} caught ({rule} in "
+                      f"{lands_in})")
 
     if failures:
         print(f"mutation_test: FAIL ({len(failures)} problems)")
@@ -145,7 +169,7 @@ def main() -> int:
             print(f"  {f}")
         return 1
     print(f"mutation_test: OK ({len(PLANTS)} plants caught, "
-          f"clean tree clean, engine={args.engine})")
+          f"clean tree clean)")
     return 0
 
 

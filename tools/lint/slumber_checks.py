@@ -3,7 +3,10 @@
 
 Stock clang-tidy cannot express the invariants this reproduction's
 science rests on (bitwise-identical trial output at every lane count),
-so this checker enforces them directly:
+so this checker enforces them directly. Every scanned file is parsed
+once into a comment-aware FileModel and all rules run over the models
+in one pass; D8 then joins the per-file function tables into one call
+graph.
 
   slumber-d1  No nondeterminism sources in src/: std::rand/srand,
               std::random_device, std::chrono::*::now (timing belongs
@@ -39,28 +42,57 @@ so this checker enforces them directly:
               not CAS).
   slumber-d4  memory_order stricter than relaxed requires an adjacent
               justification comment (same line or the three lines
-              above), and mutable writes to by-reference captures
-              inside pool lambdas (parallel_for_range /
-              parallel_for_index bodies) must be chunk-indexed,
-              subscripted, or member/pointer state -- a bare scalar
-              `++x` / `x += ...` across lanes is a data race and an
-              order-dependent reduction even when atomic.
+              above).
+  slumber-d5  Race discipline in pool lambdas, across the whole scan.
+              For every lambda handed to a sharding dispatcher
+              (parallel_for_range / parallel_for_index / for_range /
+              scan_range / scan_awake / for_each_block /
+              for_each_range), resolve which names are lane-local: the
+              chunk/index parameters, everything derived from them
+              (transitively, through initializers and range-fors over
+              the handed span), and body locals. A store through a
+              captured reference (`x = ...`, `++x`, `*p = ...`) whose
+              target is not lane-local, not atomic (in this file or
+              its same-stem header), and not subscripted by a derived
+              index is a cross-lane race, or an order-dependent
+              reduction, and is flagged: `parts[c] += x` passes,
+              `parts[0] += x` and `++hits` do not.
+  slumber-d6  RNG stream-tag registry. src/util/stream_tags.h declares
+              every domain-separation tag; the checker proves the
+              registry well-formed (annotation format, kAllStreamTags
+              listing, pairwise-distinct high 32 bits) and that every
+              util::stream_rng call site under src/ keys its stream
+              through a registered tag (directly or via a one-hop local
+              definition) or sits on a documented block-counter
+              discipline marked SLUMBER-STREAM-DISCIPLINE(block-counter).
+  slumber-d7  Clock-width safety. The bulk engine's virtual clock is
+              128-bit (VirtualRound); narrowing it to 64 bits anywhere
+              in src/ except the blessed saturate helpers
+              (saturate_round / round_halves in src/bulk/) silently
+              truncates at deep recursions (K >= 62 is reached at
+              n = 10M). Flagged: static_cast<64-bit int>(clock
+              expression) and implicit 64-bit-typed declarations
+              initialized from clock expressions.
+  slumber-d8  Cross-TU obs write-only discipline. D1 bans *direct*
+              telemetry readbacks outside src/obs/; D8 closes the
+              transitive hole: a function-level call graph over every
+              scanned src/ file proves no function outside src/obs/
+              *transitively* reads telemetry state through helpers.
 
 Suppression: clang-tidy style, with a mandatory reason string --
     // NOLINT(slumber-d2): drained into a sorted vector first
     // NOLINTNEXTLINE(slumber-d1): wall-clock only feeds the progress log
 A NOLINT without a reason is itself a finding (slumber-nolint).
 
-The analysis is lexical (comment/string-aware tokenization, brace
-matching for lambda bodies) and dependency-free: it runs in minimal
-containers and CI images without a clang toolchain. When the libclang
-python bindings are importable they are used to refine function-extent
-detection, but they are optional by design -- `pip install libclang` is
-never required.
+The analysis is structural (comment/string-aware tokenization, brace
+matching, one-hop def-use) and stdlib-only, so it runs unchanged in
+minimal containers and CI images without a clang toolchain. Known
+limit: member-qualified clock reads (`x.round`) resolve by field name,
+not by object type.
 
 Usage:
-    tools/lint/slumber_checks.py [--root REPO] [paths...]   # scan tree
-    tools/lint/slumber_checks.py --self-test                # fixtures
+    tools/lint/slumber_checks.py [--root REPO] [--gha] [paths...]
+    tools/lint/slumber_checks.py --self-test        # fixture suite
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -68,20 +100,12 @@ Exit status: 0 clean, 1 findings, 2 usage/internal error.
 from __future__ import annotations
 
 import argparse
+import bisect
 import os
 import re
 import sys
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-
-try:  # optional refinement only; the lexical engine is the contract
-    import clang.cindex  # type: ignore  # noqa: F401
-    HAVE_LIBCLANG = True
-except ImportError:
-    HAVE_LIBCLANG = False
-
-RULES = ("slumber-d1", "slumber-d2", "slumber-d3", "slumber-d4",
-         "slumber-nolint")
+from dataclasses import dataclass
 
 # Directories scanned in tree mode, relative to the repo root. tests/
 # are deliberately excluded: they keep hash-container reference
@@ -89,15 +113,23 @@ RULES = ("slumber-d1", "slumber-d2", "slumber-d3", "slumber-d4",
 # mandates (see tests/determinism_container_test.cc).
 TREE_SCAN_DIRS = ("src", "bench", "examples", "tools")
 CXX_EXTENSIONS = (".cc", ".h", ".cpp", ".hpp")
+REGISTRY_REL = "src/util/stream_tags.h"
+# The stream_rng definition itself is not a call site.
+STREAM_DEF_REL = "src/util/stream_rng.h"
 
-# slumber-d1 only applies under src/ (bench timing code is exempt), and
-# these (path, token) pairs are the documented exceptions.
-D1_SCOPE_PREFIX = "src/"
-D1_ALLOWLIST = {
-    # The single hardware_concurrency call the default_trial_threads
-    # precedence chain (--threads > SLUMBER_THREADS > hardware) ends in.
-    ("src/util/thread_pool.cc", "hardware_concurrency"),
-}
+# The self-test analyzes each fixture at a tree path so the scoped
+# rules see it where they apply; first matching prefix wins.
+# d6_registry_ok.h stands in for the registry itself.
+FIXTURE_SCOPES = (
+    ("d1_fault_", "src/fault/"),
+    ("d1_obs_", "src/obs/"),
+    ("d5_", "src/bulk/"),
+    ("d6_", "src/fault/"),
+    ("d7_", "src/bulk/"),
+    ("d8_obs_", "src/obs/"),
+    ("", "src/lint_fixture/"),
+)
+REGISTRY_FIXTURE = "d6_registry_ok.h"
 
 
 @dataclass(frozen=True)
@@ -111,23 +143,14 @@ class Finding:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
 
 
-@dataclass
-class SourceFile:
-    """A C++ file split into an analyzable code view plus comment text.
+# --------------------------------------------------------------------------
+# the per-file model
+# --------------------------------------------------------------------------
 
-    `code[i]` is line i with comments and string/char literal contents
-    blanked (structure preserved so column math stays sane), and
-    `comments[i]` is the comment text that appeared on line i.
-    """
-
-    path: str
-    code: list[str] = field(default_factory=list)
-    comments: list[str] = field(default_factory=list)
-
-
-def strip_to_views(path: str, text: str) -> SourceFile:
-    """Comment/string-aware split of a C++ source into code + comments."""
-    src = SourceFile(path=path)
+def split_views(text: str) -> tuple[list[str], list[str]]:
+    """Comment/string-aware split of a C++ source into per-line code and
+    comment views. Code lines keep their columns, with comments and
+    string/char literal contents blanked."""
     code: list[str] = []
     comments: list[str] = []
     cur_code: list[str] = []
@@ -194,27 +217,15 @@ def strip_to_views(path: str, text: str) -> SourceFile:
             cur_code.append(" ")
             i += 1
             continue
-        if state == "string":
+        if state in ("string", "char"):
+            quote = '"' if state == "string" else "'"
             if c == "\\":
                 cur_code.append("  ")
                 i += 2
                 continue
-            if c == '"':
+            if c == quote:
                 state = "code"
-                cur_code.append('"')
-                i += 1
-                continue
-            cur_code.append(" ")
-            i += 1
-            continue
-        if state == "char":
-            if c == "\\":
-                cur_code.append("  ")
-                i += 2
-                continue
-            if c == "'":
-                state = "code"
-                cur_code.append("'")
+                cur_code.append(quote)
                 i += 1
                 continue
             cur_code.append(" ")
@@ -233,17 +244,16 @@ def strip_to_views(path: str, text: str) -> SourceFile:
     if cur_code or cur_comment:
         code.append("".join(cur_code))
         comments.append("".join(cur_comment))
-    src.code = code
-    src.comments = comments
-    return src
+    return code, comments
 
 
 NOLINT_RE = re.compile(
     r"NOLINT(?P<next>NEXTLINE)?\((?P<rules>[^)]*)\)(?P<rest>.*)", re.DOTALL)
+MUST_FLAG_RE = re.compile(r"MUST-FLAG\((?P<rule>slumber-[\w-]+)\)")
 
 
-def nolint_suppressions(src: SourceFile) -> tuple[dict[int, set[str]],
-                                                  list[Finding]]:
+def nolint_suppressions(path: str, comments: list[str]) -> tuple[
+        dict[int, set[str]], list[Finding]]:
     """Maps 0-based line -> set of suppressed rule names.
 
     NOLINT suppresses on its own line, NOLINTNEXTLINE on the following
@@ -251,7 +261,7 @@ def nolint_suppressions(src: SourceFile) -> tuple[dict[int, set[str]],
     """
     suppressed: dict[int, set[str]] = {}
     findings: list[Finding] = []
-    for idx, comment in enumerate(src.comments):
+    for idx, comment in enumerate(comments):
         m = NOLINT_RE.search(comment)
         if not m:
             continue
@@ -259,11 +269,10 @@ def nolint_suppressions(src: SourceFile) -> tuple[dict[int, set[str]],
         slumber_rules = {r for r in rules if r.startswith("slumber-")}
         if not slumber_rules:
             continue  # plain clang-tidy NOLINT; not ours to police
-        rest = re.sub(r"MUST-FLAG\(slumber-[\w-]+\)", "", m.group("rest"))
-        reason = rest.lstrip(": \t").strip()
+        reason = MUST_FLAG_RE.sub("", m.group("rest")).lstrip(": \t").strip()
         if len(reason) < 8:
             findings.append(Finding(
-                src.path, idx + 1, "slumber-nolint",
+                path, idx + 1, "slumber-nolint",
                 "NOLINT(slumber-*) requires a reason string: "
                 "`// NOLINT(slumber-dN): why this is sound`"))
         target = idx + 1 if m.group("next") else idx
@@ -271,26 +280,193 @@ def nolint_suppressions(src: SourceFile) -> tuple[dict[int, set[str]],
     return suppressed, findings
 
 
-def is_suppressed(suppressed: dict[int, set[str]], line_idx: int,
-                  rule: str) -> bool:
-    rules = suppressed.get(line_idx, set())
-    return rule in rules or "slumber-all" in rules
+CLOCK_VAR_RE = re.compile(r"\bVirtualRound\b\s*&?\s*([A-Za-z_]\w*)")
+CLOCK_INT128_RE = re.compile(r"\bunsigned\s+__int128\s+([A-Za-z_]\w*)")
+CLOCK_FN_RE = re.compile(r"\bVirtualRound\s+([A-Za-z_]\w*)\s*\(")
+NONCLOCK_RE = re.compile(
+    r"\b(?:std::)?(?:u?int(?:8|16|32|64)_t|size_t|ptrdiff_t)\s+"
+    r"([A-Za-z_]\w*)")
+ATOMIC_RE = re.compile(
+    r"\bstd::atomic(?:_ref)?\s*<[^;{}]*>\s*&?\s*([A-Za-z_]\w*)")
+
+
+@dataclass
+class FileModel:
+    """One C++ file, parsed once for every rule.
+
+    `code[i]` is line i's code view and `comments[i]` its comment text;
+    `text` is the code view joined back into one string for the
+    multi-line extractors, and `starts` its line offsets. The name sets
+    are the type facts D5 and D7 resolve against.
+    """
+
+    path: str  # repo-relative scope path, e.g. src/bulk/engine.cc
+    raw: str
+    code: list[str]
+    comments: list[str]
+    text: str
+    starts: list[int]
+    suppressed: dict[int, set[str]]
+    nolint: list[Finding]  # reasonless NOLINT(slumber-*) markers
+    clock_names: set[str]
+    clock_fns: set[str]
+    nonclock_names: set[str]
+    atomic_names: set[str]
+
+    def window(self, idx: int) -> list[str]:
+        """Comments on line idx and the three lines above it."""
+        return self.comments[max(0, idx - 3):idx + 1]
+
+    def flag(self, out: list[Finding], idx: int, rule: str,
+             message: str) -> None:
+        """Appends a finding on 0-based line idx unless a NOLINT for the
+        rule covers that line."""
+        rules = self.suppressed.get(idx, set())
+        if rule not in rules and "slumber-all" not in rules:
+            out.append(Finding(self.path, idx + 1, rule, message))
+
+
+def line_starts_of(text: str) -> list[int]:
+    starts = [0]
+    for i, ch in enumerate(text):
+        if ch == "\n":
+            starts.append(i + 1)
+    return starts
+
+
+def line_of(starts: list[int], pos: int) -> int:
+    return bisect.bisect_right(starts, pos) - 1
+
+
+def parse_model(path: str, raw: str) -> FileModel:
+    code, comments = split_views(raw)
+    text = "\n".join(code)
+    suppressed, nolint = nolint_suppressions(path, comments)
+    clock_fns = set(CLOCK_FN_RE.findall(text))
+    return FileModel(
+        path, raw, code, comments, text, line_starts_of(text), suppressed,
+        nolint,
+        clock_names=(set(CLOCK_VAR_RE.findall(text)) |
+                     set(CLOCK_INT128_RE.findall(text))) - clock_fns,
+        clock_fns=clock_fns,
+        nonclock_names=set(NONCLOCK_RE.findall(text)),
+        atomic_names=set(ATOMIC_RE.findall(text)))
+
+
+def load_model(abspath: str, path: str) -> FileModel:
+    with open(abspath, "r", encoding="utf-8", errors="replace") as fh:
+        return parse_model(path, fh.read())
+
+
+# --------------------------------------------------------------------------
+# lexical helpers
+# --------------------------------------------------------------------------
+
+WORD_RE = re.compile(r"[A-Za-z_]\w*")
+
+
+def match_forward(text: str, pos: int, open_ch: str, close_ch: str) -> int:
+    """Index of the close matching text[pos] == open_ch, or -1."""
+    depth = 0
+    for i in range(pos, len(text)):
+        if text[i] == open_ch:
+            depth += 1
+        elif text[i] == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i
+    return -1
+
+
+def body_open(text: str, pos: int) -> int:
+    """Offset of the `{` opening the body of a definition whose
+    parameter list closes just before pos, or -1 when a `;` or `=` ends
+    a declaration first. Balanced (...) groups are skipped, so a
+    trailing return type such as `-> decltype(fn(std::size_t{0}))` is
+    passed over rather than taken for the body."""
+    depth = 0
+    for i in range(pos, len(text)):
+        ch = text[i]
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            if depth == 0:
+                return -1
+            depth -= 1
+        elif depth == 0 and ch in "{;=":
+            return i if ch == "{" else -1
+    return -1
+
+
+def split_args(text: str) -> list[str]:
+    """Splits an argument list on top-level commas."""
+    args: list[str] = []
+    depth = 0
+    cur: list[str] = []
+    for ch in text:
+        if ch in "(<[{":
+            depth += 1
+        elif ch in ")>]}":
+            depth -= 1
+        if ch == "," and depth == 0:
+            args.append("".join(cur))
+            cur = []
+        else:
+            cur.append(ch)
+    if cur or args:
+        args.append("".join(cur))
+    return args
+
+
+def param_name(param: str) -> str | None:
+    """Name of a function parameter, or None when unnamed."""
+    param = param.strip()
+    if not param or param.endswith("..."):
+        return None
+    m = re.search(r"([A-Za-z_]\w*)\s*$", param)
+    if not m:
+        return None
+    before = param[:m.start()].rstrip()
+    if not before or before.endswith("::"):
+        return None  # a bare (possibly qualified) type: unnamed param
+    return m.group(1)
+
+
+def word_in(text: str, names: set[str]) -> bool:
+    return any(m.group(0) in names for m in WORD_RE.finditer(text))
 
 
 # --------------------------------------------------------------------------
 # slumber-d1: nondeterminism sources
 # --------------------------------------------------------------------------
 
+# (pattern, name, explanation) rows.
 D1_PATTERNS = (
-    (re.compile(r"\bstd::rand\b|(?<![\w:])rand\s*\("), "std::rand"),
-    (re.compile(r"\bsrand\s*\(|\bstd::srand\b"), "srand"),
-    (re.compile(r"\brandom_device\b"), "std::random_device"),
+    (re.compile(r"\bstd::rand\b|(?<![\w:])rand\s*\("), "std::rand",
+     "non-reproducible RNG; use util::Rng / util::stream_rng seeded from "
+     "the trial schedule"),
+    (re.compile(r"\bsrand\s*\(|\bstd::srand\b"), "srand",
+     "global RNG seeding is hidden state; use util::Rng / "
+     "util::stream_rng"),
+    (re.compile(r"\brandom_device\b"), "std::random_device",
+     "non-reproducible entropy source; seeds must come from the trial "
+     "schedule"),
     (re.compile(r"\b(?:steady_clock|system_clock|high_resolution_clock)\s*"
-                r"::\s*now\s*\("), "std::chrono::*::now"),
+                r"::\s*now\s*\("), "std::chrono::*::now",
+     "wall-clock reads are nondeterministic; timing belongs in bench/, "
+     "not src/"),
     (re.compile(r"(?<![\w:])time\s*\(\s*(?:NULL|nullptr|0)\s*\)"),
-     "time(nullptr) seeding"),
-    (re.compile(r"\bhardware_concurrency\b"), "hardware_concurrency"),
+     "time(nullptr) seeding",
+     "time-derived values are nondeterministic; seeds must come from the "
+     "trial schedule"),
+    (re.compile(r"\bhardware_concurrency\b"), "hardware_concurrency",
+     "machine-dependent value; route through the default_trial_threads "
+     "precedence chain (--threads > SLUMBER_THREADS > hardware)"),
 )
+
+# The single hardware_concurrency call the default_trial_threads
+# precedence chain (--threads > SLUMBER_THREADS > hardware) ends in.
+D1_ALLOWLIST = {("src/util/thread_pool.cc", "hardware_concurrency")}
 
 # src/obs/ exemption: the telemetry layer is the repo's one sanctioned
 # wall-clock consumer. Its out-of-band contract (timestamps reach the
@@ -303,13 +479,11 @@ D1_OBS_ALLOWED_NAMES = {"std::chrono::*::now"}
 # The readback half of that contract: src/ code outside src/obs/ must
 # never consume a telemetry value. These are write-only APIs from the
 # library's point of view; reading one back would let a measured
-# quantity (RSS, wall time) steer computation.
-D1_OBS_READBACK_PATTERNS = (
-    (re.compile(r"\bobs::(?:peak_rss_kb\s*\(|proc::)"),
-     "telemetry readback"),
-)
-
-D1_OBS_READBACK_EXPLANATION = (
+# quantity (RSS, wall time) steer computation. D8 follows the same
+# reads through the call graph.
+OBS_READ_RE = re.compile(r"\bobs::(?:peak_rss_kb\s*\(|proc::)")
+D1_OBS_READBACK = (
+    OBS_READ_RE, "telemetry readback",
     "telemetry values are write-only outside src/obs/: a measured "
     "quantity steering src/ computation would make trial output "
     "machine-dependent (bench/ and tools/ may read them)")
@@ -322,80 +496,37 @@ D1_OBS_READBACK_EXPLANATION = (
 # between the coroutine and bulk back ends and across lane counts.
 D1_FAULT_SCOPE_PREFIX = "src/fault/"
 D1_FAULT_PATTERNS = (
-    (re.compile(r"\bRng\s+\w+\s*[({=]|\bRng\s*\("), "sequential Rng"),
-    (re.compile(r"\.\s*split\s*\("), "Rng::split"),
-    (re.compile(r"\bnode_rng\s*\("), "engine node stream"),
+    (re.compile(r"\bRng\s+\w+\s*[({=]|\bRng\s*\("), "sequential Rng",
+     "fault draws must be pure keyed util::stream_rng calls; a "
+     "constructed generator's output depends on consumption order, "
+     "breaking engine- and lane-independence"),
+    (re.compile(r"\.\s*split\s*\("), "Rng::split",
+     "state-derived child streams depend on how much of the parent was "
+     "consumed; key a util::stream_rng stream by the faulted entity "
+     "instead"),
+    (re.compile(r"\bnode_rng\s*\("), "engine node stream",
+     "per-node engine streams belong to the protocols; fault decisions "
+     "consuming them would perturb the fault-free trajectory"),
 )
 
-D1_FAULT_EXPLANATIONS = {
-    "sequential Rng": "fault draws must be pure keyed util::stream_rng "
-                      "calls; a constructed generator's output depends on "
-                      "consumption order, breaking engine- and "
-                      "lane-independence",
-    "Rng::split": "state-derived child streams depend on how much of the "
-                  "parent was consumed; key a util::stream_rng stream by "
-                  "the faulted entity instead",
-    "engine node stream": "per-node engine streams belong to the "
-                          "protocols; fault decisions consuming them would "
-                          "perturb the fault-free trajectory",
-}
 
-D1_EXPLANATIONS = {
-    "std::rand": "non-reproducible RNG; use util::Rng / util::stream_rng "
-                 "seeded from the trial schedule",
-    "srand": "global RNG seeding is hidden state; use util::Rng / "
-             "util::stream_rng",
-    "std::random_device": "non-reproducible entropy source; seeds must come "
-                          "from the trial schedule",
-    "std::chrono::*::now": "wall-clock reads are nondeterministic; timing "
-                           "belongs in bench/, not src/",
-    "time(nullptr) seeding": "time-derived values are nondeterministic; "
-                             "seeds must come from the trial schedule",
-    "hardware_concurrency": "machine-dependent value; route through the "
-                            "default_trial_threads precedence chain "
-                            "(--threads > SLUMBER_THREADS > hardware)",
-}
-
-
-def check_d1(src: SourceFile, suppressed: dict[int, set[str]],
-             scope_path: str) -> list[Finding]:
-    if not scope_path.startswith(D1_SCOPE_PREFIX):
+def check_d1(m: FileModel) -> list[Finding]:
+    if not m.path.startswith("src/"):
         return []
-    in_obs_scope = scope_path.startswith(D1_OBS_SCOPE_PREFIX)
-    findings = []
-    for idx, line in enumerate(src.code):
-        for pattern, name in D1_PATTERNS:
-            if not pattern.search(line):
-                continue
-            if (scope_path, name) in D1_ALLOWLIST:
-                continue
-            if in_obs_scope and name in D1_OBS_ALLOWED_NAMES:
-                continue
-            if is_suppressed(suppressed, idx, "slumber-d1"):
-                continue
-            findings.append(Finding(
-                src.path, idx + 1, "slumber-d1",
-                f"{name}: {D1_EXPLANATIONS[name]}"))
-        if not in_obs_scope:
-            for pattern, name in D1_OBS_READBACK_PATTERNS:
-                if not pattern.search(line):
-                    continue
-                if is_suppressed(suppressed, idx, "slumber-d1"):
-                    continue
-                findings.append(Finding(
-                    src.path, idx + 1, "slumber-d1",
-                    f"{name}: {D1_OBS_READBACK_EXPLANATION}"))
-    if scope_path.startswith(D1_FAULT_SCOPE_PREFIX):
-        for idx, line in enumerate(src.code):
-            for pattern, name in D1_FAULT_PATTERNS:
-                if not pattern.search(line):
-                    continue
-                if is_suppressed(suppressed, idx, "slumber-d1"):
-                    continue
-                findings.append(Finding(
-                    src.path, idx + 1, "slumber-d1",
-                    f"{name}: {D1_FAULT_EXPLANATIONS[name]}"))
-    return findings
+    in_obs = m.path.startswith(D1_OBS_SCOPE_PREFIX)
+    rules = [row for row in D1_PATTERNS
+             if (m.path, row[1]) not in D1_ALLOWLIST
+             and not (in_obs and row[1] in D1_OBS_ALLOWED_NAMES)]
+    if not in_obs:
+        rules.append(D1_OBS_READBACK)
+    if m.path.startswith(D1_FAULT_SCOPE_PREFIX):
+        rules.extend(D1_FAULT_PATTERNS)
+    out: list[Finding] = []
+    for idx, line in enumerate(m.code):
+        for pattern, name, why in rules:
+            if pattern.search(line):
+                m.flag(out, idx, "slumber-d1", f"{name}: {why}")
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -409,43 +540,34 @@ RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*(?P<range>[\w.>-]+)\s*\)")
 BEGIN_CALL_RE = re.compile(r"\b(?P<name>\w+)\s*\.\s*c?r?begin\s*\(")
 
 
-def check_d2(src: SourceFile,
-             suppressed: dict[int, set[str]]) -> list[Finding]:
-    unordered_vars: set[str] = set()
-    for line in src.code:
-        for m in UNORDERED_DECL_RE.finditer(line):
-            unordered_vars.add(m.group("name"))
-    if not unordered_vars:
+def check_d2(m: FileModel) -> list[Finding]:
+    unordered = {um.group("name") for line in m.code
+                 for um in UNORDERED_DECL_RE.finditer(line)}
+    if not unordered:
         return []
-    findings = []
-    for idx, line in enumerate(src.code):
+    out: list[Finding] = []
+    for idx, line in enumerate(m.code):
         hits: list[str] = []
-        for m in RANGE_FOR_RE.finditer(line):
-            expr = m.group("range").split(".")[0].split("->")[0]
-            if expr in unordered_vars:
+        for rm in RANGE_FOR_RE.finditer(line):
+            expr = rm.group("range").split(".")[0].split("->")[0]
+            if expr in unordered:
                 hits.append(f"range-for over unordered container '{expr}'")
-        for m in BEGIN_CALL_RE.finditer(line):
-            if m.group("name") in unordered_vars:
+        for bm in BEGIN_CALL_RE.finditer(line):
+            if bm.group("name") in unordered:
                 hits.append(
                     f"iterator walk over unordered container "
-                    f"'{m.group('name')}'")
+                    f"'{bm.group('name')}'")
         for hit in hits:
-            if is_suppressed(suppressed, idx, "slumber-d2"):
-                continue
-            findings.append(Finding(
-                src.path, idx + 1, "slumber-d2",
-                f"{hit}: iteration order is implementation-defined; use a "
-                f"sorted container or drain into a sorted vector first"))
-    return findings
+            m.flag(out, idx, "slumber-d2",
+                   f"{hit}: iteration order is implementation-defined; use "
+                   f"a sorted container or drain into a sorted vector first")
+    return out
 
 
 # --------------------------------------------------------------------------
 # slumber-d3: non-commutative / non-associative atomic reductions
 # --------------------------------------------------------------------------
 
-FP_ATOMIC_DECL_RE = re.compile(
-    r"\bstd::atomic(?:_ref)?\s*<\s*(?:float|double|long\s+double)\s*>\s*"
-    r"(?:\w+\s*)?")
 FP_ATOMIC_VAR_RE = re.compile(
     r"\bstd::atomic\s*<\s*(?:float|double|long\s+double)\s*>\s+(?P<name>\w+)")
 FETCH_RE = re.compile(r"\b(?P<name>\w+)\s*\.\s*fetch_(?:add|sub)\s*\(")
@@ -455,304 +577,788 @@ INLINE_FP_FETCH_RE = re.compile(
 CAS_RE = re.compile(r"\bcompare_exchange_(?:weak|strong)\b")
 
 
-def check_d3(src: SourceFile,
-             suppressed: dict[int, set[str]]) -> list[Finding]:
-    fp_atomic_vars: set[str] = set()
-    for line in src.code:
-        for m in FP_ATOMIC_VAR_RE.finditer(line):
-            fp_atomic_vars.add(m.group("name"))
-    findings = []
-    for idx, line in enumerate(src.code):
-        flagged_fp = bool(INLINE_FP_FETCH_RE.search(line))
-        if not flagged_fp:
-            for m in FETCH_RE.finditer(line):
-                if m.group("name") in fp_atomic_vars:
-                    flagged_fp = True
-                    break
-        if flagged_fp and not is_suppressed(suppressed, idx, "slumber-d3"):
-            findings.append(Finding(
-                src.path, idx + 1, "slumber-d3",
-                "fetch_add/fetch_sub on a floating-point atomic: FP "
-                "addition is not associative, so the merged value depends "
-                "on lane interleaving; reduce into per-chunk partials and "
-                "merge in chunk order instead"))
-        if CAS_RE.search(line) and \
-                not is_suppressed(suppressed, idx, "slumber-d3"):
-            findings.append(Finding(
-                src.path, idx + 1, "slumber-d3",
-                "compare_exchange loop: CAS retry order is scheduling-"
-                "dependent; the engine's documented lock-free pattern is "
-                "one-directional relaxed load/store (tri-state "
-                "Unknown->True/False, src/bulk/sleeping_mis.cc). Justify "
-                "with NOLINT(slumber-d3): <reason> if genuinely needed"))
-    return findings
+def check_d3(m: FileModel) -> list[Finding]:
+    fp_atomics = {fm.group("name") for line in m.code
+                  for fm in FP_ATOMIC_VAR_RE.finditer(line)}
+    out: list[Finding] = []
+    for idx, line in enumerate(m.code):
+        if INLINE_FP_FETCH_RE.search(line) or any(
+                fm.group("name") in fp_atomics
+                for fm in FETCH_RE.finditer(line)):
+            m.flag(out, idx, "slumber-d3",
+                   "fetch_add/fetch_sub on a floating-point atomic: FP "
+                   "addition is not associative, so the merged value "
+                   "depends on lane interleaving; reduce into per-chunk "
+                   "partials and merge in chunk order instead")
+        if CAS_RE.search(line):
+            m.flag(out, idx, "slumber-d3",
+                   "compare_exchange loop: CAS retry order is scheduling-"
+                   "dependent; the engine's documented lock-free pattern "
+                   "is one-directional relaxed load/store (tri-state "
+                   "Unknown->True/False, src/bulk/sleeping_mis.cc). "
+                   "Justify with NOLINT(slumber-d3): <reason> if genuinely "
+                   "needed")
+    return out
 
 
 # --------------------------------------------------------------------------
-# slumber-d4: memory_order escalation + pool-lambda capture writes
+# slumber-d4: memory_order escalation
 # --------------------------------------------------------------------------
 
 STRICT_ORDER_RE = re.compile(
     r"\bmemory_order(?:_|::\s*)(?:seq_cst|acquire|release|acq_rel|consume)\b")
-MUST_FLAG_ANNOTATION_RE = re.compile(r"MUST-FLAG\(slumber-[\w-]+\)")
-POOL_CALL_RE = re.compile(r"\bparallel_for_(?:range|index)\s*\(")
-# A statement that declares a local: optionally cv-qualified type-ish
-# tokens followed by the name then an initializer/terminator. Kept
-# deliberately broad -- it only widens the set of identifiers treated
-# as locals (fewer findings), never narrows it.
-LOCAL_DECL_TEMPLATE = (
-    r"(?:\b(?:auto|const|constexpr|unsigned|signed|bool|char|short|int|"
-    r"long|float|double|std::\w+(?:::\w+)*|[A-Z]\w*(?:::\w+)*)\b"
-    r"[\w:<>,\s*&\[\]]*?[\s*&])"
-    r"{name}\s*[=;({{\[]")
-WRITE_RE = re.compile(
-    r"(?:\+\+|--)\s*(?P<pre>\w+)\b"
-    r"|\b(?P<post>\w+)\s*(?:\+\+|--)"
-    r"|\b(?P<assign>\w+)\s*(?:[-+*/%|&^]|<<|>>)?=(?!=)")
 
 
-def lambda_bodies_after_pool_calls(
-        src: SourceFile) -> list[tuple[int, str, int]]:
-    """Yields (capture, params, body_text, body_start_line) for lambdas
-    passed to parallel_for_range / parallel_for_index."""
-    text = "\n".join(src.code)
-    line_starts = [0]
-    for line in src.code:
-        line_starts.append(line_starts[-1] + len(line) + 1)
-
-    def line_of(pos: int) -> int:
-        lo, hi = 0, len(line_starts) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if line_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    for call in POOL_CALL_RE.finditer(text):
-        # Find the lambda introducer within the call's argument list.
-        lb = text.find("[", call.end())
-        if lb < 0 or lb - call.end() > 200:
+def check_d4(m: FileModel) -> list[Finding]:
+    out: list[Finding] = []
+    for idx, line in enumerate(m.code):
+        if not STRICT_ORDER_RE.search(line):
             continue
-        rb = text.find("]", lb)
-        if rb < 0:
+        # Fixture MUST-FLAG annotations are lint-test metadata, not
+        # justification prose; they never satisfy the rule.
+        if any(c.strip() and not MUST_FLAG_RE.fullmatch(c.strip())
+               for c in m.window(idx)):
             continue
-        capture = text[lb:rb + 1]
-        pos = rb + 1
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        params = ""
-        if pos < len(text) and text[pos] == "(":
-            depth = 0
-            start = pos
-            while pos < len(text):
-                if text[pos] == "(":
-                    depth += 1
-                elif text[pos] == ")":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                pos += 1
-            params = text[start + 1:pos]
-            pos += 1
-        while pos < len(text) and text[pos] != "{":
-            if text[pos] == ";" or text[pos] == ")":
-                break
-            pos += 1
-        if pos >= len(text) or text[pos] != "{":
-            continue
-        depth = 0
-        start = pos
-        while pos < len(text):
-            if text[pos] == "{":
-                depth += 1
-            elif text[pos] == "}":
-                depth -= 1
-                if depth == 0:
-                    break
-            pos += 1
-        body = text[start + 1:pos]
-        yield capture, params, body, line_of(start)
+        m.flag(out, idx, "slumber-d4",
+               "memory_order stricter than relaxed without an adjacent "
+               "justification comment (same line or the 3 lines above): "
+               "say what this ordering synchronizes and why relaxed is "
+               "insufficient")
+    return out
 
 
+# --------------------------------------------------------------------------
+# slumber-d5: pool-lambda race discipline
+# --------------------------------------------------------------------------
+
+# Dispatcher name -> which lambda parameter positions are lane-local
+# index parameters (chunk id / range bounds) and which hand the lambda
+# a lane-owned span (iterating it yields lane-local work items).
+DISPATCHERS: dict[str, dict[str, tuple[int, ...]]] = {
+    "parallel_for_range": {"index": (0, 1, 2)},
+    "for_range": {"index": (0, 1, 2)},
+    "scan_range": {"index": (1, 2)},
+    "parallel_for_index": {"index": (0,)},
+    "for_each_block": {"index": (0,)},
+    "for_each_range": {"index": (0, 1)},
+    "scan_awake": {"span": (1,)},
+}
+DISPATCH_RE = re.compile(
+    r"\b(" + "|".join(sorted(DISPATCHERS, key=len, reverse=True)) +
+    r")\s*\(")
+NESTED_LAMBDA_RE = re.compile(r"\[[^\[\]]*\]\s*\(([^()]*)\)")
+STRUCTURED_BINDING_RE = re.compile(
+    r"\bauto\s*&{0,2}\s*\[([^\[\]]*)\]\s*[=:]")
+DECL_RE = re.compile(
+    r"(?:(?:const|constexpr|static|volatile|unsigned|signed|long|short)"
+    r"\s+)*"
+    r"([A-Za-z_][\w:]*(?:\s*<[^;{}()=]*>)?)[\s&*]+"
+    r"([A-Za-z_]\w*)\s*(=[^;]*|\([^;{}]*\)|\{[^;{}]*\})?\s*[;,)]")
 CONTROL_KEYWORDS = {
     "if", "for", "while", "switch", "return", "break", "continue", "else",
     "do", "case", "default", "sizeof", "static_cast", "const_cast",
     "reinterpret_cast", "dynamic_cast", "throw", "new", "delete", "this",
     "true", "false", "nullptr", "auto", "const", "constexpr",
+    "namespace", "template", "typename", "using", "struct", "class",
+    "public", "private", "protected", "operator", "static", "inline",
+    "void", "noexcept", "co_return", "co_await", "co_yield", "goto",
+    "static_assert", "alignas", "alignof", "decltype", "typeid",
+}
+DECL_TYPE_KEYWORDS = {
+    "return", "co_return", "delete", "throw", "new", "case", "goto",
+    "else", "typedef", "using", "break", "continue", "default",
 }
 
 
-def check_d4(src: SourceFile,
-             suppressed: dict[int, set[str]]) -> list[Finding]:
-    findings = []
-    # D4a: strict memory orders need an adjacent justification comment.
-    for idx, line in enumerate(src.code):
-        if not STRICT_ORDER_RE.search(line):
+@dataclass
+class PoolLambda:
+    dispatcher: str
+    params: list[str | None]  # positional; None = unnamed
+    body: str                 # code view, nested dispatchers masked
+    body_line: int            # 0-based line of the opening brace
+
+
+def find_lambda_after(text: str, call_end: int) -> tuple[
+        str, int, int] | None:
+    """After a dispatcher's open paren, locate its lambda argument.
+
+    Returns (params_text, body_start, body_end) with body offsets
+    delimiting the inside of the lambda's braces, or None when the
+    argument is not an inline lambda (named callable, or this is a
+    declaration/definition of the dispatcher itself).
+    """
+    i = call_end
+    depth = 0
+    last_code = "("  # the dispatcher's own open paren
+    while i < len(text):
+        ch = text[i]
+        if ch == "[" and depth == 0 and last_code in "(,":
+            break  # a lambda introducer in argument position
+        if ch in ";{":
+            return None  # signature or forwarding call: no inline lambda
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            if depth == 0:
+                return None  # call closed without an inline lambda
+            depth -= 1
+        if not ch.isspace():
+            last_code = ch
+        i += 1
+    else:
+        return None
+    rb = text.find("]", i)
+    if rb < 0:
+        return None
+    pos = rb + 1
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    params = ""
+    if pos < len(text) and text[pos] == "(":
+        close = match_forward(text, pos, "(", ")")
+        if close < 0:
+            return None
+        params = text[pos + 1:close]
+        pos = close + 1
+    while pos < len(text) and text[pos] not in "{;)":
+        pos += 1
+    if pos >= len(text) or text[pos] != "{":
+        return None
+    body_close = match_forward(text, pos, "{", "}")
+    if body_close < 0:
+        return None
+    return params, pos + 1, body_close
+
+
+def mask_nested_dispatchers(body: str) -> str:
+    """Blanks nested dispatcher lambdas: they are analyzed as their own
+    PoolLambda with their own index parameters."""
+    out = body
+    for call in DISPATCH_RE.finditer(body):
+        found = find_lambda_after(body, call.end())
+        if found is None:
             continue
-        if is_suppressed(suppressed, idx, "slumber-d4"):
+        _, bstart, bend = found
+        out = (out[:bstart] +
+               "".join("\n" if c == "\n" else " "
+                       for c in out[bstart:bend]) +
+               out[bend:])
+    return out
+
+
+def pool_lambdas(m: FileModel) -> list[PoolLambda]:
+    lambdas = []
+    for call in DISPATCH_RE.finditer(m.text):
+        found = find_lambda_after(m.text, call.end())
+        if found is None:
             continue
-        window = range(max(0, idx - 3), idx + 1)
-        # Fixture MUST-FLAG annotations are lint-test metadata, not
-        # justification prose; they never satisfy the rule.
-        has_comment = any(
-            src.comments[j].strip() and
-            not MUST_FLAG_ANNOTATION_RE.fullmatch(src.comments[j].strip())
-            for j in window if j < len(src.comments))
-        if not has_comment:
-            findings.append(Finding(
-                src.path, idx + 1, "slumber-d4",
-                "memory_order stricter than relaxed without an adjacent "
-                "justification comment (same line or the 3 lines above): "
-                "say what this ordering synchronizes and why relaxed is "
-                "insufficient"))
-    # D4b: bare scalar writes to by-reference captures in pool lambdas.
-    for capture, params, body, body_line in \
-            lambda_bodies_after_pool_calls(src):
-        if "&" not in capture and "=" not in capture:
-            continue  # capture-less or explicit-empty: nothing shared
-        param_names = set(re.findall(r"(\w+)\s*(?:,|$)", params))
-        locals_: set[str] = set(param_names)
-        # Identifiers declared inside the body (including nested-lambda
-        # parameters and structured bindings) count as locals.
-        for m in re.finditer(r"\[([^\]]*)\]\s*\(([^)]*)\)", body):
-            locals_.update(re.findall(r"(\w+)\s*(?:,|$)", m.group(2)))
-        for m in re.finditer(r"auto\s*\[\s*([\w\s,]+)\]", body):
-            locals_.update(w.strip() for w in m.group(1).split(","))
-        candidate_writes = []
-        for m in WRITE_RE.finditer(body):
-            name = m.group("pre") or m.group("post") or m.group("assign")
-            if not name or name in CONTROL_KEYWORDS:
+        params_text, bstart, bend = found
+        lambdas.append(PoolLambda(
+            dispatcher=call.group(1),
+            params=[param_name(p) for p in split_args(params_text)],
+            body=mask_nested_dispatchers(m.text[bstart:bend]),
+            body_line=line_of(m.starts, bstart)))
+    return lambdas
+
+
+def parse_chain_backward(body: str, end: int) -> tuple[
+        str | None, list[str], bool]:
+    """Postfix chain ending (exclusive) at `end`, walked backward.
+
+    Returns (root, subscripts, is_decl). is_decl is True when the
+    target is a bare name immediately preceded by a type token -- a
+    declaration, hence a lane-local. A `*` that starts a statement or
+    an argument (after `; { } ( ,`) is a dereference, so `*p = x` is a
+    store through p, while `T* p = x` declares p."""
+    subs: list[str] = []
+    j = end - 1
+    while j >= 0 and body[j].isspace():
+        j -= 1
+    saw_postfix = False
+    while True:
+        if j >= 0 and body[j] == "]":
+            depth = 0
+            k = j
+            while k >= 0:
+                if body[k] == "]":
+                    depth += 1
+                elif body[k] == "[":
+                    depth -= 1
+                    if depth == 0:
+                        break
+                k -= 1
+            if k < 0:
+                return None, subs, False
+            subs.append(body[k + 1:j])
+            saw_postfix = True
+            j = k - 1
+            while j >= 0 and body[j].isspace():
+                j -= 1
+            continue
+        m = re.search(r"([A-Za-z_]\w*)\s*$", body[:j + 1])
+        if not m:
+            return None, subs, False
+        root = m.group(1)
+        j = m.start(1) - 1
+        while j >= 0 and body[j].isspace():
+            j -= 1
+        if j >= 0 and body[j] == ".":
+            saw_postfix = True
+            j -= 1
+            continue
+        if j >= 1 and body[j] == ">" and body[j - 1] == "-":
+            saw_postfix = True
+            j -= 2
+            continue
+        if j >= 0 and body[j] == ")":
+            return None, subs, False  # call-result target: out of scope
+        if j >= 0 and body[j] == "*":
+            k = j
+            while k >= 0 and (body[k] == "*" or body[k].isspace()):
+                k -= 1
+            if k < 0 or body[k] in ";{}(,":
+                return root, subs, False  # store through *root
+        is_decl = (not saw_postfix and j >= 0 and
+                   (body[j].isalnum() or body[j] in "_>&*:"))
+        return root, subs, is_decl
+
+
+def parse_chain_forward(body: str, pos: int) -> tuple[
+        str | None, list[str]]:
+    m = re.match(r"[A-Za-z_]\w*", body[pos:])
+    if not m:
+        return None, []
+    root = m.group(0)
+    subs: list[str] = []
+    j = pos + m.end()
+    n = len(body)
+    while True:
+        while j < n and body[j].isspace():
+            j += 1
+        if j < n and body[j] == "[":
+            k = match_forward(body, j, "[", "]")
+            if k < 0:
+                break
+            subs.append(body[j + 1:k])
+            j = k + 1
+            continue
+        if j < n and (body[j] == "." or body.startswith("->", j)):
+            j += 1 if body[j] == "." else 2
+            m2 = re.match(r"\s*([A-Za-z_]\w*)", body[j:])
+            if not m2:
+                break
+            j += m2.end()
+            continue
+        break
+    return root, subs
+
+
+def iter_writes(body: str) -> Iterator[tuple[str, list[str], bool, int]]:
+    """Yields (root, subscripts, is_decl, offset) for every store."""
+    n = len(body)
+    i = 0
+    while i < n:
+        ch = body[i]
+        if ch == "=":
+            prev = body[i - 1] if i else ""
+            nxt = body[i + 1] if i + 1 < n else ""
+            if nxt == "=":
+                i += 2
                 continue
-            wstart = m.start()
-            prefix = body[:wstart].rstrip()
-            # Subscripted / member / pointer targets are fine: the repo
-            # discipline is per-chunk partial arrays indexed by the
-            # chunk parameter, or explicitly atomic state.
-            tail = body[m.start():m.end() + 40]
-            target_end = tail.find(name) + len(name)
-            after = tail[target_end:target_end + 2]
-            if after.startswith("[") or after.startswith(".") or \
-                    after.startswith("->") or after.startswith("("):
+            if prev in "<>" and i >= 2 and body[i - 2] == prev:
+                end = i - 2  # <<= / >>=
+            elif prev in "=!<>":
+                i += 1
+                continue  # comparison
+            elif prev in "+-*/%&|^":
+                end = i - 1
+            else:
+                end = i
+            root, subs, is_decl = parse_chain_backward(body, end)
+            if root:
+                yield root, subs, is_decl, i
+            i += 1
+            continue
+        if body.startswith("++", i) or body.startswith("--", i):
+            j = i + 2
+            while j < n and body[j].isspace():
+                j += 1
+            if j < n and (body[j].isalpha() or body[j] == "_"):
+                root, subs = parse_chain_forward(body, j)
+                is_decl = False
+            else:
+                root, subs, is_decl = parse_chain_backward(body, i)
+            if root:
+                yield root, subs, is_decl, i
+            i += 2
+            continue
+        i += 1
+
+
+def top_level_colon(text: str) -> int:
+    """Offset of the first top-level single `:` (range-for separator),
+    skipping `::` and ternaries; -1 when absent."""
+    depth = 0
+    saw_question = False
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch in "(<[{":
+            depth += 1
+        elif ch in ")>]}":
+            depth -= 1
+        elif ch == "?" and depth == 0:
+            saw_question = True
+        elif ch == ":" and depth == 0:
+            if i + 1 < len(text) and text[i + 1] == ":":
+                i += 2
                 continue
-            if prefix.endswith((".", "->", "*", "]", ")")):
+            if i > 0 and text[i - 1] == ":":
+                i += 1
                 continue
-            decl_re = re.compile(LOCAL_DECL_TEMPLATE.format(name=re.escape(
-                name)))
-            if decl_re.search(body):
+            if saw_question:
+                saw_question = False
+            else:
+                return i
+        i += 1
+    return -1
+
+
+def collect_locals_and_derived(lam: PoolLambda) -> tuple[
+        set[str], set[str]]:
+    body = lam.body
+    spec = DISPATCHERS[lam.dispatcher]
+
+    def named(kind: str) -> set[str]:
+        return {p for i, p in enumerate(lam.params)
+                if p and i in spec.get(kind, ())}
+
+    derived = named("index")
+    spans = named("span")
+    locals_: set[str] = {p for p in lam.params if p} | spans
+    decls: list[tuple[str, str]] = []  # (name, initializer text)
+    for m in DECL_RE.finditer(body):
+        type_tok = m.group(1).split("<")[0].split("::")[-1]
+        if type_tok in DECL_TYPE_KEYWORDS or \
+                m.group(1) in DECL_TYPE_KEYWORDS:
+            continue
+        locals_.add(m.group(2))
+        decls.append((m.group(2), m.group(3) or ""))
+    for m in NESTED_LAMBDA_RE.finditer(body):
+        for p in split_args(m.group(1)):
+            name = param_name(p)
+            if name:
                 locals_.add(name)
-            if name in locals_:
+    for m in STRUCTURED_BINDING_RE.finditer(body):
+        locals_.update(piece.strip() for piece in m.group(1).split(",")
+                       if piece.strip())
+    range_fors: list[tuple[str, str]] = []  # (var, range expr)
+    for m in re.finditer(r"\bfor\s*\(", body):
+        close = match_forward(body, m.end() - 1, "(", ")")
+        if close < 0:
+            continue
+        header = body[m.end():close]
+        colon = top_level_colon(header)
+        if colon < 0:
+            continue
+        var = param_name(header[:colon])
+        if var:
+            locals_.add(var)
+            range_fors.append((var, header[colon + 1:]))
+
+    changed = True
+    while changed:
+        changed = False
+        for name, init in decls:
+            if name not in derived and word_in(init, derived):
+                derived.add(name)
+                changed = True
+        for var, rng in range_fors:
+            if var not in derived and word_in(rng, derived | spans):
+                derived.add(var)
+                changed = True
+    return locals_, derived
+
+
+def check_d5(m: FileModel, atomics: set[str]) -> list[Finding]:
+    """`atomics` are the names declared atomic in m or its same-stem
+    header; a name atomic only in some other file does not count."""
+    out: list[Finding] = []
+    for lam in pool_lambdas(m):
+        locals_, derived = collect_locals_and_derived(lam)
+        for root, subs, is_decl, offset in iter_writes(lam.body):
+            if root in CONTROL_KEYWORDS or is_decl:
                 continue
-            candidate_writes.append((name, m.start()))
-        for name, offset in candidate_writes:
-            line_idx = body_line + body[:offset].count("\n")
-            if is_suppressed(suppressed, line_idx, "slumber-d4"):
+            if root in locals_ or root in atomics:
                 continue
-            findings.append(Finding(
-                src.path, line_idx + 1, "slumber-d4",
-                f"write to by-reference capture '{name}' inside a pool "
-                f"lambda: every lane mutates it concurrently and the "
-                f"merge order is scheduling-dependent; index a per-chunk "
-                f"partial (partials[chunk]) and merge after the barrier, "
-                f"or make it atomic with a justified ordering"))
-    return findings
+            if any(word_in(sub, derived) for sub in subs):
+                continue
+            where = (f"'{root}[{subs[-1].strip()}]'" if subs
+                     else f"'{root}'")
+            m.flag(out, lam.body_line + lam.body[:offset].count("\n"),
+                   "slumber-d5",
+                   f"store to captured {where} inside a {lam.dispatcher} "
+                   f"lambda is not indexed by the lane's chunk/index "
+                   f"parameter: lanes race on it and the merged value "
+                   f"depends on scheduling; index a per-chunk partial "
+                   f"derived from the lambda's chunk/index arguments, or "
+                   f"make it atomic")
+    return out
+
+
+# --------------------------------------------------------------------------
+# slumber-d6: stream-tag registry + call-site keying
+# --------------------------------------------------------------------------
+
+TAG_DECL_RE = re.compile(
+    r"\binline\s+constexpr\s+std::uint64_t\s+(k\w*Tag)\s*=\s*"
+    r"(0[xX][0-9a-fA-F']+)\s*ULL\s*;")
+TAG_ANNOTATION_RE = re.compile(r"SLUMBER-STREAM-TAG\(")
+DISCIPLINE_RE = re.compile(r"SLUMBER-STREAM-DISCIPLINE\(block-counter\)")
+STREAM_CALL_RE = re.compile(r"\bstream_rng\s*\(")
+
+
+def parse_registry(m: FileModel) -> tuple[dict[str, int], list[Finding]]:
+    """The stream tags m declares (name -> value), and the registry
+    well-formedness findings for them."""
+    # Tag values are matched against the RAW text: the code view blanks
+    # C++14 digit-separator groups ('5EED') as if they were char
+    # literals, which would corrupt every registry constant. The code
+    # view still gates each match so commented-out decls don't count.
+    tags: dict[str, int] = {}
+    decl_lines: dict[str, int] = {}
+    out: list[Finding] = []
+    raw_starts = line_starts_of(m.raw)
+    for dm in TAG_DECL_RE.finditer(m.raw):
+        name = dm.group(1)
+        idx = line_of(raw_starts, dm.start())
+        if idx >= len(m.code) or name not in m.code[idx]:
+            continue  # declaration lives inside a comment or string
+        tags[name] = int(dm.group(2).replace("'", ""), 16)
+        decl_lines[name] = idx
+        if not any(TAG_ANNOTATION_RE.search(c) for c in m.window(idx)):
+            m.flag(out, idx, "slumber-d6",
+                   f"stream tag {name} lacks the registry annotation "
+                   f"`// SLUMBER-STREAM-TAG(<name>): <purpose>` on the "
+                   f"preceding lines")
+    array = re.search(r"kAllStreamTags\s*\[\s*\]\s*=\s*\{", m.text)
+    if array:
+        close = match_forward(m.text, array.end() - 1, "{", "}")
+        listed = set(re.findall(r"k\w*Tag", m.text[array.end():close]))
+        for name, idx in decl_lines.items():
+            if name not in listed:
+                m.flag(out, idx, "slumber-d6",
+                       f"stream tag {name} is not listed in "
+                       f"kAllStreamTags: the pairwise-distinctness proof "
+                       f"does not cover it")
+    seen_high: dict[int, str] = {}
+    for name, idx in sorted(decl_lines.items(), key=lambda kv: kv[1]):
+        high = tags[name] >> 32
+        if high in seen_high:
+            m.flag(out, idx, "slumber-d6",
+                   f"stream tag {name} collides with {seen_high[high]} in "
+                   f"the high 32 bits (0x{high:08x}): their keyed streams "
+                   f"are correlated; pick a fresh prefix")
+        else:
+            seen_high[high] = name
+    return tags, out
+
+
+def keyed_by_tag(text: str, arg: str, tags: set[str]) -> bool:
+    """The stream argument names a registered tag, directly or through a
+    one-hop definition of a name it uses (`stream = mix(kTag ^ v, r)`)."""
+    return word_in(arg, tags) or any(
+        word_in(dm.group(1), tags)
+        for ident in WORD_RE.findall(arg) if ident not in CONTROL_KEYWORDS
+        for dm in re.finditer(rf"\b{re.escape(ident)}\s*=\s*([^;]*);", text))
+
+
+def check_d6(m: FileModel, tags: set[str]) -> list[Finding]:
+    if m.path == STREAM_DEF_REL:
+        return []
+    out: list[Finding] = []
+    for call in STREAM_CALL_RE.finditer(m.text):
+        open_paren = m.text.find("(", call.start())
+        close = match_forward(m.text, open_paren, "(", ")")
+        if close < 0:
+            continue
+        args = split_args(m.text[open_paren + 1:close])
+        if len(args) < 2:
+            continue  # declaration or partial application: not a draw
+        arg = args[-1].strip()
+        idx = line_of(m.starts, call.start())
+        if keyed_by_tag(m.text, arg, tags) or any(
+                DISCIPLINE_RE.search(c) for c in m.window(idx)):
+            continue
+        m.flag(out, idx, "slumber-d6",
+               f"util::stream_rng stream argument '{arg}' does not key "
+               f"through a registered tag (util/stream_tags.h) and is not "
+               f"marked `// SLUMBER-STREAM-DISCIPLINE(block-counter): "
+               f"<why sound>`: unregistered streams can silently collide "
+               f"with another subsystem's draws")
+    return out
+
+
+# --------------------------------------------------------------------------
+# slumber-d7: clock-width safety
+# --------------------------------------------------------------------------
+
+INT64_TARGET_RE = (
+    r"(?:std::)?u?int(?:8|16|32|64)_t|(?:std::)?size_t|std::ptrdiff_t|"
+    r"(?:unsigned\s+)?(?:long\s+)?long|unsigned|(?:unsigned\s+)?int")
+STATIC_CAST_RE = re.compile(
+    r"static_cast\s*<\s*(?:" + INT64_TARGET_RE + r")\s*>\s*\(")
+NARROW_DECL_RE = re.compile(
+    r"\b((?:std::)?u?int(?:8|16|32|64)_t|(?:std::)?size_t)\s+"
+    r"([A-Za-z_]\w*)\s*=\s*([^;]*);")
+BLESSED_HELPERS = ("saturate_round", "round_halves")
+BLESSED_DEF_RE = re.compile(
+    r"\b(?:" + "|".join(BLESSED_HELPERS) + r")\s*\(")
+
+
+def references_clock(expr: str, clock: set[str], fns: set[str]) -> bool:
+    for m in WORD_RE.finditer(expr):
+        if expr[:m.start()].rstrip().endswith("::"):
+            continue  # std::round etc.: qualified, different entity
+        if expr[m.end():].lstrip().startswith("("):
+            if m.group(0) in fns:
+                return True
+            continue
+        if m.group(0) in clock:
+            return True
+    return False
+
+
+def blessed_extents(text: str) -> list[tuple[int, int]]:
+    """Definition extents of the blessed saturate helpers."""
+    extents = []
+    for m in BLESSED_DEF_RE.finditer(text):
+        close = match_forward(text, m.end() - 1, "(", ")")
+        pos = body_open(text, close + 1) if close > 0 else -1
+        if pos < 0:
+            continue  # a call or declaration, not the definition
+        end = match_forward(text, pos, "{", "}")
+        if end > 0:
+            extents.append((m.start(), end))
+    return extents
+
+
+def check_d7(m: FileModel, clock_names: set[str],
+             clock_fns: set[str]) -> list[Finding]:
+    """`clock_names` / `clock_fns` span every scanned src/ file: the bulk
+    engine's clock fields (declared in engine.h) must be recognizable
+    when cast in engine.cc."""
+    clock = (clock_names | m.clock_names) - m.nonclock_names
+    fns = clock_fns | m.clock_fns
+    extents = blessed_extents(m.text) if m.path.startswith("src/bulk/") \
+        else []
+
+    def blessed(pos: int) -> bool:
+        return any(a <= pos <= b for a, b in extents)
+
+    out: list[Finding] = []
+    for cm in STATIC_CAST_RE.finditer(m.text):
+        close = match_forward(m.text, cm.end() - 1, "(", ")")
+        if close < 0:
+            continue
+        arg = m.text[cm.end():close]
+        if blessed(cm.start()) or not references_clock(arg, clock, fns):
+            continue
+        m.flag(out, line_of(m.starts, cm.start()), "slumber-d7",
+               f"static_cast narrows a 128-bit virtual-clock value "
+               f"('{arg.strip()}') to 64 bits outside the blessed "
+               f"saturate helpers: deep recursions overflow 64 bits "
+               f"(K >= 62 at n = 10M); call saturate_round() or "
+               f"round_halves() (src/bulk/engine.h) instead")
+    for dm in NARROW_DECL_RE.finditer(m.text):
+        init = dm.group(3)
+        if blessed(dm.start()) or any(h in init for h in BLESSED_HELPERS):
+            continue
+        if "static_cast" in init:
+            continue  # the cast loop above already judged it
+        if not references_clock(init, clock, fns):
+            continue
+        m.flag(out, line_of(m.starts, dm.start()), "slumber-d7",
+               f"'{dm.group(2)}' implicitly narrows a 128-bit virtual-"
+               f"clock value to 64 bits at initialization: use "
+               f"VirtualRound, or saturate_round()/round_halves() "
+               f"(src/bulk/engine.h) when a 64-bit value is required")
+    return out
+
+
+# --------------------------------------------------------------------------
+# slumber-d8: transitive obs write-only discipline
+# --------------------------------------------------------------------------
+
+FUNC_DEF_RE = re.compile(
+    r"(?:^|[;}{])\s*(?:template\s*<[^;{}]*>\s*)?"
+    r"((?:[\w:~]+(?:\s*<[^;{}]*>)?[\s&*]+)+)"
+    r"([A-Za-z_][\w:]*)\s*\(")
+CALL_RE = re.compile(r"([A-Za-z_][\w:]*)\s*\(")
+
+
+@dataclass
+class FuncDef:
+    name: str       # simple (last ::-component) name
+    qual: str       # as written at the definition
+    line: int       # 0-based
+    calls: set[str]  # simple names of everything the body calls
+    reads_obs: bool
+
+
+def function_defs(m: FileModel) -> list[FuncDef]:
+    funcs = []
+    for fm in FUNC_DEF_RE.finditer(m.text):
+        qual = fm.group(2)
+        simple = qual.rsplit("::", 1)[-1]
+        type_tokens = re.findall(r"[\w:~]+", fm.group(1))
+        if (simple in CONTROL_KEYWORDS or
+                any(t in DECL_TYPE_KEYWORDS for t in type_tokens)):
+            continue
+        close = match_forward(m.text, fm.end() - 1, "(", ")")
+        pos = body_open(m.text, close + 1) if close > 0 else -1
+        if pos < 0:
+            continue  # declaration (or `= default`), not a definition
+        end = match_forward(m.text, pos, "{", "}")
+        if end < 0:
+            continue
+        body = m.text[pos + 1:end]
+        funcs.append(FuncDef(
+            name=simple, qual=qual, line=line_of(m.starts, fm.start(2)),
+            calls={c.rsplit("::", 1)[-1] for c in CALL_RE.findall(body)},
+            reads_obs=bool(OBS_READ_RE.search(body))))
+    return funcs
+
+
+def check_d8(models: list[FileModel]) -> list[Finding]:
+    scope = [(m, function_defs(m)) for m in models
+             if not m.path.startswith(D1_OBS_SCOPE_PREFIX)]
+    tainted: dict[str, list[str]] = {}  # simple name -> chain
+    queue: list[str] = []
+    for _, funcs in scope:
+        for fn in funcs:
+            if fn.reads_obs and fn.name not in tainted:
+                tainted[fn.name] = [fn.name, "obs telemetry read"]
+                queue.append(fn.name)
+    while queue:
+        target = queue.pop()
+        for _, funcs in scope:
+            for fn in funcs:
+                if fn.name not in tainted and target in fn.calls:
+                    tainted[fn.name] = [fn.name] + tainted[target]
+                    queue.append(fn.name)
+    out: list[Finding] = []
+    for m, funcs in scope:
+        for fn in funcs:
+            if fn.name in tainted:
+                m.flag(out, fn.line, "slumber-d8",
+                       f"function '{fn.qual}' transitively reads telemetry "
+                       f"state ({' -> '.join(tainted[fn.name])}): obs "
+                       f"values are write-only outside src/obs/ -- a "
+                       f"measured quantity steering src/ computation would "
+                       f"make trial output machine-dependent")
+    return out
 
 
 # --------------------------------------------------------------------------
 # driver
 # --------------------------------------------------------------------------
 
-def analyze_file(abspath: str, relpath: str) -> list[Finding]:
-    try:
-        with open(abspath, "r", encoding="utf-8", errors="replace") as fh:
-            text = fh.read()
-    except OSError as err:
-        return [Finding(relpath, 1, "slumber-nolint",
-                        f"cannot read file: {err}")]
-    src = strip_to_views(relpath, text)
-    suppressed, findings = nolint_suppressions(src)
-    findings += check_d1(src, suppressed, relpath)
-    findings += check_d2(src, suppressed)
-    findings += check_d3(src, suppressed)
-    findings += check_d4(src, suppressed)
-    return findings
+def analyze(models: list[FileModel], root: str | None) -> list[Finding]:
+    """Runs every rule over every model in one pass, then D8 over the
+    joined call graph. `root` locates the stream-tag registry when the
+    scan does not include it."""
+    by_path = {m.path: m for m in models}
+    findings: list[Finding] = []
+    registry = by_path.get(REGISTRY_REL)
+    if registry is None and root is not None and \
+            os.path.isfile(os.path.join(root, REGISTRY_REL)):
+        registry = load_model(os.path.join(root, REGISTRY_REL), REGISTRY_REL)
+    if registry is None:
+        findings.append(Finding(
+            REGISTRY_REL, 1, "slumber-d6",
+            "stream-tag registry not found: every keyed RNG tag must be "
+            "declared there"))
+    tags: set[str] = set(parse_registry(registry)[0]) if registry else set()
+    in_src = [m for m in models if m.path.startswith("src/")]
+    clock_fns = {f for m in in_src for f in m.clock_fns}
+    clock_names = {c for m in in_src for c in m.clock_names} - clock_fns
+    for m in models:
+        header = by_path.get(os.path.splitext(m.path)[0] + ".h")
+        atomics = m.atomic_names | (header.atomic_names if header else set())
+        findings += m.nolint
+        findings += check_d1(m) + check_d2(m) + check_d3(m) + check_d4(m)
+        findings += check_d5(m, atomics)
+        if m.path.startswith("src/"):
+            findings += parse_registry(m)[1]
+            findings += check_d6(m, tags)
+            findings += check_d7(m, clock_names, clock_fns)
+    findings += check_d8(in_src)
+    return sorted(set(findings),
+                  key=lambda f: (f.path, f.line, f.rule, f.message))
 
 
 def iter_tree_files(root: str) -> Iterator[tuple[str, str]]:
     for scan_dir in TREE_SCAN_DIRS:
         base = os.path.join(root, scan_dir)
-        if not os.path.isdir(base):
-            continue
         for dirpath, dirnames, filenames in os.walk(base):
             dirnames[:] = sorted(
                 d for d in dirnames
-                if not d.startswith("fixtures")
-                and d not in ("__pycache__", ".cache"))
+                if not d.startswith(("fixtures", ".", "__")))
             for name in sorted(filenames):
                 if name.endswith(CXX_EXTENSIONS):
                     abspath = os.path.join(dirpath, name)
-                    yield abspath, os.path.relpath(abspath, root)
+                    yield abspath, os.path.relpath(
+                        abspath, root).replace(os.sep, "/")
 
 
-MUST_FLAG_RE = re.compile(r"MUST-FLAG\((?P<rule>slumber-[\w-]+)\)")
+def fixture_scope(name: str) -> str:
+    if name == REGISTRY_FIXTURE:
+        return REGISTRY_REL
+    return next(scope + name for prefix, scope in FIXTURE_SCOPES
+                if name.startswith(prefix))
 
 
 def run_self_test(fixtures_dir: str) -> int:
-    """Fixture suite: every MUST-FLAG(rule) annotation must produce a
-    finding with that rule on that line; no other findings are allowed.
-    Files without annotations (the must-pass fixtures) must be clean."""
+    """Fixture suite: every rule runs on every fixture in one pass, as
+    in a tree scan. Each MUST-FLAG(rule) annotation must produce a
+    finding with that rule on that line, and no other findings are
+    allowed, so the must-pass fixtures must be clean."""
     if not os.path.isdir(fixtures_dir):
         print(f"error: fixtures dir not found: {fixtures_dir}",
               file=sys.stderr)
         return 2
-    failures = []
-    checked = 0
-    flagged_expectations = 0
-    for name in sorted(os.listdir(fixtures_dir)):
-        if not name.endswith(CXX_EXTENSIONS):
-            continue
-        abspath = os.path.join(fixtures_dir, name)
-        checked += 1
-        with open(abspath, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-        expected: set[tuple[int, str]] = set()
-        for idx, line in enumerate(lines):
-            for m in MUST_FLAG_RE.finditer(line):
-                expected.add((idx + 1, m.group("rule")))
-        flagged_expectations += len(expected)
-        # Fixtures exercise every rule regardless of directory scope:
-        # analyze them as if they lived under src/; d1_fault_* fixtures
-        # target the src/fault/-scoped extension, d1_obs_* the
-        # src/obs/-scoped wall-clock exemption, and are analyzed there.
-        if name.startswith("d1_fault_"):
-            scope = f"src/fault/{name}"
-        elif name.startswith("d1_obs_"):
-            scope = f"src/obs/{name}"
-        else:
-            scope = f"src/fixtures/{name}"
-        actual_findings = analyze_file(abspath, scope)
-        actual = {(f.line, f.rule) for f in actual_findings}
-        for line_no, rule in sorted(expected - actual):
-            failures.append(f"{name}:{line_no}: expected {rule} finding, "
-                            f"got none")
-        for line_no, rule in sorted(actual - expected):
-            msg = next(f.message for f in actual_findings
-                       if (f.line, f.rule) == (line_no, rule))
-            failures.append(f"{name}:{line_no}: unexpected {rule} finding: "
-                            f"{msg}")
-    if checked == 0:
+    names = sorted(n for n in os.listdir(fixtures_dir)
+                   if n.endswith(CXX_EXTENSIONS))
+    if not names:
         print("error: no fixtures found", file=sys.stderr)
         return 2
+    models = [load_model(os.path.join(fixtures_dir, n), fixture_scope(n))
+              for n in names]
+    findings = analyze(models, root=None)
+    failures: list[str] = []
+    expectations = 0
+    for name, model in zip(names, models):
+        expected = {(idx + 1, fm.group("rule"))
+                    for idx, line in enumerate(model.raw.split("\n"))
+                    for fm in MUST_FLAG_RE.finditer(line)}
+        expectations += len(expected)
+        actual = {(f.line, f.rule): f.message for f in findings
+                  if f.path == model.path}
+        for line_no, rule in sorted(expected - actual.keys()):
+            failures.append(f"{name}:{line_no}: expected {rule} finding, "
+                            f"got none")
+        for line_no, rule in sorted(actual.keys() - expected):
+            failures.append(f"{name}:{line_no}: unexpected {rule} finding: "
+                            f"{actual[(line_no, rule)]}")
     if failures:
         print(f"slumber_checks self-test: FAIL "
-              f"({len(failures)} mismatches over {checked} fixtures)")
+              f"({len(failures)} mismatches over {len(names)} fixtures)")
         for f in failures:
             print(f"  {f}")
         return 1
-    print(f"slumber_checks self-test: OK ({checked} fixtures, "
-          f"{flagged_expectations} must-flag expectations, "
-          f"engine={'libclang+lex' if HAVE_LIBCLANG else 'lex'})")
+    print(f"slumber_checks self-test: OK ({len(names)} fixtures, "
+          f"{expectations} must-flag expectations)")
     return 0
 
 
@@ -766,7 +1372,8 @@ def emit_gha(findings: list[Finding]) -> None:
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="slumber-lint determinism & concurrency checks")
+        description="slumber-lint determinism & concurrency checks "
+                    "(D1-D8)")
     parser.add_argument("paths", nargs="*",
                         help="files to check (default: the tree scan set)")
     parser.add_argument("--root", default=None,
@@ -776,29 +1383,26 @@ def main() -> int:
     parser.add_argument("--gha", action="store_true",
                         help="also emit GitHub Actions ::error "
                              "annotations (auto under GITHUB_ACTIONS)")
-    parser.add_argument("--list-rules", action="store_true")
     args = parser.parse_args()
 
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.abspath(args.root or os.path.join(here, "..", ".."))
-
-    if args.list_rules:
-        print(__doc__)
-        return 0
     if args.self_test:
         return run_self_test(os.path.join(here, "fixtures"))
 
-    findings: list[Finding] = []
     if args.paths:
-        files = [(os.path.abspath(p), os.path.relpath(os.path.abspath(p),
-                                                      root))
-                 for p in args.paths]
+        files = [(os.path.abspath(p), os.path.relpath(
+            os.path.abspath(p), root).replace(os.sep, "/"))
+            for p in args.paths]
     else:
         files = list(iter_tree_files(root))
-    for abspath, relpath in files:
-        findings.extend(analyze_file(abspath, relpath.replace(os.sep, "/")))
+    try:
+        models = [load_model(abspath, relpath) for abspath, relpath in files]
+    except OSError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
+    findings = analyze(models, root)
 
-    findings.sort(key=lambda f: (f.path, f.line, f.rule, f.message))
     for f in findings:
         print(f.render())
     if args.gha or os.environ.get("GITHUB_ACTIONS"):
@@ -807,8 +1411,7 @@ def main() -> int:
         print(f"\nslumber_checks: {len(findings)} finding(s) over "
               f"{len(files)} files", file=sys.stderr)
         return 1
-    print(f"slumber_checks: OK ({len(files)} files clean, "
-          f"engine={'libclang+lex' if HAVE_LIBCLANG else 'lex'})")
+    print(f"slumber_checks: OK ({len(files)} files clean)")
     return 0
 
 
