@@ -1,5 +1,7 @@
 #include "analysis/verify.h"
 
+#include "obs/obs.h"
+
 namespace slumber::analysis {
 
 std::string MisCheck::describe() const {
@@ -12,6 +14,7 @@ std::string MisCheck::describe() const {
 }
 
 MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs) {
+  obs::Span span("analysis", "check_mis", g.num_vertices());
   MisCheck check;
   check.all_decided = true;
   std::vector<std::uint8_t> in_mis(g.num_vertices(), 0);

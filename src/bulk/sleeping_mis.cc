@@ -2,6 +2,8 @@
 
 #include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/mis_state.h"
@@ -16,10 +18,14 @@ namespace {
 using core::MisValue;
 
 /// T(k) = 3(2^k - 1) in 128 bits (core::schedule_duration overflows
-/// std::uint64_t for k >= 62, which n = 10M reaches: K = 70).
+/// std::uint64_t for k >= 63, which n = 10M reaches: K = 70).
 VirtualRound duration128(std::uint32_t k) {
   return (VirtualRound{1} << k) * 3 - 3;
 }
+
+/// The deepest recursion whose T(K) the 128-bit clock holds
+/// (3 * 2^127 > 2^128); run() rejects deeper ones.
+constexpr std::uint32_t kMaxLevels = 126;
 
 // The recursion walker. Depth-first order over the recursion tree is
 // exactly virtual-time order: a frame at parameter k starting at round s
@@ -35,6 +41,18 @@ VirtualRound duration128(std::uint32_t k) {
 // against Unknown -> True, so — exactly the argument that lets the
 // serial code scan in place — the concurrent value is deterministic
 // regardless of lane interleaving.
+//
+// Message accounting of the two status rounds: without loss or live
+// dynamics (fold_status()), the sync and second-detection broadcasts
+// reach exactly the awake neighbors the first detection's hello
+// reached (no member leaves or joins, no link drops), so the first
+// detection scan charges all three rounds and the status scans only
+// decide. Every charge is an integer sum or max, so per-node and
+// aggregate metrics come out the same as charging each round in turn
+// (only a status message over a throwing CONGEST budget now aborts the
+// run one round earlier). Under loss or dynamics each status scan first
+// charges its own round (its own awake set and link draws), then runs
+// the same decision loop.
 struct Walker {
   BulkEngine& eng;
   const Graph& g;
@@ -55,8 +73,12 @@ struct Walker {
   // cleared its decision state).
   std::function<void(VertexId)> reenter;
 
-  bool coin(VertexId v, std::uint32_t i) const {
-    return (bits[std::uint64_t{v} * words_per_node + i / 64] >> (i % 64)) & 1;
+  /// A frame's three rounds reach the same awake neighbors (see the
+  /// comment above).
+  bool fold_status() const { return !lossy && !dynamic; }
+
+  std::span<std::uint64_t> coins(VertexId v) {
+    return {bits.data() + std::uint64_t{v} * words_per_node, words_per_node};
   }
 
   MisValue value_of(VertexId v) {
@@ -67,6 +89,54 @@ struct Walker {
   void set_value(VertexId v, MisValue x) {
     std::atomic_ref(value[v]).store(static_cast<std::uint8_t>(x),
                                     std::memory_order_relaxed);
+  }
+
+  /// v's awake neighbors in `round`, and how many of them v hears (all
+  /// of them unless the loss plan drops the link).
+  std::pair<std::uint64_t, std::uint64_t> awake_and_heard(
+      VertexId v, VirtualRound round) {
+    std::uint64_t awake_nbrs = 0;
+    std::uint64_t heard = 0;
+    for (const VertexId u : g.neighbors(v)) {
+      if (!eng.is_awake(u)) continue;
+      ++awake_nbrs;
+      if (!lossy || eng.link_up(v, u, round)) ++heard;
+    }
+    return {awake_nbrs, heard};
+  }
+
+  /// Does v hear an awake neighbor whose status satisfies `match`? The
+  /// status test comes first (it rules out most neighbors) and the scan
+  /// stops at the first witness.
+  template <typename Match>
+  bool hears(VertexId v, VirtualRound round, Match match) {
+    for (const VertexId u : g.neighbors(v)) {
+      if (match(value_of(u)) && eng.is_awake(u) &&
+          (!lossy || eng.link_up(v, u, round))) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  /// One of a frame's five scans, under its telemetry span (`span_cat`
+  /// is null for sub-cutoff frames).
+  ScanResult scan(
+      const char* span_cat, const char* name, std::uint32_t k,
+      std::span<const VertexId> members,
+      const std::function<void(BulkChunk&, std::span<const VertexId>)>& fn) {
+    obs::Span span(span_cat, name, k);
+    return eng.scan_awake(members, fn);
+  }
+
+  /// A status round's own accounting, for rounds fold_status() does
+  /// not cover.
+  void charge_status_round(BulkChunk& chunk, std::span<const VertexId> part,
+                           VirtualRound round) {
+    for (const VertexId v : part) {
+      const auto [awake_nbrs, heard] = awake_and_heard(v, round);
+      chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
+    }
   }
 
   /// Lines 9-12 of the paper: the k = 0 base case. It spends no rounds;
@@ -90,13 +160,14 @@ struct Walker {
 
   void frame(std::uint32_t k, std::uint64_t path, VirtualRound start,
              std::vector<VertexId> members) {
-    // Telemetry: count every frame, but emit spans only for frames big
-    // enough to shard (sub-cutoff frames number in the millions at
-    // n = 10^7 and would swamp the event buffers).
+    // Telemetry: count every frame, but emit spans (the frame's and its
+    // five scans') only for frames big enough to shard (sub-cutoff
+    // frames number in the millions at n = 10^7 and would swamp the
+    // event buffers).
     obs::progress_frame();
-    obs::Span frame_span(
-        members.size() >= eng.options().parallel_cutoff ? "mis" : nullptr,
-        "frame", k);
+    const char* span_cat =
+        members.size() >= eng.options().parallel_cutoff ? "mis" : nullptr;
+    obs::Span frame_span(span_cat, "frame", k);
     core::CallStats* stats = nullptr;
     if (trace != nullptr) {
       stats = &trace->calls[{k, path}];
@@ -107,22 +178,25 @@ struct Walker {
 
     // First isolated-node detection (lines 13-16), 1 round: only this
     // frame's members are awake, so hearing no hello means "isolated in
-    // G[U]" (under loss: effectively isolated this round).
+    // G[U]" (under loss: effectively isolated this round). Under
+    // fold_status() it also charges the sync and second-detection rounds.
     if (dynamic) members = eng.apply_dynamics(std::move(members), start, reenter);
     eng.mark_awake(members);
     eng.charge_round(members, start);
-    const ScanResult detect1 = eng.scan_awake(
-        members, [&](BulkChunk& chunk, std::span<const VertexId> part) {
+    const ScanResult detect1 = scan(
+        span_cat, "detect1", k, members,
+        [&](BulkChunk& chunk, std::span<const VertexId> part) {
           for (const VertexId v : part) {
-            std::uint64_t awake_nbrs = 0;
-            std::uint64_t heard = 0;
-            for (const VertexId u : g.neighbors(v)) {
-              if (!eng.is_awake(u)) continue;
-              ++awake_nbrs;
-              if (!lossy || eng.link_up(v, u, start)) ++heard;
+            const auto [awake_nbrs, heard] = awake_and_heard(v, start);
+            chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, hello_bits);
+            if (fold_status()) {
+              // The sync and second-detection status broadcasts: one
+              // message per port per round, the same awake neighbors
+              // reached, nothing lost.
+              chunk.charge_send(v, 2 * g.degree(v), 2 * awake_nbrs,
+                                status_bits);
+              chunk.charge_received(v, 2 * awake_nbrs);
             }
-            chunk.charge_symmetric_broadcast(v, awake_nbrs, heard,
-                                             hello_bits);
             if (heard == 0 && value_of(v) == MisValue::kUnknown) {
               set_value(v, MisValue::kTrue);
               chunk.decide(v, 1, start);
@@ -135,15 +209,15 @@ struct Walker {
     // Left recursion (lines 17-21): undecided members with X_k = 1. The
     // keep() lists concatenate in chunk order, preserving member order.
     std::vector<VertexId> left =
-        eng.scan_awake(members,
-                       [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                         for (const VertexId v : part) {
-                           if (value_of(v) == MisValue::kUnknown &&
-                               coin(v, k)) {
-                             chunk.keep(v);
-                           }
-                         }
-                       })
+        scan(span_cat, "left", k, members,
+             [&](BulkChunk& chunk, std::span<const VertexId> part) {
+               for (const VertexId v : part) {
+                 if (value_of(v) == MisValue::kUnknown &&
+                     core::level_bit(coins(v), k)) {
+                   chunk.keep(v);
+                 }
+               }
+             })
             .kept;
     if (stats != nullptr) stats->left += left.size();
     if (!left.empty()) {
@@ -165,70 +239,52 @@ struct Walker {
     if (dynamic) members = eng.apply_dynamics(std::move(members), sync, reenter);
     eng.mark_awake(members);  // children bumped the epoch during the left call
     eng.charge_round(members, sync);
-    eng.scan_awake(members, [&](BulkChunk& chunk,
-                                std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool mis_neighbor = false;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, sync)) continue;
-          ++heard;
-          mis_neighbor |= value_of(u) == MisValue::kTrue;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
-        if (mis_neighbor && value_of(v) == MisValue::kUnknown) {
-          set_value(v, MisValue::kFalse);
-          chunk.decide(v, 0, sync);
-        }
-      }
-    });
+    scan(span_cat, "sync", k, members,
+         [&](BulkChunk& chunk, std::span<const VertexId> part) {
+           if (!fold_status()) charge_status_round(chunk, part, sync);
+           for (const VertexId v : part) {
+             if (value_of(v) != MisValue::kUnknown) continue;
+             if (hears(v, sync,
+                       [](MisValue u) { return u == MisValue::kTrue; })) {
+               set_value(v, MisValue::kFalse);
+               chunk.decide(v, 0, sync);
+             }
+           }
+         });
 
     // Second isolated-node detection (lines 26-29), 1 round: an
     // undecided node all of whose frame neighbors are eliminated joins.
     // Only Unknown -> True transitions happen, and both Unknown and True
-    // block a neighbor's join, so the in-place scan is again exact.
+    // block a neighbor's join, so the in-place scan is again exact. A
+    // neighbor whose status message is lost simply isn't heard; it
+    // cannot block the join (that is the injected damage).
     const VirtualRound detect2 = sync + 1;
     if (dynamic) {
       members = eng.apply_dynamics(std::move(members), detect2, reenter);
       eng.mark_awake(members);  // membership changed; sync's marking is stale
     }
     eng.charge_round(members, detect2);
-    eng.scan_awake(members, [&](BulkChunk& chunk,
-                                std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool all_eliminated = true;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          // A neighbor whose status message is lost simply isn't heard;
-          // it cannot block the join (that is the injected damage).
-          if (lossy && !eng.link_up(v, u, detect2)) continue;
-          ++heard;
-          all_eliminated &= value_of(u) == MisValue::kFalse;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
-        if (all_eliminated && value_of(v) == MisValue::kUnknown) {
-          set_value(v, MisValue::kTrue);
-          chunk.decide(v, 1, detect2);
-        }
-      }
-    });
+    scan(span_cat, "detect2", k, members,
+         [&](BulkChunk& chunk, std::span<const VertexId> part) {
+           if (!fold_status()) charge_status_round(chunk, part, detect2);
+           for (const VertexId v : part) {
+             if (value_of(v) != MisValue::kUnknown) continue;
+             if (!hears(v, detect2,
+                        [](MisValue u) { return u != MisValue::kFalse; })) {
+               set_value(v, MisValue::kTrue);
+               chunk.decide(v, 1, detect2);
+             }
+           }
+         });
 
     // Right recursion (lines 30-34): still-undecided members.
     std::vector<VertexId> right =
-        eng.scan_awake(members,
-                       [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                         for (const VertexId v : part) {
-                           if (value_of(v) == MisValue::kUnknown) {
-                             chunk.keep(v);
-                           }
-                         }
-                       })
+        scan(span_cat, "right", k, members,
+             [&](BulkChunk& chunk, std::span<const VertexId> part) {
+               for (const VertexId v : part) {
+                 if (value_of(v) == MisValue::kUnknown) chunk.keep(v);
+               }
+             })
             .kept;
     if (stats != nullptr) stats->right += right.size();
     if (!right.empty()) {
@@ -249,12 +305,19 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   if (n == 0) return;
   const std::uint32_t levels =
       options_.levels != 0 ? options_.levels : core::recursion_depth(n);
+  if (levels > kMaxLevels) {
+    throw std::invalid_argument(
+        "bulk SleepingMIS: K = " + std::to_string(levels) +
+        " recursion levels overflow the 128-bit round clock (T(K) = "
+        "3(2^K - 1) fits only for K <= " +
+        std::to_string(kMaxLevels) + ")");
+  }
 
   obs::Span run_span("mis", "sleeping_mis", n);
   Walker w{engine,
            g,
            trace_,
-           levels / 64 + 1,
+           core::level_words(levels),
            {},
            {},
            sim::Message::hello().bits,
@@ -265,23 +328,22 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   w.reenter = [&w](VertexId v) { w.set_value(v, core::MisValue::kUnknown); };
 
   // First-touch placement for the protocol's per-node arrays (packed
-  // coin bits, tri-state statuses): with a multi-lane pool, fill them
-  // in the pool's chunk layout so each lane's slice of every subsequent
-  // sharded scan lands on pages that lane touched first. Placement only
-  // — sharded_fill writes the same value everywhere, so contents (and
-  // every result) are bitwise unaffected.
-  util::ThreadPool* touch_pool = engine.options().pool;
+  // coin bits, tri-state statuses): with a multi-lane pool, each lane
+  // first touches its slice of every subsequent sharded scan. The coin
+  // scan below writes every bit word in the pool's chunk layout, so the
+  // bit array is only allocated here; the statuses are filled. Placement
+  // only — contents (and every result) are bitwise unaffected.
   {
     obs::Span span("mis", "placement", n);
-    w.bits = util::sharded_fill<std::uint64_t>(n * w.words_per_node, 0,
-                                               touch_pool);
+    w.bits.resize(n * w.words_per_node);
     w.value = util::sharded_fill<std::uint8_t>(
-        n, static_cast<std::uint8_t>(core::MisValue::kUnknown), touch_pool);
+        n, static_cast<std::uint8_t>(core::MisValue::kUnknown),
+        engine.options().pool);
   }
 
-  // Draw the coin bits X_1..X_K from the same per-node streams, in the
-  // same order, as core::sleeping_mis's node_main. Sharded over the
-  // pool: each node's stream and bit words belong to one lane.
+  // Draw the coin bits X_1..X_K with the coroutine protocol's kernel,
+  // from the same per-node streams. Sharded over the pool: each node's
+  // stream and bit words belong to one lane.
   if (trace_ != nullptr) {
     trace_->levels = levels;
     if (trace_->bits.size() != n) trace_->bits.resize(n);
@@ -289,21 +351,14 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   obs::progress_phase("coins");
   {
     obs::Span coin_span("mis", "draw_coins", n);
+    const std::uint64_t threshold =
+        core::bernoulli_threshold(options_.coin_bias);
     engine.scan_range(n, [&](BulkChunk&, std::size_t begin, std::size_t end) {
       for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
         Rng rng = engine.node_rng(v);
-        const std::uint64_t base = std::uint64_t{v} * w.words_per_node;
-        for (std::uint32_t i = 1; i <= levels; ++i) {
-          if (rng.bernoulli(options_.coin_bias)) {
-            w.bits[base + i / 64] |= std::uint64_t{1} << (i % 64);
-          }
-        }
+        core::draw_level_bits(rng, levels, threshold, w.coins(v));
         if (trace_ != nullptr) {
-          std::vector<std::uint8_t>& node_bits = trace_->bits[v];
-          node_bits.assign(levels + 1, 0);
-          for (std::uint32_t i = 1; i <= levels; ++i) {
-            node_bits[i] = w.coin(v, i) ? 1 : 0;
-          }
+          trace_->bits[v] = core::unpack_level_bits(w.coins(v), levels);
         }
       }
     });

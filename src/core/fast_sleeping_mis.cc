@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <stdexcept>
+#include <string>
 
 #include "core/mis_state.h"
 #include "core/schedule.h"
@@ -89,7 +91,7 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
   const std::uint64_t child_span = schedule_duration(k - 1, base_budget);
 
   // Left recursion.
-  if (st.value == MisValue::kUnknown && st.bits[k] == 1) {
+  if (st.value == MisValue::kUnknown && level_bit(st.bits, k)) {
     if (trace != nullptr) ++trace->calls[{k, path}].left;
     co_await recurse(ctx, st, k - 1, path << 1, base_budget, rank_bits, trace);
   } else {
@@ -144,16 +146,23 @@ sim::Task node_main(sim::Context& ctx, FastSleepingMisOptions options,
       options.base_rounds != 0 ? options.base_rounds
                                : greedy_base_rounds(ctx.n(), options.base_c);
   const std::uint32_t rank_bits = greedy_rank_bits(ctx.n());
-  st.bits.assign(levels + 1, 0);
-  for (std::uint32_t i = 1; i <= levels; ++i) {
-    st.bits[i] = ctx.rng().bernoulli(options.coin_bias) ? 1 : 0;
+  if (levels > max_schedule_levels(base_budget)) {
+    throw std::invalid_argument(
+        "Fast-SleepingMIS: K = " + std::to_string(levels) +
+        " recursion levels with a " + std::to_string(base_budget) +
+        "-round base case overflow the coroutine engine's 64-bit round "
+        "clock (T(K) = 2^K (B + 3) - 3 fits only for K <= " +
+        std::to_string(max_schedule_levels(base_budget)) + ")");
   }
+  st.bits.resize(level_words(levels));
+  draw_level_bits(ctx.rng(), levels, bernoulli_threshold(options.coin_bias),
+                  st.bits);
   st.base_rank = ctx.rng().next() >> (64 - rank_bits);
   if (trace != nullptr) {
     trace->levels = levels;
     if (trace->bits.size() != ctx.n()) trace->bits.resize(ctx.n());
     if (trace->base_rank.size() != ctx.n()) trace->base_rank.resize(ctx.n());
-    trace->bits[ctx.id()] = st.bits;
+    trace->bits[ctx.id()] = unpack_level_bits(st.bits, levels);
     trace->base_rank[ctx.id()] = st.base_rank;
   }
   co_await recurse(ctx, st, levels, 0, base_budget, rank_bits, trace);

@@ -10,6 +10,16 @@ std::uint64_t schedule_duration(std::uint32_t k, std::uint64_t base) {
   return ((base + 3) << k) - 3;
 }
 
+std::uint32_t max_schedule_levels(std::uint64_t base) {
+  // 2^K (base + 3) - 3 <= 2^64 - 1, in 128 bits: base + 3 < 2^65 and
+  // K + 1 <= 63, so no shift below overflows.
+  using u128 = unsigned __int128;
+  const u128 limit = (u128{1} << 64) + 2;
+  std::uint32_t k = 0;
+  while (((u128{base} + 3) << (k + 1)) <= limit) ++k;
+  return k;
+}
+
 std::uint32_t recursion_depth(std::uint64_t n) {
   if (n <= 1) return 0;
   // K = ceil(3 log2 n): smallest K with 2^K >= n^3, computed exactly.

@@ -33,6 +33,12 @@ inline constexpr double kEll = 2.4094208396532095;
 /// T(k) with base-case duration `base`. T(0)=base, T(k)=2T(k-1)+3.
 std::uint64_t schedule_duration(std::uint32_t k, std::uint64_t base = 0);
 
+/// Deepest recursion whose schedule T(K) fits the coroutine engine's
+/// 64-bit round clock: the largest K with 2^K (base + 3) - 3 < 2^64
+/// (62 for Algorithm 1). Protocols reject deeper recursions up front;
+/// past it T(K) wraps, and past K = 63 its shift is undefined.
+std::uint32_t max_schedule_levels(std::uint64_t base = 0);
+
 /// Recursion depth of Algorithm 1: K = ceil(3 log2 n) (0 when n <= 1).
 std::uint32_t recursion_depth(std::uint64_t n);
 

@@ -1,6 +1,8 @@
 #include "core/sleeping_mis.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "core/mis_state.h"
 #include "core/schedule.h"
@@ -39,7 +41,7 @@ sim::Task recurse(sim::Context& ctx, MisState& st, std::uint32_t k,
   const std::uint64_t child_span = schedule_duration(k - 1);
 
   // Left recursion (lines 17-21).
-  if (st.value == MisValue::kUnknown && st.bits[k] == 1) {
+  if (st.value == MisValue::kUnknown && level_bit(st.bits, k)) {
     if (trace != nullptr) ++trace->calls[{k, path}].left;
     co_await recurse(ctx, st, k - 1, path << 1, trace);
   } else {
@@ -89,14 +91,21 @@ sim::Task node_main(sim::Context& ctx, SleepingMisOptions options,
   MisState st;
   const std::uint32_t levels =
       options.levels != 0 ? options.levels : recursion_depth(ctx.n());
-  st.bits.assign(levels + 1, 0);
-  for (std::uint32_t i = 1; i <= levels; ++i) {
-    st.bits[i] = ctx.rng().bernoulli(options.coin_bias) ? 1 : 0;
+  if (levels > max_schedule_levels()) {
+    throw std::invalid_argument(
+        "SleepingMIS: K = " + std::to_string(levels) +
+        " recursion levels overflow the coroutine engine's 64-bit round "
+        "clock (T(K) = 3(2^K - 1) fits only for K <= " +
+        std::to_string(max_schedule_levels()) +
+        "); run it with --engine bulk, whose clock is 128-bit");
   }
+  st.bits.resize(level_words(levels));
+  draw_level_bits(ctx.rng(), levels, bernoulli_threshold(options.coin_bias),
+                  st.bits);
   if (trace != nullptr) {
     trace->levels = levels;
     if (trace->bits.size() != ctx.n()) trace->bits.resize(ctx.n());
-    trace->bits[ctx.id()] = st.bits;
+    trace->bits[ctx.id()] = unpack_level_bits(st.bits, levels);
   }
   co_await recurse(ctx, st, levels, 0, trace);
 }

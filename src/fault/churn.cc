@@ -152,6 +152,8 @@ bool check_alive_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
                      const std::vector<std::int64_t>& outputs,
                      util::ThreadPool* pool) {
   const std::size_t n = g.num_vertices();
+  obs::Span span(obs::enabled() && n >= kParallelCutoff ? "fault" : nullptr,
+                 "check_alive_mis", n);
   std::vector<std::uint64_t> bad_parts(chunk_count(pool, n), 0);
   for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
     for (std::size_t v = begin; v < end; ++v) {

@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "obs/obs.h"
+
 namespace slumber {
 
 VertexId checked_vertex_count(std::uint64_t n, const char* what) {
@@ -76,6 +78,7 @@ const std::vector<Edge>& Graph::edges() const {
 Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
                       util::PodVector<VertexId> adjacency,
                       util::ThreadPool* pool) {
+  obs::Span span("gen", "from_csr", n);
   if (offsets.size() != std::uint64_t{n} + 1 || offsets.front() != 0 ||
       offsets.back() != adjacency.size() || adjacency.size() % 2 != 0) {
     throw std::invalid_argument("Graph::from_csr: malformed CSR shape");

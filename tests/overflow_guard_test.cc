@@ -2,14 +2,22 @@
 // engine's 10M+-node scale: vertex-count products that would silently
 // wrap VertexId, edge counts that would overflow EdgeId, and the CSR
 // offset width (2|E| adjacency slots exceed 2^32 well before |E|
-// overflows EdgeId, so offsets must be 64-bit on every platform).
+// overflows EdgeId, so offsets must be 64-bit on every platform), and
+// recursion depths whose schedule T(K) the engine's round clock cannot
+// hold.
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "bulk/sleeping_mis.h"
+#include "core/fast_sleeping_mis.h"
+#include "core/schedule.h"
+#include "core/sleeping_mis.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "sim/network.h"
 
 namespace slumber {
 namespace {
@@ -67,6 +75,76 @@ TEST(OverflowGuards, GuardedGeneratorsStillWorkAtNormalSizes) {
   EXPECT_EQ(gen::complete_bipartite(30, 20).num_edges(), 600u);
   EXPECT_EQ(gen::caterpillar(10, 3).num_vertices(), 40u);
   EXPECT_EQ(gen::hypercube(5).num_vertices(), 32u);
+}
+
+/// Runs `run` and returns the std::invalid_argument message it throws
+/// ("" if it does not throw).
+template <typename Run>
+std::string rejection(const Run& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// The coroutine scheduler with its round safety valve opened to the
+/// whole 64-bit clock.
+sim::NetworkOptions whole_clock() {
+  sim::NetworkOptions options;
+  options.max_rounds = ~std::uint64_t{0};
+  return options;
+}
+
+TEST(OverflowGuards, ScheduleLevelLimits) {
+  // T(K) = 2^K (B + 3) - 3 must stay below 2^64.
+  EXPECT_EQ(core::max_schedule_levels(), 62u);
+  EXPECT_EQ(core::schedule_duration(62), 3 * ((std::uint64_t{1} << 62) - 1));
+  EXPECT_EQ(core::max_schedule_levels(2), 61u);
+  EXPECT_EQ(core::max_schedule_levels(~std::uint64_t{0}), 0u);
+}
+
+TEST(OverflowGuards, CoroutineSleepingMisRejectsDepthPastTheClock) {
+  const Graph g = gen::path(2);
+  core::SleepingMisOptions options;
+  options.levels = 63;
+  const std::string message = rejection(
+      [&] { sim::run_protocol(g, 1, core::sleeping_mis(options)); });
+  EXPECT_NE(message.find("K <= 62"), std::string::npos) << message;
+  EXPECT_NE(message.find("--engine bulk"), std::string::npos) << message;
+  options.levels = 62;
+  const auto run =
+      sim::run_protocol(g, 1, core::sleeping_mis(options), whole_clock());
+  EXPECT_EQ(run.metrics.makespan, core::schedule_duration(62));
+}
+
+TEST(OverflowGuards, CoroutineFastSleepingMisRejectsDepthPastTheClock) {
+  const Graph g = gen::path(2);
+  core::FastSleepingMisOptions options;
+  options.base_rounds = 2;
+  options.levels = 62;
+  const std::string message = rejection(
+      [&] { sim::run_protocol(g, 1, core::fast_sleeping_mis(options)); });
+  EXPECT_NE(message.find("K <= 61"), std::string::npos) << message;
+  options.levels = 61;
+  const auto run =
+      sim::run_protocol(g, 1, core::fast_sleeping_mis(options), whole_clock());
+  EXPECT_EQ(run.metrics.makespan, core::schedule_duration(61, 2));
+}
+
+TEST(OverflowGuards, BulkSleepingMisRejectsDepthPastTheClock) {
+  const Graph g = gen::path(2);
+  core::SleepingMisOptions options;
+  options.levels = 127;
+  const std::string message =
+      rejection([&] { bulk::bulk_sleeping_mis(g, 1, options); });
+  EXPECT_NE(message.find("K <= 126"), std::string::npos) << message;
+  options.levels = 126;
+  const auto run = bulk::bulk_sleeping_mis(g, 1, options);
+  const bulk::VirtualRound t126 = (bulk::VirtualRound{1} << 126) * 3 - 3;
+  EXPECT_TRUE(run.virtual_makespan == t126);
+  EXPECT_EQ(run.metrics.makespan, ~std::uint64_t{0});  // saturated
 }
 
 TEST(GraphBuilder, AddEdgesSpanMatchesAddEdge) {

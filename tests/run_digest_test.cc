@@ -1,0 +1,235 @@
+// Cross-commit pins of run results. Every other determinism gate
+// compares two runs of one build (lane counts, engines, telemetry on
+// and off), so a change that moves results in both engines at once, or
+// only in the bulk engine's live-dynamics path, passes them all. These
+// tests fold a run's outputs, alive mask and every sim::Metrics field
+// (per-node included) into a 64-bit digest and compare it with a
+// constant recorded from a known-good build. A mismatch means results
+// changed: a performance change must keep every constant; a change that
+// alters results on purpose re-records them and says so.
+//
+// The graph is built from Rng::below endpoint draws, so the constants
+// do not depend on libm. The bulk cases run at 1 and 4 lanes with
+// parallel_cutoff = 1 (every scan shards, which also puts the 4-lane
+// decision loops under the tsan CI job) and must give one digest.
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "bulk/engine.h"
+#include "bulk/sleeping_mis.h"
+#include "core/fast_sleeping_mis.h"
+#include "core/sleeping_mis.h"
+#include "fault/churn.h"
+#include "fault/fault.h"
+#include "graph/graph.h"
+#include "sim/metrics.h"
+#include "sim/network.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
+namespace slumber {
+namespace {
+
+constexpr VertexId kN = 3000;
+constexpr std::uint64_t kGraphSeed = 0x5eed;
+constexpr std::uint64_t kRunSeed = 20261017;
+
+/// Order-sensitive 64-bit digest.
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    std::uint64_t sm = state_ ^ value;
+    state_ = splitmix64(sm);
+  }
+  template <typename T>
+  void add_all(const std::vector<T>& values) {
+    add(std::uint64_t{values.size()});
+    for (const T value : values) add(static_cast<std::uint64_t>(value));
+  }
+  void add(const sim::Metrics& m) {
+    for (const std::uint64_t field :
+         {m.makespan, m.total_messages, m.dropped_messages, m.injected_losses,
+          m.crashed_nodes, m.total_awake_node_rounds, m.distinct_active_rounds,
+          m.congest_violations, std::uint64_t{m.max_message_bits_seen},
+          m.churn_batches, m.churn_leaves, m.churn_joins,
+          m.churn_repair_rounds, m.live_leaves, m.live_rejoins,
+          m.recovered_nodes, m.live_repair_rounds}) {
+      add(field);
+    }
+    add(std::uint64_t{m.node.size()});
+    for (const sim::NodeMetrics& node : m.node) {
+      for (const std::uint64_t field :
+           {node.awake_rounds, node.finish_round, node.decided_round,
+            node.awake_at_decision, node.messages_sent,
+            node.messages_received, std::uint64_t{node.crashed}}) {
+        add(field);
+      }
+    }
+  }
+  std::uint64_t value() const { return state_; }
+
+ private:
+  std::uint64_t state_ = 0;
+};
+
+/// About 4n uniform random edges (average degree ~8); duplicates merge.
+const Graph& digest_graph() {
+  static const Graph g = [] {
+    Rng rng(kGraphSeed);
+    std::vector<Edge> edges;
+    for (std::uint64_t i = 0; i < std::uint64_t{4} * kN; ++i) {
+      const auto u = static_cast<VertexId>(rng.below(kN));
+      const auto v = static_cast<VertexId>(rng.below(kN));
+      if (u != v) edges.push_back({u, v});
+    }
+    return Graph(kN, std::move(edges));
+  }();
+  return g;
+}
+
+struct Scenario {
+  const char* name;
+  fault::FaultPlan plan;
+  /// Did the plan's fault actually fire in this run?
+  bool (*fired)(const sim::Metrics&);
+  std::uint64_t digest;
+};
+
+/// perfbench's seven fault scenarios, with crash_prob and the live
+/// leave rate raised so that every fault fires at n = 3000.
+std::vector<Scenario> scenarios() {
+  std::vector<Scenario> s(7);
+  s[0] = {"none", {}, [](const sim::Metrics&) { return true; },
+          0x6EB7924E26ADCAF3ULL};
+  s[1] = {"loss 1%", {},
+          [](const sim::Metrics& m) { return m.injected_losses > 0; },
+          0x0D8F1955E534C488ULL};
+  s[1].plan.loss_prob = 0.01;
+  s[2] = {"burst loss", {},
+          [](const sim::Metrics& m) { return m.injected_losses > 0; },
+          0x1DB26CE2C9E7897FULL};
+  s[2].plan.burst = {.p_on = 0.02, .p_off = 0.2, .epoch_len = 8};
+  s[3] = {"crash", {},
+          [](const sim::Metrics& m) { return m.crashed_nodes > 3; },
+          0xC7DF4016DD25C5B4ULL};
+  s[3].plan.crash_schedule = {{0, 1}, {1, 4}, {2, 16}};
+  s[3].plan.crash_prob = 1e-3;
+  s[4] = {"crash+recover", {},
+          [](const sim::Metrics& m) { return m.recovered_nodes > 0; },
+          0xD8A140C099CA0034ULL};
+  s[4].plan.crash_schedule = {{0, 1}, {1, 4}, {2, 16}};
+  s[4].plan.crash_prob = 1e-3;
+  s[4].plan.recover.mean_down = 16;
+  s[5] = {"live churn", {},
+          [](const sim::Metrics& m) {
+            return m.live_leaves > 0 && m.live_rejoins > 0;
+          },
+          0x848055D7AE5F6384ULL};
+  s[5].plan.live_churn = {.leave_prob = 1e-3, .join_prob = 0.2};
+  s[6] = {"loss+churn", {},
+          [](const sim::Metrics& m) {
+            return m.injected_losses > 0 && m.churn_leaves > 0;
+          },
+          0xEEAC0B153DC605A7ULL};
+  s[6].plan.loss_prob = 0.01;
+  s[6].plan.churn = {.leave_prob = 0.05, .join_prob = 0.5, .batches = 3};
+  return s;
+}
+
+/// Bulk SleepingMIS under `plan` with per-node metrics on, followed by
+/// the plan's post-run churn (as analysis::run_mis runs it).
+std::uint64_t bulk_digest(const fault::FaultPlan& plan,
+                          util::ThreadPool* pool, sim::Metrics* metrics) {
+  const Graph& g = digest_graph();
+  bulk::BulkOptions options;
+  options.max_message_bits = sim::congest_bits_for(kN);
+  options.pool = pool;
+  options.parallel_cutoff = 1;
+  options.fault = plan.empty() ? nullptr : &plan;
+  bulk::BulkResult run =
+      bulk::bulk_sleeping_mis(g, kRunSeed, {}, nullptr, options);
+  std::vector<std::uint8_t> alive(kN, 1);
+  for (VertexId v = 0; v < kN; ++v) {
+    if ((!run.crashed.empty() && run.crashed[v] != 0) ||
+        (!run.departed.empty() && run.departed[v] != 0)) {
+      alive[v] = 0;
+    }
+  }
+  if (plan.churn.enabled()) {
+    const fault::FaultState state(&plan, kRunSeed, kN);
+    const fault::ChurnReport report = fault::run_churn(
+        g, plan.churn, state.seed(), alive, run.outputs, pool);
+    run.metrics.churn_batches = report.batches;
+    run.metrics.churn_leaves = report.leaves;
+    run.metrics.churn_joins = report.joins;
+    run.metrics.churn_repair_rounds = report.repair_rounds;
+  }
+  Digest d;
+  d.add_all(run.outputs);
+  d.add_all(alive);
+  d.add(run.metrics);
+  const bulk::RoundHalves makespan = bulk::round_halves(run.virtual_makespan);
+  d.add(makespan.lo);
+  d.add(makespan.hi);
+  *metrics = std::move(run.metrics);
+  return d.value();
+}
+
+std::uint64_t coroutine_digest(const sim::Protocol& protocol) {
+  sim::NetworkOptions net;
+  net.max_message_bits = sim::congest_bits_for(kN);
+  const auto [metrics, outputs] =
+      sim::run_protocol(digest_graph(), kRunSeed, protocol, net);
+  Digest d;
+  d.add_all(outputs);
+  d.add(metrics);
+  return d.value();
+}
+
+TEST(RunDigest, BulkSleepingMisFaultScenarios) {
+  util::ThreadPool pool(4);
+  for (const Scenario& scenario : scenarios()) {
+    SCOPED_TRACE(scenario.name);
+    for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+      sim::Metrics metrics;
+      const std::uint64_t digest = bulk_digest(scenario.plan, lanes, &metrics);
+      EXPECT_TRUE(scenario.fired(metrics));
+      EXPECT_EQ(digest, scenario.digest)
+          << (lanes == nullptr ? "1 lane" : "4 lanes") << ": 0x" << std::hex
+          << digest;
+    }
+  }
+}
+
+TEST(RunDigest, CoroutineSleepingMis) {
+  const struct {
+    double bias;
+    std::uint64_t digest;
+  } cases[] = {{0.5, 0x3AA0E9654046F209ULL}, {0.3, 0xC8CEF521984B2FC6ULL}};
+  for (const auto& c : cases) {
+    const std::uint64_t digest =
+        coroutine_digest(core::sleeping_mis({.coin_bias = c.bias}));
+    EXPECT_EQ(digest, c.digest)
+        << "bias " << c.bias << ": 0x" << std::hex << digest;
+  }
+}
+
+TEST(RunDigest, CoroutineFastSleepingMis) {
+  const struct {
+    double bias;
+    std::uint64_t digest;
+  } cases[] = {{0.5, 0x53551604B2B3C367ULL}, {0.3, 0xD245D7472D2DA353ULL}};
+  for (const auto& c : cases) {
+    const std::uint64_t digest =
+        coroutine_digest(core::fast_sleeping_mis({.coin_bias = c.bias}));
+    EXPECT_EQ(digest, c.digest)
+        << "bias " << c.bias << ": 0x" << std::hex << digest;
+  }
+}
+
+}  // namespace
+}  // namespace slumber

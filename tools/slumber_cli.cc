@@ -69,6 +69,7 @@
 #include <cstdint>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -471,9 +472,7 @@ int cmd_leader(const gen::Family family, const VertexId n,
   return leaders >= 1 ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run_command(int argc, char** argv) {
   // Shared flags (--threads / --engine / --gen / --crash / --loss /
   // --churn) are valid anywhere; parse_trial_flags strips them and
   // leaves the positional arguments.
@@ -577,4 +576,19 @@ int main(int argc, char** argv) {
                           static_cast<std::uint32_t>(arg5), seed);
   }
   return usage();
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Arguments the flag grammar cannot judge on its own, such as a size
+  // whose recursion depth overflows the coroutine engine's round clock,
+  // are rejected by the library with std::invalid_argument: report them
+  // like a usage error instead of aborting.
+  try {
+    return run_command(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << "slumber: " << e.what() << "\n";
+    return 2;
+  }
 }
