@@ -60,22 +60,28 @@ class Graph {
   /// Endpoints must be < n.
   Graph(VertexId n, std::vector<Edge> edges);
 
+  /// Vertices per block of from_csr's validation scan.
+  static constexpr VertexId kCsrCheckBlock = 4096;
+
   /// Memory-diet construction straight from CSR arrays, retaining NO
   /// edge list (has_edge_list() is false and edges() throws
-  /// std::logic_error). `offsets` must have n+1 entries with
+  /// std::logic_error). `offsets` must have n+1 monotone entries with
   /// offsets[0] == 0 and offsets[n] == adjacency.size(); every
   /// adjacency range must be sorted ascending with in-range endpoints
   /// and no self-loops or duplicates, and edge {u,v} must appear in
   /// both endpoint ranges (all validated, throws std::invalid_argument).
+  /// The offsets are validated in full before any range is read, so a
+  /// malformed array is rejected without reading out of bounds.
   /// This is the 10^8-node path: peak memory is the CSR arrays
   /// themselves, skipping the ~8 bytes/edge staging list of
   /// GraphBuilder (see gen::gnp_sharded_csr). The arrays
   /// are util::PodVector so producers can size them without a serial
   /// zero-fill and first-touch pages from the lanes that will scan them
-  /// (util::sharded_fill). `pool`, when non-null, shards the validation
-  /// scan over its lanes (borrowed; accepted graphs are identical for
-  /// every lane count — only which malformed-input error surfaces first
-  /// can vary).
+  /// (util::sharded_fill). The validation scan runs in blocks of
+  /// kCsrCheckBlock vertices; `pool`, when non-null, spreads the blocks
+  /// over its lanes (borrowed; accepted graphs are identical for every
+  /// lane count — only which malformed-input error surfaces first can
+  /// vary).
   static Graph from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
                         util::PodVector<VertexId> adjacency,
                         util::ThreadPool* pool = nullptr);

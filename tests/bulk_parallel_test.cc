@@ -7,7 +7,10 @@
 // chunked accounting merge on every scan. These tests are also the
 // ThreadSanitizer workload for the parallel bulk path (the tsan CI
 // job).
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +24,7 @@
 #include "graph/generators.h"
 #include "metrics_test_util.h"
 #include "sim/network.h"
+#include "util/alloc.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -227,19 +231,35 @@ TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
 
 // --- memory-diet graphs: CSR-only construction -----------------------
 
+/// A copy of a graph's CSR arrays, for from_csr to rebuild or reject.
+struct Csr {
+  VertexId n = 0;
+  util::PodVector<CsrOffset> offsets;
+  util::PodVector<VertexId> adjacency;
+};
+
+Csr copy_csr(const Graph& g) {
+  Csr csr;
+  csr.n = g.num_vertices();
+  csr.offsets.push_back(0);
+  for (VertexId v = 0; v < csr.n; ++v) {
+    const auto nbrs = g.neighbors(v);
+    csr.adjacency.insert(csr.adjacency.end(), nbrs.begin(), nbrs.end());
+    csr.offsets.push_back(csr.adjacency.size());
+  }
+  return csr;
+}
+
+Graph from_copy(Csr csr, util::ThreadPool* pool) {
+  return Graph::from_csr(csr.n, std::move(csr.offsets),
+                         std::move(csr.adjacency), pool);
+}
+
 TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
   Rng rng(3);
   const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
   // The CSR-only twin: a's own arrays, with no edge list retained.
-  const VertexId n = a.num_vertices();
-  util::PodVector<CsrOffset> offsets{0};
-  util::PodVector<VertexId> adjacency;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto nbrs = a.neighbors(v);
-    adjacency.insert(adjacency.end(), nbrs.begin(), nbrs.end());
-    offsets.push_back(adjacency.size());
-  }
-  const Graph b = Graph::from_csr(n, std::move(offsets), std::move(adjacency));
+  const Graph b = from_copy(copy_csr(a), nullptr);
   ASSERT_TRUE(b.same_csr(a));
   EXPECT_TRUE(a.has_edge_list());
   EXPECT_FALSE(b.has_edge_list());
@@ -267,6 +287,110 @@ TEST(BulkMemoryDiet, FromCsrValidatesShape) {
   EXPECT_EQ(p.num_edges(), 2u);
   EXPECT_EQ(p.degree(1), 2u);
   EXPECT_FALSE(p.has_edge_list());
+  // Offsets that go down and back up: the ends match the 2-entry
+  // adjacency, but range 0 claims 4 entries. Rejected before any range
+  // is read (an ASan build catches an overread here).
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* lanes :
+       {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    EXPECT_THROW(Graph::from_csr(3, {0, 4, 4, 2}, {1, 2}, lanes),
+                 std::invalid_argument);
+  }
+}
+
+// --- memory-diet graphs: the pipelined mirror check ------------------
+
+/// A mirror probe of Graph::from_csr: the entry u > v of v's range,
+/// confirmed by finding v in u's range.
+struct MirrorProbe {
+  VertexId v;
+  VertexId u;
+};
+
+/// The probes the check issues for vertices [begin, end), in order.
+std::vector<MirrorProbe> probes_of(const Graph& g, VertexId begin,
+                                   VertexId end) {
+  std::vector<MirrorProbe> probes;
+  for (VertexId v = begin; v < end; ++v) {
+    for (const VertexId u : g.neighbors(v)) {
+      if (u > v) probes.push_back({v, u});
+    }
+  }
+  return probes;
+}
+
+/// Makes `probe` fail: replaces v in u's range with an unused value
+/// below u that keeps the range strictly ascending, so every range
+/// stays well formed on its own. False when v has no free neighbor
+/// value.
+bool break_probe(Csr& csr, MirrorProbe probe) {
+  VertexId* first = csr.adjacency.data() + csr.offsets[probe.u];
+  VertexId* last = csr.adjacency.data() + csr.offsets[probe.u + 1];
+  VertexId* it = std::lower_bound(first, last, probe.v);
+  if (it == last || *it != probe.v) return false;
+  if (probe.v + 1 < probe.u && (it + 1 == last || probe.v + 1 < it[1])) {
+    *it = probe.v + 1;
+    return true;
+  }
+  if (probe.v > 0 && (it == first || probe.v - 1 > it[-1])) {
+    *it = probe.v - 1;
+    return true;
+  }
+  return false;
+}
+
+TEST(BulkMemoryDiet, FromCsrRejectsEveryBrokenMirrorProbe) {
+  // More probes than the check's two pipeline stages hold in flight
+  // (8 + 8) when a block ends, so every drained probe gets broken.
+  constexpr std::size_t kTail = 24;
+  std::vector<std::pair<const char*, Graph>> graphs;
+  graphs.emplace_back("sharded G(20000, 8/n)",
+                      gen::gnp_avg_degree_sharded_csr(20000, 8.0, 4));
+  // A star whose hub is the highest vertex: each leaf's probe searches
+  // the hub's 5000-entry range. Leaves are even, so odd values are free.
+  {
+    constexpr VertexId kLeaves = 5000;
+    std::vector<Edge> spokes;
+    for (VertexId k = 0; k < kLeaves; ++k) {
+      spokes.push_back({2 * k, 2 * kLeaves});
+    }
+    graphs.emplace_back("star", Graph(2 * kLeaves + 1, std::move(spokes)));
+  }
+  // Fewer probes than the pipeline depth: all of them are drained.
+  graphs.emplace_back("path", Graph(8, {{0, 2}, {2, 4}, {4, 6}}));
+  for (const auto& [name, g] : graphs) {
+    const Csr original = copy_csr(g);
+    // The check's blocks: the same vertex ranges at every lane count.
+    const VertexId n = g.num_vertices();
+    std::vector<std::vector<MirrorProbe>> blocks;
+    for (VertexId begin = 0; begin < n; begin += Graph::kCsrCheckBlock) {
+      blocks.push_back(probes_of(
+          g, begin, std::min<VertexId>(n, begin + Graph::kCsrCheckBlock)));
+    }
+    for (const unsigned lanes : kLaneCounts) {
+      SCOPED_TRACE(testing::Message() << name << ", lanes=" << lanes);
+      util::ThreadPool pool(lanes);
+      const Graph accepted = from_copy(original, &pool);
+      EXPECT_TRUE(accepted.same_csr(g));
+      EXPECT_EQ(accepted.max_degree(), g.max_degree());
+      for (std::size_t b = 0; b < blocks.size(); ++b) {
+        const auto& probes = blocks[b];
+        if (probes.empty()) continue;
+        std::vector<std::size_t> broken = {0};
+        for (std::size_t i = probes.size() > kTail ? probes.size() - kTail : 1;
+             i < probes.size(); ++i) {
+          broken.push_back(i);
+        }
+        for (const std::size_t i : broken) {
+          Csr csr = original;
+          ASSERT_TRUE(break_probe(csr, probes[i]))
+              << "block " << b << ", probe " << i;
+          EXPECT_THROW(from_copy(std::move(csr), &pool), std::invalid_argument)
+              << "block " << b << ", probe " << i << " of " << probes.size();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

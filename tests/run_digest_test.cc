@@ -12,6 +12,13 @@
 // do not depend on libm. The bulk cases run at 1 and 4 lanes with
 // parallel_cutoff = 1 (every scan shards, which also puts the 4-lane
 // decision loops under the tsan CI job) and must give one digest.
+//
+// The sharded G(n, p) generator gets the same kind of pin: its lane
+// matrix (tests/sharded_gen_test.cc) compares lane counts of one
+// build, so a change to the degree or fill pass that alters the CSR at
+// every lane count at once passes it. These digests fold the offsets,
+// the adjacency and ShardedGnpStats::rng_digest; unlike the run
+// digests they go through libm's log1p (the geometric skip).
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -24,6 +31,7 @@
 #include "core/sleeping_mis.h"
 #include "fault/churn.h"
 #include "fault/fault.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "sim/metrics.h"
 #include "sim/network.h"
@@ -228,6 +236,59 @@ TEST(RunDigest, CoroutineFastSleepingMis) {
         coroutine_digest(core::fast_sleeping_mis({.coin_bias = c.bias}));
     EXPECT_EQ(digest, c.digest)
         << "bias " << c.bias << ": 0x" << std::hex << digest;
+  }
+}
+
+/// Digest of a sharded G(n, p) build: offsets, adjacency, and the
+/// generator's final-RNG-state digest.
+std::uint64_t sharded_gnp_digest(const Graph& g,
+                                 const gen::ShardedGnpStats& stats) {
+  Digest d;
+  const VertexId n = g.num_vertices();
+  d.add(std::uint64_t{n});
+  for (VertexId v = 0; v < n; ++v) d.add(g.adjacency_offset(v));
+  d.add(std::uint64_t{g.degree_sum()});
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId u : g.neighbors(v)) d.add(std::uint64_t{u});
+  }
+  d.add(stats.rng_digest);
+  return d.value();
+}
+
+TEST(RunDigest, ShardedGnpCsr) {
+  const struct {
+    const char* name;
+    Graph (*build)(const gen::ShardedGnpOptions&);
+    std::uint64_t digest;
+  } cases[] = {
+      {"avg_degree 8, n=5000, seed 3",
+       [](const gen::ShardedGnpOptions& o) {
+         return gen::gnp_avg_degree_sharded_csr(5000, 8.0, 3, o);
+       },
+       0x61A2A1E1B614EE7FULL},
+      {"avg_degree 8, n=100003, seed 7",
+       [](const gen::ShardedGnpOptions& o) {
+         return gen::gnp_avg_degree_sharded_csr(100003, 8.0, 7, o);
+       },
+       0x1FB6B2D709248F1EULL},
+      {"p=0.5, n=300, seed 3",
+       [](const gen::ShardedGnpOptions& o) {
+         return gen::gnp_sharded_csr(300, 0.5, 3, o);
+       },
+       0xD48CF43AF5430D98ULL},
+  };
+  util::ThreadPool pool(4);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+      gen::ShardedGnpStats stats;
+      const Graph g = c.build({.pool = lanes, .stats_out = &stats});
+      const std::uint64_t digest = sharded_gnp_digest(g, stats);
+      EXPECT_EQ(digest, c.digest)
+          << (lanes == nullptr ? "1 lane" : "4 lanes") << ": 0x" << std::hex
+          << digest;
+    }
   }
 }
 

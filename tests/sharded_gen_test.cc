@@ -91,6 +91,24 @@ TEST(ShardedGen, DenseAndEdgeCasesAcrossLaneCounts) {
   // Tiny n.
   EXPECT_EQ(gen::gnp_sharded_csr(0, 0.5, 1, parallel).num_vertices(), 0u);
   EXPECT_EQ(gen::gnp_sharded_csr(1, 0.5, 1, parallel).num_edges(), 0u);
+  // Sparse blocks: ~40 edges over 5 blocks, so most blocks finish with
+  // fewer edges than the pipeline depth and run their whole degree
+  // bump, cursor claim and up-half store through the drain path.
+  gen::ShardedGnpStats sparse_stats;
+  const Graph sparse_ref = gen::gnp_avg_degree_sharded_csr(
+      20000, 0.004, 9, {.stats_out = &sparse_stats});
+  EXPECT_EQ(sparse_stats.blocks, 5u);
+  EXPECT_GT(sparse_ref.num_edges(), 0u);
+  EXPECT_LT(sparse_ref.num_edges(), 100u);
+  for (const unsigned lanes : kLaneCounts) {
+    SCOPED_TRACE(testing::Message() << "sparse, lanes=" << lanes);
+    util::ThreadPool lane_pool(lanes);
+    gen::ShardedGnpStats stats;
+    const Graph sparse = gen::gnp_avg_degree_sharded_csr(
+        20000, 0.004, 9, {.pool = &lane_pool, .stats_out = &stats});
+    ExpectSameCsr(sparse_ref, sparse);
+    EXPECT_EQ(sparse_stats.rng_digest, stats.rng_digest);
+  }
 }
 
 TEST(ShardedGen, FirstTouchPlacementIsBitwiseInvariant) {
