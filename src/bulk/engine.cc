@@ -1,7 +1,7 @@
 #include "bulk/engine.h"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
 #include <string>
 
 #include "obs/obs.h"
@@ -24,7 +24,7 @@ BulkEngine::BulkEngine(const Graph& g, std::uint64_t seed, BulkOptions options)
   // it on every subsequent sharded scan. Contents are identical either
   // way.
   decided_ = util::sharded_fill<std::uint8_t>(n, 0, options_.pool);
-  awake_epoch_ = util::sharded_fill<std::uint32_t>(n, 0, options_.pool);
+  awake_bits_.assign((std::size_t{n} + 63) / 64, 0);
 }
 
 void BulkEngine::merge_chunk(const BulkChunk& chunk) {
@@ -102,31 +102,48 @@ ScanResult BulkEngine::scan_range(
 }
 
 void BulkEngine::mark_awake(std::span<const VertexId> awake) {
-  if (epoch_ == std::numeric_limits<std::uint32_t>::max()) {
-    // Theoretical wrap guard (needs 2^32 - 1 mark_awake calls): restart
-    // the stamp sequence with a clean slate.
-    std::fill(awake_epoch_.begin(), awake_epoch_.end(), 0);
-    epoch_ = 0;
-  }
-  ++epoch_;
-  const std::uint32_t epoch = epoch_;
   obs::Span span(obs::enabled() && awake.size() >= options_.parallel_cutoff
                      ? "engine"
                      : nullptr,
                  "mark_awake", awake.size());
+  std::uint64_t* const words = awake_bits_.data();
+  if (awake_large_) {
+    std::fill(awake_bits_.begin(), awake_bits_.end(), 0);
+  } else {
+    for (const VertexId v : awake_copy_) {
+      words[v >> 6] &= ~(std::uint64_t{1} << (v & 63));
+    }
+  }
+  awake_large_ = awake.size() > awake_bits_.size();
+  if (awake_large_) {
+    awake_copy_.clear();
+  } else {
+    awake_copy_.assign(awake.begin(), awake.end());
+  }
   const bool parallel = options_.pool != nullptr &&
                         options_.pool->num_threads() > 1 &&
                         awake.size() >= options_.parallel_cutoff;
   if (!parallel) {
-    for (const VertexId v : awake) awake_epoch_[v] = epoch;
+    for (const VertexId v : awake) {
+      words[v >> 6] |= std::uint64_t{1} << (v & 63);
+    }
     return;
   }
-  // Awake sets hold distinct vertices, so the stamped slots are
-  // disjoint across lanes.
+  // Two chunks can hold members of one word (at a chunk boundary, or
+  // anywhere in an unsorted list), so each chunk ORs a run of
+  // consecutive members that share a word into a register and flushes
+  // the run with one atomic OR. Relaxed suffices: the pool's join
+  // orders every flush before the scans that read the set.
   options_.pool->parallel_for_range(
       awake.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          awake_epoch_[awake[i]] = epoch;
+        std::size_t i = begin;
+        while (i < end) {
+          const std::size_t word = awake[i] >> 6;
+          std::uint64_t run = 0;
+          for (; i < end && (awake[i] >> 6) == word; ++i) {
+            run |= std::uint64_t{1} << (awake[i] & 63);
+          }
+          std::atomic_ref(words[word]).fetch_or(run, std::memory_order_relaxed);
         }
       });
 }

@@ -88,11 +88,11 @@ struct BulkOptions {
   bool throw_on_congest_violation = true;
   /// Intra-trial parallelism: when non-null, awake-set scans shard over
   /// this pool's lanes (bitwise-identical results for every lane
-  /// count). With more than one lane, the hot per-node arrays (awake
-  /// stamps, decision flags) are also first touched in the pool's
-  /// parallel_for_range chunk layout, so each page lands near the lane
-  /// that scans it (NUMA placement only; contents unaffected). The pool
-  /// is borrowed, not owned, and must outlive the run.
+  /// count). With more than one lane, the per-node decision flags are
+  /// also first touched in the pool's parallel_for_range chunk layout,
+  /// so each page lands near the lane that scans it (NUMA placement
+  /// only; contents unaffected). The pool is borrowed, not owned, and
+  /// must outlive the run.
   util::ThreadPool* pool = nullptr;
   /// Awake sets smaller than this run single-chunk on the calling
   /// thread even when a pool is set (fork-join overhead dwarfs the work
@@ -253,12 +253,18 @@ class BulkEngine {
 
   // --- awake-set lifecycle ------------------------------------------
 
-  /// Installs `awake` as the current awake set (epoch stamp, O(|awake|),
-  /// sharded over the pool when one is configured).
+  /// Installs `awake` as the current awake set, a bitset of one bit per
+  /// node. The previous set is cleared first: bit by bit from the
+  /// engine's copy of it when it had at most ceil(n/64) members, by
+  /// zero-filling the n/8-byte bitset otherwise, so the copy never
+  /// exceeds n/16 bytes. Setting is O(|awake|) and shards over the pool
+  /// when one is configured; `awake` may be in any order.
   void mark_awake(std::span<const VertexId> awake);
 
   /// True iff v is in the current awake set.
-  bool is_awake(VertexId v) const { return awake_epoch_[v] == epoch_; }
+  bool is_awake(VertexId v) const {
+    return ((awake_bits_[v >> 6] >> (v & 63)) & 1) != 0;
+  }
 
   /// Charges one awake round at virtual round `round` to every node of
   /// `awake` (which must equal the currently marked set).
@@ -363,10 +369,16 @@ class BulkEngine {
   // multi-lane BulkOptions::pool places each lane's slice on its own
   // pages.
   util::PodVector<std::uint8_t> decided_;
-  // 32-bit epoch stamps keep the array at 4 bytes/node for the 10^8
-  // regime; mark_awake resets the array on the (theoretical) wrap.
-  util::PodVector<std::uint32_t> awake_epoch_;
-  std::uint32_t epoch_ = 0;
+  // The current awake set, bit v % 64 of word v / 64: n/8 bytes, small
+  // enough to stay cache-resident while a frame scan tests every
+  // neighbor of every member.
+  util::PodVector<std::uint64_t> awake_bits_;
+  // The current set's members when it has at most awake_bits_.size()
+  // of them, so the next mark_awake clears just those bits.
+  // awake_large_ says it had more, and the next clear zero-fills the
+  // bitset instead.
+  std::vector<VertexId> awake_copy_;
+  bool awake_large_ = false;
   VirtualRound virtual_makespan_ = 0;
   // Telemetry-only scan counter: groups one traced scan's chunk spans
   // in the obs export. Bumped only while a recorder is installed and

@@ -237,7 +237,7 @@ struct Walker {
     // serially.
     const VirtualRound sync = start + duration128(k - 1) + 1;
     if (dynamic) members = eng.apply_dynamics(std::move(members), sync, reenter);
-    eng.mark_awake(members);  // children bumped the epoch during the left call
+    eng.mark_awake(members);  // children re-marked the set during the left call
     eng.charge_round(members, sync);
     scan(span_cat, "sync", k, members,
          [&](BulkChunk& chunk, std::span<const VertexId> part) {

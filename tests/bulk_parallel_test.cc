@@ -25,6 +25,7 @@
 #include "metrics_test_util.h"
 #include "sim/network.h"
 #include "util/alloc.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -177,6 +178,104 @@ TEST(BulkParallelBaselines, BeepingMisAgreesAcrossLaneCounts) {
       EXPECT_EQ(serial.outputs, sharded.outputs)
           << "seed=" << seed << " lanes=" << lanes;
       ExpectMetricsEqual(serial.metrics, sharded.metrics);
+    }
+  }
+}
+
+// --- the awake set against a reference -------------------------------
+
+// k distinct ids of [0, n), ascending (selection sampling).
+std::vector<VertexId> ascending_subset(VertexId n, std::size_t k, Rng& rng) {
+  std::vector<VertexId> out;
+  out.reserve(k);
+  for (VertexId v = 0; v < n && out.size() < k; ++v) {
+    if (rng.below(n - v) < k - out.size()) out.push_back(v);
+  }
+  return out;
+}
+
+// Drives mark_awake with a seeded sequence of sets and compares
+// is_awake on all of [0, n) with a std::vector<bool> after every mark.
+// The sequence covers the shapes protocols hand the engine (ascending
+// frame member lists, apply_dynamics' survivors followed by
+// out-of-order re-entrants) plus runs packed into one word that a
+// chunk boundary splits, and sizes on both sides of the ceil(n/64)
+// threshold that picks the clear rule, in all four transition orders.
+TEST(BulkParallel, AwakeSetMatchesReference) {
+  for (const VertexId n : {1u, 63u, 64u, 65u, 4097u, 20000u}) {
+    const Graph g(n, {});
+    const std::size_t words = (std::size_t{n} + 63) / 64;
+    for (const unsigned lanes : kLaneCounts) {
+      util::ThreadPool pool(lanes);
+      for (const std::size_t cutoff :
+           {std::size_t{1}, bulk::BulkOptions{}.parallel_cutoff}) {
+        SCOPED_TRACE(testing::Message() << "n=" << n << " lanes=" << lanes
+                                        << " cutoff=" << cutoff);
+        bulk::BulkOptions options;
+        options.pool = &pool;
+        options.parallel_cutoff = cutoff;
+        bulk::BulkEngine eng(g, 1, options);
+        Rng rng(std::uint64_t{n} * 1000 + lanes * 10 + (cutoff == 1 ? 1 : 2));
+        const auto mark = [&](const std::vector<VertexId>& set,
+                              const char* shape) {
+          eng.mark_awake(set);
+          std::vector<bool> ref(n, false);
+          for (const VertexId v : set) ref[v] = true;
+          for (VertexId v = 0; v < n; ++v) {
+            if (eng.is_awake(v) != ref[v]) {
+              ADD_FAILURE() << shape << " (|set| = " << set.size()
+                            << "): is_awake(" << v << ") = "
+                            << eng.is_awake(v);
+              return;
+            }
+          }
+        };
+        // A dense run of consecutive ids: its members share words, and
+        // with any chunking the chunk boundaries fall inside them.
+        const auto dense_run = [&](bool shuffled) {
+          const VertexId start = static_cast<VertexId>(rng.below(n));
+          const VertexId len = static_cast<VertexId>(
+              1 + rng.below(std::min<std::uint64_t>(n - start, 200)));
+          std::vector<VertexId> run(len);
+          for (VertexId i = 0; i < len; ++i) run[i] = start + i;
+          if (shuffled) rng.shuffle(run);
+          return run;
+        };
+        std::vector<VertexId> all(n);
+        for (VertexId v = 0; v < n; ++v) all[v] = v;
+        const std::size_t small = words;
+        const std::size_t large = std::min<std::size_t>(n, words + 1);
+        for (int rep = 0; rep < 3; ++rep) {
+          mark({}, "empty");
+          mark(all, "all nodes");
+          mark({}, "empty after all");
+          mark(ascending_subset(n, rng.below(n + 1), rng), "ascending");
+          std::vector<VertexId> survivors =
+              ascending_subset(n, rng.below(n + 1), rng);
+          std::vector<bool> taken(n, false);
+          for (const VertexId v : survivors) taken[v] = true;
+          std::vector<VertexId> reentrants;
+          for (VertexId v = 0; v < n; ++v) {
+            if (!taken[v] && rng.below(4) == 0) reentrants.push_back(v);
+          }
+          rng.shuffle(reentrants);
+          survivors.insert(survivors.end(), reentrants.begin(),
+                           reentrants.end());
+          mark(survivors, "ascending + out-of-order re-entrants");
+          mark(dense_run(false), "dense run");
+          mark(dense_run(true), "shuffled dense run");
+          // The clear threshold: small sets are cleared bit by bit from
+          // the engine's copy, large ones by a fill.
+          mark(ascending_subset(n, small, rng), "small");
+          mark(ascending_subset(n, small, rng), "small -> small");
+          mark(ascending_subset(n, large, rng), "small -> large");
+          mark(ascending_subset(n, large, rng), "large -> large");
+          mark(ascending_subset(n, small, rng), "large -> small");
+          std::vector<VertexId> shuffled = ascending_subset(n, large, rng);
+          rng.shuffle(shuffled);
+          mark(shuffled, "shuffled large");
+        }
+      }
     }
   }
 }

@@ -19,12 +19,15 @@
 // every lane count at once passes it. These digests fold the offsets,
 // the adjacency and ShardedGnpStats::rng_digest; unlike the run
 // digests they go through libm's log1p (the geometric skip).
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "bulk/baselines.h"
 #include "bulk/engine.h"
 #include "bulk/sleeping_mis.h"
 #include "core/fast_sleeping_mis.h"
@@ -147,9 +150,12 @@ std::vector<Scenario> scenarios() {
   return s;
 }
 
-/// Bulk SleepingMIS under `plan` with per-node metrics on, followed by
-/// the plan's post-run churn (as analysis::run_mis runs it).
-std::uint64_t bulk_digest(const fault::FaultPlan& plan,
+/// `protocol` under `plan` with per-node metrics on. An MIS protocol's
+/// run is followed by the plan's post-run churn (as analysis::run_mis
+/// runs it); churn repairs an MIS, so a matching skips it. The run's
+/// metrics go to `metrics` when it is non-null.
+std::uint64_t bulk_digest(bulk::BulkProtocol& protocol,
+                          const fault::FaultPlan& plan, bool mis_output,
                           util::ThreadPool* pool, sim::Metrics* metrics) {
   const Graph& g = digest_graph();
   bulk::BulkOptions options;
@@ -157,8 +163,7 @@ std::uint64_t bulk_digest(const fault::FaultPlan& plan,
   options.pool = pool;
   options.parallel_cutoff = 1;
   options.fault = plan.empty() ? nullptr : &plan;
-  bulk::BulkResult run =
-      bulk::bulk_sleeping_mis(g, kRunSeed, {}, nullptr, options);
+  bulk::BulkResult run = bulk::run_bulk(g, kRunSeed, protocol, options);
   std::vector<std::uint8_t> alive(kN, 1);
   for (VertexId v = 0; v < kN; ++v) {
     if ((!run.crashed.empty() && run.crashed[v] != 0) ||
@@ -166,7 +171,7 @@ std::uint64_t bulk_digest(const fault::FaultPlan& plan,
       alive[v] = 0;
     }
   }
-  if (plan.churn.enabled()) {
+  if (mis_output && plan.churn.enabled()) {
     const fault::FaultState state(&plan, kRunSeed, kN);
     const fault::ChurnReport report = fault::run_churn(
         g, plan.churn, state.seed(), alive, run.outputs, pool);
@@ -182,7 +187,7 @@ std::uint64_t bulk_digest(const fault::FaultPlan& plan,
   const bulk::RoundHalves makespan = bulk::round_halves(run.virtual_makespan);
   d.add(makespan.lo);
   d.add(makespan.hi);
-  *metrics = std::move(run.metrics);
+  if (metrics != nullptr) *metrics = std::move(run.metrics);
   return d.value();
 }
 
@@ -203,12 +208,88 @@ TEST(RunDigest, BulkSleepingMisFaultScenarios) {
     SCOPED_TRACE(scenario.name);
     for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
                                     &pool}) {
+      bulk::BulkSleepingMis protocol;
       sim::Metrics metrics;
-      const std::uint64_t digest = bulk_digest(scenario.plan, lanes, &metrics);
+      const std::uint64_t digest =
+          bulk_digest(protocol, scenario.plan, /*mis_output=*/true, lanes,
+                      &metrics);
       EXPECT_TRUE(scenario.fired(metrics));
       EXPECT_EQ(digest, scenario.digest)
           << (lanes == nullptr ? "1 lane" : "4 lanes") << ": 0x" << std::hex
           << digest;
+    }
+  }
+}
+
+template <typename P>
+std::unique_ptr<bulk::BulkProtocol> make_protocol() {
+  return std::make_unique<P>();
+}
+
+// The five round-lockstep baselines read the same awake set as bulk
+// SleepingMIS (is_awake on every neighbor test) but through their own
+// decision loops, so they get their own pins: one digest per protocol
+// per scenario, identical at 1 and 4 lanes. Some pins coincide: Luby A
+// and the greedy finish before any crashed node is due back, so their
+// crash+recover runs equal their crash runs, and Israeli-Itai skips the
+// post-run churn, so its loss+churn run equals its loss 1% run.
+TEST(RunDigest, BulkBaselinesFaultScenarios) {
+  const struct {
+    const char* name;
+    std::unique_ptr<bulk::BulkProtocol> (*make)();
+    bool mis_output;
+    std::uint64_t digests[7];
+  } cases[] = {
+      {"Luby-A",
+       make_protocol<bulk::BulkLubyA>,
+       true,
+       {0x22F259029EE63901ULL, 0xD60F25A2D3FB0619ULL,
+        0x972A58D3C80CE9CEULL, 0x51057B462002DF67ULL,
+        0x51057B462002DF67ULL, 0xE9E7E727B968AE88ULL,
+        0xA9EF3A548A77CE98ULL}},
+      {"Luby-B",
+       make_protocol<bulk::BulkLubyB>,
+       true,
+       {0xB4C180D88C35C575ULL, 0xE7FFFD6EAF7BB051ULL,
+        0x00B363450E15CD72ULL, 0x128280722DCC257EULL,
+        0x227B7C988EC0B467ULL, 0x6BC7A49B68029246ULL,
+        0xDF28B9CF23D8193AULL}},
+      {"CRT greedy",
+       make_protocol<bulk::BulkGreedy>,
+       true,
+       {0x23F173719DB91E3DULL, 0xA4FDB140FC331C28ULL,
+        0x103BC89CF9F71502ULL, 0x5C4C150D56087CD7ULL,
+        0x5C4C150D56087CD7ULL, 0x7EC4AE43AC0CF3A5ULL,
+        0xB640983FFF53D076ULL}},
+      {"Israeli-Itai",
+       make_protocol<bulk::BulkIsraeliItai>,
+       false,
+       {0xE1EC1DFCA02B8748ULL, 0xF198179413156634ULL,
+        0xAC0DC62A3A7F3E97ULL, 0x4BEFA1D411C7E1DEULL,
+        0x0F7F325986AE5AE9ULL, 0x042ADC47D2DA46C5ULL,
+        0xF198179413156634ULL}},
+      {"beeping",
+       make_protocol<bulk::BulkBeepingMis>,
+       true,
+       {0xDA5BB9A6A5FF746CULL, 0x54536860FE7E2F40ULL,
+        0xC5EB536DD201BFA9ULL, 0xEACC5F692FF30369ULL,
+        0x294903A52EDD3A39ULL, 0x3BEE24E49349E3C6ULL,
+        0x83A53F540EB47300ULL}},
+  };
+  util::ThreadPool pool(4);
+  const std::vector<Scenario> plans = scenarios();
+  for (const auto& c : cases) {
+    for (std::size_t s = 0; s < plans.size(); ++s) {
+      SCOPED_TRACE(testing::Message() << c.name << ", " << plans[s].name);
+      for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
+                                      &pool}) {
+        const std::unique_ptr<bulk::BulkProtocol> protocol = c.make();
+        const std::uint64_t digest = bulk_digest(
+            *protocol, plans[s].plan, c.mis_output, lanes, nullptr);
+        EXPECT_EQ(digest, c.digests[s])
+            << (lanes == nullptr ? "1 lane" : "4 lanes") << ": 0x" << std::hex
+            << digest;
+      }
     }
   }
 }

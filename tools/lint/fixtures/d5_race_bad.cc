@@ -36,3 +36,17 @@ void fx_bad_deref(Pool* pool, std::uint64_t* fx_last) {
     *fx_last = b;  // MUST-FLAG(slumber-d5)
   });
 }
+
+// A packed subscript is many-to-one: the nodes v and v ^ 1 share a
+// word, and neighboring members of one list can fall to two lanes.
+void fx_bad_packed(Engine& eng, const std::vector<Vertex>& fx_members,
+                   std::vector<std::uint64_t>& fx_words) {
+  eng.scan_awake(fx_members,
+                 [&](Chunk&, std::span<const Vertex> part) {
+                   for (const Vertex v : part) {
+                     fx_words[v >> 6] |= std::uint64_t{1} << (v & 63);  // MUST-FLAG(slumber-d5)
+                     const auto w = v / 64;
+                     fx_words[w] |= std::uint64_t{1} << (v % 64);  // MUST-FLAG(slumber-d5)
+                   }
+                 });
+}

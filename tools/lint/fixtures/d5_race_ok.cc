@@ -1,8 +1,9 @@
 // slumber-d5 must-pass fixture: the repo's sanctioned patterns --
 // chunk-indexed partials (also through a lane-local pointer), indices
 // derived from the lane's parameters (transitively), range-fors over
-// the handed span, atomics, and a nested dispatcher whose own index
-// parameters stay its own.
+// the handed span, atomics (also an atomic_ref flush into a packed
+// word), and a nested dispatcher whose own index parameters stay its
+// own.
 
 void fx_ok_scan(Engine& eng, Pool* pool,
                 const std::vector<Vertex>& fx_members,
@@ -48,4 +49,18 @@ void fx_ok_justified(Pool* pool, std::vector<std::uint64_t>& fx_cells) {
     // NOLINTNEXTLINE(slumber-d5): cell 0 is single-writer by construction
     if (b == 0) fx_cells[0] = 7;
   });
+}
+
+void fx_ok_packed(Pool* pool, const std::vector<Vertex>& fx_members,
+                  std::vector<std::uint64_t>& fx_words) {
+  pool->parallel_for_range(
+      fx_members.size(),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::size_t fx_word = fx_members[i] >> 6;
+          std::atomic_ref(fx_words[fx_word])
+              .fetch_or(std::uint64_t{1} << (fx_members[i] & 63),
+                        std::memory_order_relaxed);
+        }
+      });
 }

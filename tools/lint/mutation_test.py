@@ -41,10 +41,14 @@ PLANTS = [
         "src/analysis/parallel.cc",
     ),
     (
+        # The awake bitset's word-run flush turned into a plain OR: two
+        # chunks can hold members of one word, so this races, though
+        # the subscript is derived from the lane's range.
         "d5-engine-mark-awake",
         "src/bulk/engine.cc",
-        "awake_epoch_[awake[i]] = epoch;",
-        "awake_epoch_[0] = epoch;",
+        "std::atomic_ref(words[word]).fetch_or(run, "
+        "std::memory_order_relaxed);",
+        "words[word] |= run;",
         "slumber-d5",
         "src/bulk/engine.cc",
     ),

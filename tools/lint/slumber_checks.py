@@ -56,7 +56,11 @@ graph.
               its same-stem header), and not subscripted by a derived
               index is a cross-lane race, or an order-dependent
               reduction, and is flagged: `parts[c] += x` passes,
-              `parts[0] += x` and `++hits` do not.
+              `parts[0] += x` and `++hits` do not. A subscript that
+              reaches the index only through `>>` or `/` (`bits[v >>
+              6]`, or a local `w = v / 64`) is many-to-one -- lanes
+              share the packed word -- so it proves nothing: the store
+              must be atomic or carry a NOLINT with a reason.
   slumber-d6  RNG stream-tag registry. src/util/stream_tags.h declares
               every domain-separation tag; the checker proves the
               registry well-formed (annotation format, kAllStreamTags
@@ -924,8 +928,23 @@ def top_level_colon(text: str) -> int:
     return -1
 
 
+# `>>` and `/` map many lane indices onto one slot (`bits[v >> 6]`).
+# `>>=` and comment openers are not packing operators.
+PACKING_RE = re.compile(r">>(?!=)|(?<![/*])/(?![/*=])")
+
+
+def owns(text: str, owning: set[str]) -> bool:
+    """Does a subscript (or initializer) reach a lane-owning name without
+    passing through a packing operator?"""
+    return word_in(text, owning) and not PACKING_RE.search(text)
+
+
 def collect_locals_and_derived(lam: PoolLambda) -> tuple[
-        set[str], set[str]]:
+        set[str], set[str], set[str]]:
+    """Returns (locals, derived, owning). Derived names reach the lane's
+    chunk/index parameters at all; owning names reach them one-to-one,
+    never through `>>` or `/`, so a slot they subscript belongs to one
+    lane."""
     body = lam.body
     spec = DISPATCHERS[lam.dispatcher]
 
@@ -934,6 +953,7 @@ def collect_locals_and_derived(lam: PoolLambda) -> tuple[
                 if p and i in spec.get(kind, ())}
 
     derived = named("index")
+    owning = set(derived)
     spans = named("span")
     locals_: set[str] = {p for p in lam.params if p} | spans
     decls: list[tuple[str, str]] = []  # (name, initializer text)
@@ -973,11 +993,17 @@ def collect_locals_and_derived(lam: PoolLambda) -> tuple[
             if name not in derived and word_in(init, derived):
                 derived.add(name)
                 changed = True
+            if name not in owning and owns(init, owning):
+                owning.add(name)
+                changed = True
         for var, rng in range_fors:
             if var not in derived and word_in(rng, derived | spans):
                 derived.add(var)
                 changed = True
-    return locals_, derived
+            if var not in owning and owns(rng, owning | spans):
+                owning.add(var)
+                changed = True
+    return locals_, derived, owning
 
 
 def check_d5(m: FileModel, atomics: set[str]) -> list[Finding]:
@@ -985,18 +1011,27 @@ def check_d5(m: FileModel, atomics: set[str]) -> list[Finding]:
     header; a name atomic only in some other file does not count."""
     out: list[Finding] = []
     for lam in pool_lambdas(m):
-        locals_, derived = collect_locals_and_derived(lam)
+        locals_, derived, owning = collect_locals_and_derived(lam)
         for root, subs, is_decl, offset in iter_writes(lam.body):
             if root in CONTROL_KEYWORDS or is_decl:
                 continue
             if root in locals_ or root in atomics:
                 continue
-            if any(word_in(sub, derived) for sub in subs):
+            if any(owns(sub, owning) for sub in subs):
                 continue
             where = (f"'{root}[{subs[-1].strip()}]'" if subs
                      else f"'{root}'")
-            m.flag(out, lam.body_line + lam.body[:offset].count("\n"),
-                   "slumber-d5",
+            line = lam.body_line + lam.body[:offset].count("\n")
+            if any(word_in(sub, derived) for sub in subs):
+                m.flag(out, line, "slumber-d5",
+                       f"store to captured {where} inside a "
+                       f"{lam.dispatcher} lambda is subscripted through "
+                       f"`>>` or `/`: many lane indices share the slot "
+                       f"(a packed word), so lanes race on it; flush it "
+                       f"with an atomic read-modify-write such as "
+                       f"std::atomic_ref(...).fetch_or")
+                continue
+            m.flag(out, line, "slumber-d5",
                    f"store to captured {where} inside a {lam.dispatcher} "
                    f"lambda is not indexed by the lane's chunk/index "
                    f"parameter: lanes race on it and the merged value "
