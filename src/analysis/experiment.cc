@@ -112,12 +112,13 @@ AggregateRun aggregate_runs(const std::vector<MisRun>& runs) {
 
 namespace {
 
-MisRun finish_run(MisEngine engine, const Graph& g, std::uint64_t seed,
-                  sim::Metrics metrics, std::vector<std::int64_t> outputs) {
+MisRun finish_run(MisEngine engine, std::uint64_t seed, bool valid,
+                  sim::Metrics metrics, std::vector<std::int64_t> outputs,
+                  std::vector<std::uint8_t> alive) {
   MisRun run;
   run.engine = engine;
   run.seed = seed;
-  run.valid = check_mis(g, outputs).ok();
+  run.valid = valid;
   run.node_avg_awake = metrics.node_avg_awake();
   run.worst_awake = metrics.worst_awake();
   run.node_avg_rounds = metrics.node_avg_finish();
@@ -128,6 +129,7 @@ MisRun finish_run(MisEngine engine, const Graph& g, std::uint64_t seed,
   }
   run.metrics = std::move(metrics);
   run.outputs = std::move(outputs);
+  run.alive = std::move(alive);
   if (obs::enabled()) {
     // End-of-run gauges for the export timeline (write-only telemetry).
     obs::counter("messages_total",
@@ -172,24 +174,9 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
     options.fault = opts.fault;
     options.node_metrics = opts.node_metrics;
     bulk::BulkResult result = bulk::run_bulk(g, seed, *protocol, options);
-    if (!churn && result.crashed.empty() && result.departed.empty()) {
-      return finish_run(engine, g, seed, std::move(result.metrics),
-                        std::move(result.outputs));
-    }
-    // The final alive subgraph: everyone not currently crashed (under
-    // recovery crashed_[] only holds nodes still down) and not departed.
     const VertexId n = g.num_vertices();
-    std::vector<std::uint8_t> alive(n, 1);
-    if (!result.crashed.empty()) {
-      for (VertexId v = 0; v < n; ++v) {
-        alive[v] = result.crashed[v] != 0 ? 0 : 1;
-      }
-    }
-    if (!result.departed.empty()) {
-      for (VertexId v = 0; v < n; ++v) {
-        if (result.departed[v] != 0) alive[v] = 0;
-      }
-    }
+    std::vector<std::uint8_t> alive = result.alive_mask();
+    if (churn && alive.empty()) alive.assign(n, 1);
     if (live && !churn) {
       // Live-dynamics run: the survivors' outputs can carry damage from
       // mid-run leaves/crashes (a dominator that vanished, a re-entrant
@@ -207,7 +194,11 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
       obs::counter("live_repair_rounds",
                    static_cast<double>(result.metrics.live_repair_rounds));
     }
-    bool churn_valid = false;
+    // With dead nodes, `valid` says whether the survivors' output is an
+    // MIS of their subgraph (under crashes it may honestly not be: that
+    // is the damage churn's initial repair would fix). Churn runs take
+    // churn's verdict, checked after every batch.
+    bool valid = !churn && check_mis(g, result.outputs, opts.pool, alive).ok();
     if (churn) {
       // Long-running trial: after the protocol converges, nodes leave
       // and join in batches; each batch is followed by an incremental
@@ -224,19 +215,10 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
       result.metrics.churn_leaves = report.leaves;
       result.metrics.churn_joins = report.joins;
       result.metrics.churn_repair_rounds = report.repair_rounds;
-      churn_valid = report.valid;
+      valid = report.valid;
     }
-    MisRun run = finish_run(engine, g, seed, std::move(result.metrics),
-                            std::move(result.outputs));
-    run.alive = std::move(alive);
-    // With dead nodes the full-graph check is vacuously broken; report
-    // whether the surviving output is a correct MIS of the survivors'
-    // subgraph instead (under crashes it may legitimately not be — that
-    // is the injected damage churn's initial repair would fix).
-    run.valid = churn ? churn_valid
-                      : fault::check_alive_mis(g, run.alive, run.outputs,
-                                               opts.pool);
-    return run;
+    return finish_run(engine, seed, valid, std::move(result.metrics),
+                      std::move(result.outputs), std::move(alive));
   }
   if (churn) {
     throw std::invalid_argument("run_mis: churn requires the bulk engine");
@@ -273,17 +255,12 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   options.fault = opts.fault;
   auto [metrics, outputs] = sim::run_protocol(g, seed, protocol, options);
-  MisRun run =
-      finish_run(engine, g, seed, std::move(metrics), std::move(outputs));
-  if (opts.fault != nullptr && opts.fault->has_crashes()) {
-    const VertexId n = g.num_vertices();
-    run.alive.assign(n, 1);
-    for (VertexId v = 0; v < n; ++v) {
-      if (run.metrics.node[v].crashed) run.alive[v] = 0;
-    }
-    run.valid = fault::check_alive_mis(g, run.alive, run.outputs);
-  }
-  return run;
+  const bool crashes = opts.fault != nullptr && opts.fault->has_crashes();
+  std::vector<std::uint8_t> alive =
+      crashes ? metrics.alive_mask() : std::vector<std::uint8_t>{};
+  const bool valid = check_mis(g, outputs, opts.pool, alive).ok();
+  return finish_run(engine, seed, valid, std::move(metrics),
+                    std::move(outputs), std::move(alive));
 }
 
 std::function<Graph(std::uint64_t)> graph_factory(gen::Family family,

@@ -65,11 +65,11 @@ struct RunOptions {
   /// Trial-level lanes for run_trials / aggregate_mis
   /// (0 = default_trial_threads()). Ignored by run_mis.
   unsigned num_threads = 0;
-  /// Shards each bulk trial's per-round node scans over the pool's
-  /// lanes (intra-trial parallelism; results are bitwise identical for
-  /// every lane count). Ignored by the coroutine back end. run_trials
-  /// forwards it to trials only when num_threads == 1 (serial trials);
-  /// otherwise the lanes are spent on trial-level sharding.
+  /// Shards each bulk trial's per-round node scans, and every trial's
+  /// verification, over the pool's lanes (results are bitwise identical
+  /// for every lane count). run_trials forwards it to trials only when
+  /// num_threads == 1 (serial trials); otherwise the lanes are spent on
+  /// trial-level sharding.
   util::ThreadPool* pool = nullptr;
   /// When non-null and the engine is one of the sleeping algorithms,
   /// collects the recursion trace. run_trials ignores it (a shared
@@ -110,7 +110,8 @@ struct MisRun {
   std::vector<std::uint8_t> alive;
 };
 
-/// Runs `engine` on `g`; enforces the CONGEST budget; verifies the MIS.
+/// Runs `engine` on `g`; enforces the CONGEST budget; verifies the MIS
+/// once (on the alive subgraph when nodes can be dead).
 /// Execution back end, thread pool, trace sink, fault plan, and metric
 /// toggles all ride in `opts`. Throws std::invalid_argument when the
 /// engine has no bulk implementation or when opts asks for churn on the

@@ -1,6 +1,10 @@
 #include "analysis/verify.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "obs/obs.h"
+#include "util/alloc.h"
 
 namespace slumber::analysis {
 
@@ -13,57 +17,72 @@ std::string MisCheck::describe() const {
   return s;
 }
 
-MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs) {
-  obs::Span span("analysis", "check_mis", g.num_vertices());
-  MisCheck check;
-  check.all_decided = true;
-  std::vector<std::uint8_t> in_mis(g.num_vertices(), 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (outputs[v] != 0 && outputs[v] != 1) {
-      check.all_decided = false;
-    } else {
-      in_mis[v] = static_cast<std::uint8_t>(outputs[v]);
-    }
+MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs,
+                   util::ThreadPool* pool,
+                   std::span<const std::uint8_t> alive) {
+  const std::size_t n = g.num_vertices();
+  const bool bad_outputs = outputs.size() != n;
+  if (bad_outputs || (!alive.empty() && alive.size() != n)) {
+    throw std::invalid_argument(
+        std::string("check_mis: ") + (bad_outputs ? "outputs" : "alive mask") +
+        " has " + std::to_string(bad_outputs ? outputs.size() : alive.size()) +
+        " entries for a graph of " + std::to_string(n) + " vertices");
   }
-  const MisCheck structural = check_mis_indicator(g, in_mis);
-  check.is_independent = structural.is_independent;
-  check.is_maximal = structural.is_maximal;
-  return check;
-}
-
-MisCheck check_mis_indicator(const Graph& g,
-                             const std::vector<std::uint8_t>& in_mis) {
-  MisCheck check;
-  check.all_decided = true;
-  check.is_independent = true;
-  check.is_maximal = true;
-  // Iterate the CSR (u < v visits each edge once) instead of edges():
-  // this keeps the verifier usable on memory-diet graphs that dropped
-  // the edge list (Graph::from_csr).
-  for (VertexId v = 0; v < g.num_vertices() && check.is_independent; ++v) {
-    if (!in_mis[v]) continue;
-    for (VertexId u : g.neighbors(v)) {
-      if (u > v && in_mis[u]) {
-        check.is_independent = false;
-        break;
+  obs::Span span("analysis", "check_mis", n);
+  // Pass 1 packs the alive nodes that output 1 into one bit per node
+  // (n/8 bytes, so pass 2's neighbor tests hit cache) and flags alive
+  // undecided nodes. Pass 2 walks each alive node's CSR range: an MIS
+  // member with an MIS neighbor breaks independence, a non-member
+  // without one breaks maximality. Blocks are whole words, so pass 1
+  // stores only its own; each block stores its flags, merged after.
+  enum : std::uint8_t { kUndecided = 1, kDependent = 2, kUndominated = 4 };
+  constexpr std::size_t kBlock = Graph::kCsrCheckBlock;
+  constexpr std::size_t kWords = kBlock / 64;
+  static_assert(kBlock % 64 == 0, "a block must be whole bitset words");
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  util::PodVector<std::uint64_t> in_mis(blocks * kWords);  // pass 1 fills it
+  std::vector<std::uint8_t> flags(blocks, 0);
+  const std::uint8_t* live = alive.empty() ? nullptr : alive.data();
+  const auto member = [&in_mis](std::size_t v) {
+    return ((in_mis[v >> 6] >> (v & 63)) & 1) != 0;
+  };
+  const auto pack_block = [&](std::size_t b) {
+    bool undecided = false;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      const std::size_t base = b * kBlock + i * 64;
+      std::uint64_t word = 0;
+      for (std::size_t v = base; v < std::min(n, base + 64); ++v) {
+        const bool up = live == nullptr || live[v] != 0;
+        undecided |= up && static_cast<std::uint64_t>(outputs[v]) > 1;
+        word |= std::uint64_t{up && outputs[v] == 1} << (v - base);
+      }
+      in_mis[b * kWords + i] = word;
+    }
+    flags[b] = undecided ? kUndecided : 0;
+  };
+  const auto check_block = [&](std::size_t b) {
+    std::uint8_t bad = 0;
+    for (std::size_t v = b * kBlock; v < std::min(n, (b + 1) * kBlock); ++v) {
+      if (live != nullptr && live[v] == 0) continue;
+      const auto nbrs = g.neighbors(static_cast<VertexId>(v));
+      if (std::any_of(nbrs.begin(), nbrs.end(), member) == member(v)) {
+        bad |= member(v) ? kDependent : kUndominated;
       }
     }
+    flags[b] |= bad;
+  };
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->parallel_for_index(blocks, pack_block);
+    pool->parallel_for_index(blocks, check_block);
+  } else {
+    for (std::size_t b = 0; b < blocks; ++b) pack_block(b);
+    for (std::size_t b = 0; b < blocks; ++b) check_block(b);
   }
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (in_mis[v]) continue;
-    bool dominated = false;
-    for (VertexId u : g.neighbors(v)) {
-      if (in_mis[u]) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) {
-      check.is_maximal = false;
-      break;
-    }
-  }
-  return check;
+  std::uint8_t merged = 0;
+  for (const std::uint8_t f : flags) merged |= f;
+  return {.is_independent = (merged & kDependent) == 0,
+          .is_maximal = (merged & kUndominated) == 0,
+          .all_decided = (merged & kUndecided) == 0};
 }
 
 bool check_coloring(const Graph& g, const std::vector<std::int64_t>& colors) {

@@ -4,10 +4,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/thread_pool.h"
 
 namespace slumber::analysis {
 
@@ -21,12 +23,16 @@ struct MisCheck {
 };
 
 /// Checks protocol outputs (1 = in MIS, 0 = out, anything else =
-/// undecided) against g.
-MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs);
-
-/// Checks a 0/1 indicator vector.
-MisCheck check_mis_indicator(const Graph& g,
-                             const std::vector<std::uint8_t>& in_mis);
+/// undecided, which counts as out) on the subgraph of g induced by the
+/// alive nodes: all of them when `alive` is empty, else those with
+/// alive[v] != 0 (dead nodes' outputs are ignored). One bit-packed CSR
+/// pass in blocks of Graph::kCsrCheckBlock vertices, which `pool`'s
+/// lanes claim when given; the verdict is the same at every lane count.
+/// Throws std::invalid_argument unless outputs has n entries and alive 0
+/// or n.
+MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs,
+                   util::ThreadPool* pool = nullptr,
+                   std::span<const std::uint8_t> alive = {});
 
 /// True iff `colors` is a proper coloring with colors[v] in
 /// [0, deg(v)+1) (the Luby (Delta+1)-coloring contract).

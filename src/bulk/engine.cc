@@ -318,6 +318,16 @@ BulkResult BulkEngine::take_result() {
   return result;
 }
 
+std::vector<std::uint8_t> BulkResult::alive_mask() const {
+  if (crashed.empty() && departed.empty()) return {};
+  std::vector<std::uint8_t> alive(outputs.size());
+  for (std::size_t v = 0; v < alive.size(); ++v) {
+    alive[v] = (crashed.empty() || crashed[v] == 0) &&
+               (departed.empty() || departed[v] == 0);
+  }
+  return alive;
+}
+
 BulkResult run_bulk(const Graph& g, std::uint64_t seed, BulkProtocol& protocol,
                     BulkOptions options) {
   BulkEngine engine(g, seed, options);

@@ -128,6 +128,11 @@ struct BulkResult {
   /// departed[v] != 0 iff v left via mid-run churn and was still out at
   /// the end; empty when the run had no live churn configured.
   std::vector<std::uint8_t> departed;
+
+  /// The final alive mask: 0 for a node still crashed or departed, 1
+  /// for the rest; empty when neither crashes nor live churn were
+  /// configured (every node is alive).
+  std::vector<std::uint8_t> alive_mask() const;
 };
 
 class BulkEngine;

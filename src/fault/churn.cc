@@ -1,5 +1,6 @@
 #include "fault/churn.h"
 
+#include "analysis/verify.h"
 #include "obs/obs.h"
 #include "util/thread_pool.h"
 
@@ -148,33 +149,6 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
   return rounds;
 }
 
-bool check_alive_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
-                     const std::vector<std::int64_t>& outputs,
-                     util::ThreadPool* pool) {
-  const std::size_t n = g.num_vertices();
-  obs::Span span(obs::enabled() && n >= kParallelCutoff ? "fault" : nullptr,
-                 "check_alive_mis", n);
-  std::vector<std::uint64_t> bad_parts(chunk_count(pool, n), 0);
-  for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
-      if (alive[v] == 0) continue;
-      if (outputs[v] != 0 && outputs[v] != 1) {
-        ++bad_parts[c];
-        continue;
-      }
-      bool mis_neighbor = false;
-      for (const VertexId u : g.neighbors(v)) {
-        if (alive[u] != 0 && outputs[u] == 1) {
-          mis_neighbor = true;
-          break;
-        }
-      }
-      if (outputs[v] == 1 ? mis_neighbor : !mis_neighbor) ++bad_parts[c];
-    }
-  });
-  return sum(bad_parts) == 0;
-}
-
 ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
                       std::uint64_t fault_seed,
                       std::vector<std::uint8_t>& alive,
@@ -188,7 +162,8 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
   // before the stream starts so every batch begins from a valid MIS.
   report.repair_rounds += repair_mis(g, alive, outputs, fault_seed, pool,
                                      &report.demotions, &report.promotions);
-  report.valid = report.valid && check_alive_mis(g, alive, outputs, pool);
+  report.valid =
+      report.valid && analysis::check_mis(g, outputs, pool, alive).ok();
 
   for (std::uint32_t batch = 1; batch <= spec.batches; ++batch) {
     ++report.batches;
@@ -224,7 +199,8 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
 
     report.repair_rounds += repair_mis(g, alive, outputs, fault_seed, pool,
                                        &report.demotions, &report.promotions);
-    report.valid = report.valid && check_alive_mis(g, alive, outputs, pool);
+    report.valid =
+        report.valid && analysis::check_mis(g, outputs, pool, alive).ok();
   }
 
   std::vector<std::uint64_t> alive_parts(chunk_count(pool, n), 0);

@@ -63,17 +63,10 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
                          std::uint64_t* demotions = nullptr,
                          std::uint64_t* promotions = nullptr);
 
-/// Checks the MIS invariant on the subgraph induced by `alive`:
-/// alive nodes output 0/1, no two adjacent alive 1s, and every alive 0
-/// has an alive MIS neighbor. Sharded over `pool` when provided.
-bool check_alive_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
-                     const std::vector<std::int64_t>& outputs,
-                     util::ThreadPool* pool = nullptr);
-
 /// Runs the full churn stream over `alive`/`outputs` in place: initial
 /// repair (the trial may have ended with crash/loss damage), then
 /// `spec.batches` batches of keyed joins/leaves, each followed by an
-/// incremental repair and an invariant check.
+/// incremental repair and an analysis::check_mis of the alive subgraph.
 ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
                       std::uint64_t fault_seed,
                       std::vector<std::uint8_t>& alive,

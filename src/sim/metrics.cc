@@ -47,4 +47,10 @@ double Metrics::node_avg_awake_at_decision() const {
       node, [](const NodeMetrics& m) { return m.awake_at_decision; });
 }
 
+std::vector<std::uint8_t> Metrics::alive_mask() const {
+  std::vector<std::uint8_t> alive(node.size());
+  for (std::size_t v = 0; v < node.size(); ++v) alive[v] = !node[v].crashed;
+  return alive;
+}
+
 }  // namespace slumber::sim

@@ -71,6 +71,10 @@ struct Metrics {
   double node_avg_decided() const;
   double node_avg_awake_at_decision() const;
 
+  /// 0 where node[v].crashed, else 1: a coroutine run's final alive mask
+  /// (bulk runs also lose nodes to churn: bulk::BulkResult::alive_mask).
+  std::vector<std::uint8_t> alive_mask() const;
+
   /// Field-complete equality (per-node vector included); see
   /// NodeMetrics::operator==.
   friend bool operator==(const Metrics&, const Metrics&) = default;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "analysis/verify.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
 #include "fault/churn.h"
@@ -212,7 +213,7 @@ TEST(Churn, RepairedOutputIsValidMisOfAliveSubgraph) {
     }
   }
   // And the invariant really holds on the final state.
-  EXPECT_TRUE(fault::check_alive_mis(g, run.alive, run.outputs));
+  EXPECT_TRUE(analysis::check_mis(g, run.outputs, nullptr, run.alive).ok());
 }
 
 TEST(Churn, TrajectoryIsLaneCountIndependent) {

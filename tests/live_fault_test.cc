@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "analysis/experiment.h"
+#include "analysis/verify.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
 #include "fault/churn.h"
@@ -235,7 +236,7 @@ TEST(LiveChurn, LeaversRejoinAndFinalMisIsRepairedValid) {
   // run_mis repaired the survivors' outputs; validity refers to the
   // final alive subgraph.
   EXPECT_TRUE(run.valid);
-  EXPECT_TRUE(fault::check_alive_mis(g, run.alive, run.outputs));
+  EXPECT_TRUE(analysis::check_mis(g, run.outputs, nullptr, run.alive).ok());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     if (run.alive[v]) {
       EXPECT_TRUE(run.outputs[v] == 0 || run.outputs[v] == 1) << v;
@@ -254,7 +255,7 @@ TEST(Recovery, CrashedNodesComeBackAndFinalMisIsValid) {
                                       .fault = &plan});
   EXPECT_GT(run.metrics.recovered_nodes, 0u);
   EXPECT_TRUE(run.valid);
-  EXPECT_TRUE(fault::check_alive_mis(g, run.alive, run.outputs));
+  EXPECT_TRUE(analysis::check_mis(g, run.outputs, nullptr, run.alive).ok());
   // The crashed flag means "currently down": every node recorded as
   // crashed in the final metrics is dead in the alive mask and vice
   // versa (no departures in this plan).
@@ -281,7 +282,7 @@ TEST(LiveChurn, AllThreeDynamicsComposeOnEveryBulkProtocol) {
     // Whatever damage the dynamics did, the final repair leaves a
     // valid MIS of the survivors.
     EXPECT_TRUE(run.valid);
-    EXPECT_TRUE(fault::check_alive_mis(g, run.alive, run.outputs));
+    EXPECT_TRUE(analysis::check_mis(g, run.outputs, nullptr, run.alive).ok());
     EXPECT_GT(run.metrics.injected_losses, 0u);
   }
 }

@@ -22,11 +22,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/experiment.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
 #include "bulk/sleeping_mis.h"
@@ -164,13 +166,8 @@ std::uint64_t bulk_digest(bulk::BulkProtocol& protocol,
   options.parallel_cutoff = 1;
   options.fault = plan.empty() ? nullptr : &plan;
   bulk::BulkResult run = bulk::run_bulk(g, kRunSeed, protocol, options);
-  std::vector<std::uint8_t> alive(kN, 1);
-  for (VertexId v = 0; v < kN; ++v) {
-    if ((!run.crashed.empty() && run.crashed[v] != 0) ||
-        (!run.departed.empty() && run.departed[v] != 0)) {
-      alive[v] = 0;
-    }
-  }
+  std::vector<std::uint8_t> alive = run.alive_mask();
+  if (alive.empty()) alive.assign(kN, 1);
   if (mis_output && plan.churn.enabled()) {
     const fault::FaultState state(&plan, kRunSeed, kN);
     const fault::ChurnReport report = fault::run_churn(
@@ -317,6 +314,53 @@ TEST(RunDigest, CoroutineFastSleepingMis) {
         coroutine_digest(core::fast_sleeping_mis({.coin_bias = c.bias}));
     EXPECT_EQ(digest, c.digest)
         << "bias " << c.bias << ": 0x" << std::hex << digest;
+  }
+}
+
+// run_mis's verdicts: one character per (engine, scenario) cell, '1'
+// for a valid run and '0' for an invalid one, engines separated by
+// spaces. The digests above pin outputs and metrics but not the
+// verifier, so a verifier change that flips a verdict passes them all.
+// These strings were recorded before the verifier was rewritten. The
+// coroutine back end runs the scenarios it accepts (the first four).
+TEST(RunDigest, RunMisVerdicts) {
+  const analysis::MisEngine engines[] = {
+      analysis::MisEngine::kSleeping, analysis::MisEngine::kLubyA,
+      analysis::MisEngine::kLubyB, analysis::MisEngine::kGreedy};
+  const struct {
+    analysis::ExecEngine exec;
+    std::size_t scenarios;
+    const char* verdicts;
+  } back_ends[] = {
+      {analysis::ExecEngine::kBulk, 7, "1001111 1001111 1001111 1001111"},
+      {analysis::ExecEngine::kCoroutine, 4, "1001 1001 1001 1001"},
+  };
+  util::ThreadPool pool(4);
+  const std::vector<Scenario> plans = scenarios();
+  for (const auto& back_end : back_ends) {
+    for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
+                                    &pool}) {
+      std::string verdicts;
+      for (const analysis::MisEngine engine : engines) {
+        if (!verdicts.empty()) verdicts += ' ';
+        for (std::size_t s = 0; s < back_end.scenarios; ++s) {
+          const fault::FaultPlan& plan = plans[s].plan;
+          const analysis::MisRun run = analysis::run_mis(
+              engine, digest_graph(), kRunSeed,
+              {.exec = back_end.exec,
+               .pool = lanes,
+               .fault = plan.empty() ? nullptr : &plan});
+          verdicts += run.valid ? '1' : '0';
+        }
+      }
+      EXPECT_EQ(verdicts, back_end.verdicts)
+          << analysis::exec_engine_name(back_end.exec) << ", "
+          << (lanes == nullptr ? "1 lane" : "4 lanes");
+      // The lossy cells are damaged on purpose: a verifier that always
+      // answers one way must fail here.
+      EXPECT_NE(verdicts.find('1'), std::string::npos);
+      EXPECT_NE(verdicts.find('0'), std::string::npos);
+    }
   }
 }
 

@@ -50,3 +50,22 @@ void fx_bad_packed(Engine& eng, const std::vector<Vertex>& fx_members,
                    }
                  });
 }
+
+// A lambda handed over by name is analyzed at its definition, and a
+// store after a braceless if/else/for head is a store like any other.
+void fx_bad_named(Pool* pool, std::vector<std::uint64_t>& fx_parts) {
+  bool fx_bad = false;
+  std::size_t fx_last = 0;
+  const auto fx_check_block = [&](std::size_t b) {
+    fx_bad = b > 3;       // MUST-FLAG(slumber-d5)
+    fx_parts[0] += b;     // MUST-FLAG(slumber-d5)
+  };
+  pool->parallel_for_index(8, fx_check_block);
+  pool->parallel_for_index(8, [&](std::size_t b) {
+    if (b == 3) fx_bad = true;  // MUST-FLAG(slumber-d5)
+    if (b % 2 == 0) {
+      fx_parts[b] = 1;
+    } else fx_bad = true;  // MUST-FLAG(slumber-d5)
+    for (std::size_t i = 0; i < b; ++i) fx_last = i;  // MUST-FLAG(slumber-d5)
+  });
+}

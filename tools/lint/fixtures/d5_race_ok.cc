@@ -2,8 +2,9 @@
 // chunk-indexed partials (also through a lane-local pointer), indices
 // derived from the lane's parameters (transitively), range-fors over
 // the handed span, atomics (also an atomic_ref flush into a packed
-// word), and a nested dispatcher whose own index parameters stay its
-// own.
+// word), a nested dispatcher whose own index parameters stay its
+// own, and per-block partials stored from a named lambda or after a
+// braceless if/else/for head.
 
 void fx_ok_scan(Engine& eng, Pool* pool,
                 const std::vector<Vertex>& fx_members,
@@ -63,4 +64,22 @@ void fx_ok_packed(Pool* pool, const std::vector<Vertex>& fx_members,
                         std::memory_order_relaxed);
         }
       });
+}
+
+void fx_ok_named(Pool* pool, std::vector<std::uint8_t>& fx_block_flags,
+                 std::vector<std::uint64_t>& fx_block_last) {
+  const auto fx_check_block = [&](std::size_t b) {
+    bool fx_bad = false;
+    if (b == 3) fx_bad = true;
+    fx_block_flags[b] = fx_bad ? 1 : 0;
+  };
+  pool->parallel_for_index(8, fx_check_block);
+  for (std::size_t b = 0; b < 8; ++b) fx_check_block(b);
+  pool->parallel_for_index(8, [&](std::size_t b) {
+    if (b == 3) fx_block_flags[b] = 1;
+    if (b % 2 == 0) {
+      fx_block_flags[b] |= 2;
+    } else fx_block_flags[b] |= 4;
+    for (std::size_t i = 0; i < b; ++i) fx_block_last[b] = i;
+  });
 }

@@ -53,6 +53,16 @@ PLANTS = [
         "src/bulk/engine.cc",
     ),
     (
+        # from_csr's mirror tally stored to one shared slot from the
+        # named block lambda: D5 must resolve the lambda by name.
+        "d5-from-csr-block-tally",
+        "src/graph/graph.cc",
+        "mirrored_parts[b] = found;",
+        "mirrored_parts[0] += found;",
+        "slumber-d5",
+        "src/graph/graph.cc",
+    ),
+    (
         "d5-churn-leave-counter",
         "src/fault/churn.cc",
         "++leave_parts[c];",

@@ -47,12 +47,14 @@ graph.
               For every lambda handed to a sharding dispatcher
               (parallel_for_range / parallel_for_index / for_range /
               scan_range / scan_awake / for_each_block /
-              for_each_range), resolve which names are lane-local: the
+              for_each_range), inline or by the name of a local lambda
+              defined earlier, resolve which names are lane-local: the
               chunk/index parameters, everything derived from them
               (transitively, through initializers and range-fors over
               the handed span), and body locals. A store through a
               captured reference (`x = ...`, `++x`, `*p = ...`) whose
-              target is not lane-local, not atomic (in this file or
+              target (also after a braceless if/for/while/switch head
+              or an else) is not lane-local, not atomic (in this file or
               its same-stem header), and not subscripted by a derived
               index is a cross-lane race, or an order-dependent
               reduction, and is flagged: `parts[c] += x` passes,
@@ -91,8 +93,10 @@ A NOLINT without a reason is itself a finding (slumber-nolint).
 The analysis is structural (comment/string-aware tokenization, brace
 matching, one-hop def-use) and stdlib-only, so it runs unchanged in
 minimal containers and CI images without a clang toolchain. Known
-limit: member-qualified clock reads (`x.round`) resolve by field name,
-not by object type.
+limits: member-qualified clock reads (`x.round`) resolve by field name,
+not by object type, and a lambda handed to a dispatcher by name
+resolves to the nearest earlier `auto NAME = [` in the file, not by
+scope.
 
 Usage:
     tools/lint/slumber_checks.py [--root REPO] [--gha] [paths...]
@@ -687,9 +691,12 @@ def find_lambda_after(text: str, call_end: int) -> tuple[
     """After a dispatcher's open paren, locate its lambda argument.
 
     Returns (params_text, body_start, body_end) with body offsets
-    delimiting the inside of the lambda's braces, or None when the
-    argument is not an inline lambda (named callable, or this is a
-    declaration/definition of the dispatcher itself).
+    delimiting the inside of the lambda's braces. An inline lambda is
+    parsed in place; a last argument that names a local lambda defined
+    earlier in `text` (`const auto fn = [&](std::size_t b) {...};`)
+    resolves to that definition. None when the argument is neither
+    (a forwarded callable, or this is a declaration/definition of the
+    dispatcher itself).
     """
     i = call_end
     depth = 0
@@ -697,20 +704,36 @@ def find_lambda_after(text: str, call_end: int) -> tuple[
     while i < len(text):
         ch = text[i]
         if ch == "[" and depth == 0 and last_code in "(,":
-            break  # a lambda introducer in argument position
+            return lambda_at(text, i)  # an introducer in argument position
         if ch in ";{":
             return None  # signature or forwarding call: no inline lambda
         if ch == "(":
             depth += 1
         elif ch == ")":
             if depth == 0:
-                return None  # call closed without an inline lambda
+                return named_lambda(text, call_end, i)
             depth -= 1
         if not ch.isspace():
             last_code = ch
         i += 1
-    else:
+    return None
+
+
+def named_lambda(text: str, call_end: int, call_close: int) -> tuple[
+        str, int, int] | None:
+    """The lambda a dispatcher call's last argument names, when the
+    nearest earlier `auto NAME = [` in `text` defines it."""
+    last = split_args(text[call_end:call_close])[-1].strip()
+    if not WORD_RE.fullmatch(last):
         return None
+    defs = list(re.finditer(
+        r"\bauto\s*&{0,2}\s*" + re.escape(last) + r"\s*=\s*\[",
+        text[:call_end]))
+    return lambda_at(text, defs[-1].end() - 1) if defs else None
+
+
+def lambda_at(text: str, i: int) -> tuple[str, int, int] | None:
+    """Parses the lambda whose introducer `[` is at text[i]."""
     rb = text.find("]", i)
     if rb < 0:
         return None
@@ -752,11 +775,13 @@ def mask_nested_dispatchers(body: str) -> str:
 
 def pool_lambdas(m: FileModel) -> list[PoolLambda]:
     lambdas = []
+    seen: set[int] = set()  # a named lambda may be dispatched twice
     for call in DISPATCH_RE.finditer(m.text):
         found = find_lambda_after(m.text, call.end())
-        if found is None:
+        if found is None or found[1] in seen:
             continue
         params_text, bstart, bend = found
+        seen.add(bstart)
         lambdas.append(PoolLambda(
             dispatcher=call.group(1),
             params=[param_name(p) for p in split_args(params_text)],
@@ -815,6 +840,8 @@ def parse_chain_backward(body: str, end: int) -> tuple[
             j -= 2
             continue
         if j >= 0 and body[j] == ")":
+            if control_head_ends_at(body, j):
+                return root, subs, False  # `if (...) x = ...;`
             return None, subs, False  # call-result target: out of scope
         if j >= 0 and body[j] == "*":
             k = j
@@ -822,9 +849,29 @@ def parse_chain_backward(body: str, end: int) -> tuple[
                 k -= 1
             if k < 0 or body[k] in ";{}(,":
                 return root, subs, False  # store through *root
+        prev = re.search(r"([A-Za-z_]\w*)\s*$", body[:j + 1])
+        if prev and prev.group(1) in ("else", "do"):
+            return root, subs, False  # `else x = ...;` starts a statement
         is_decl = (not saw_postfix and j >= 0 and
                    (body[j].isalnum() or body[j] in "_>&*:"))
         return root, subs, is_decl
+
+
+CONTROL_HEAD_RE = re.compile(r"\b(?:if|for|while|switch)(?:\s+constexpr)?\s*$")
+
+
+def control_head_ends_at(body: str, close: int) -> bool:
+    """Is body[close] the `)` that ends an if/for/while/switch head, so
+    that the statement after it starts a new store target?"""
+    depth = 0
+    for k in range(close, -1, -1):
+        if body[k] == ")":
+            depth += 1
+        elif body[k] == "(":
+            depth -= 1
+            if depth == 0:
+                return bool(CONTROL_HEAD_RE.search(body[:k]))
+    return False
 
 
 def parse_chain_forward(body: str, pos: int) -> tuple[

@@ -31,9 +31,11 @@
 // incremental MIS repair. Live dynamics run *between* bulk frames:
 // `--churn-live LEAVE JOIN` makes alive nodes leave (and geometrically
 // rejoin), `--recover MEAN` re-admits crashed nodes after a geometric
-// downtime; both end in one incremental repair of the survivors' MIS.
-// Churn, live churn, and recovery need `--engine bulk`. All fault
-// streams are engine- and lane-count-independent.
+// downtime; under run and sweep both end in one incremental repair of
+// the survivors' MIS (beep runs no repair). Churn, live churn, and
+// recovery need `--engine bulk`. All fault streams are engine- and
+// lane-count-independent. A run that loses nodes is verified on the
+// alive subgraph.
 //
 // Telemetry flags (any command; see obs/obs.h): `--obs-out run.jsonl`
 // streams slumber-obs-v1 events, `--obs-trace trace.json` writes a
@@ -208,6 +210,12 @@ bool check_bulk_support(const analysis::MisEngine engine) {
   return true;
 }
 
+/// The verify line of a run that lost nodes.
+std::string alive_verdict(bool valid) {
+  return valid ? "valid MIS of the alive subgraph"
+               : "NOT an MIS of the alive subgraph";
+}
+
 int cmd_run(const analysis::MisEngine engine, const gen::Family family,
             const VertexId n, const std::uint64_t seed) {
   if (!check_bulk_support(engine)) return 2;
@@ -229,15 +237,12 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
                                           ? " lane)\n"
                                           : " lanes)\n")
             << "verify: ";
-  if (run.alive.empty()) {
-    std::cout << analysis::check_mis(g, run.outputs).describe();
-  } else {
-    // Dead nodes make the full-graph check vacuous; report the
-    // survivors' invariant instead (computed by run_mis).
-    std::cout << (run.valid ? "valid MIS of the alive subgraph"
-                            : "NOT an MIS of the alive subgraph");
-  }
-  std::cout << "\n"
+  // Dead nodes make the full-graph check vacuous; report the
+  // survivors' invariant instead (computed by run_mis).
+  std::cout << (run.alive.empty()
+                    ? analysis::check_mis(g, run.outputs, &pool).describe()
+                    : alive_verdict(run.valid))
+            << "\n"
             << "MIS size: " << run.mis_size << "\n";
   if (g_spec.fault_or_null() != nullptr) {
     std::cout << "faults: crashed " << run.metrics.crashed_nodes
@@ -417,16 +422,21 @@ int cmd_beep(const gen::Family family, const VertexId n,
     return 2;
   }
   const Graph g = make_cli_graph(family, n, seed);
+  const bool bulk = g_spec.exec == analysis::ExecEngine::kBulk;
+  util::ThreadPool pool(bulk ? analysis::default_trial_threads() : 1);
   sim::Metrics metrics;
   std::vector<std::int64_t> outputs;
-  if (g_spec.exec == analysis::ExecEngine::kBulk) {
-    util::ThreadPool pool(analysis::default_trial_threads());
+  // Crashed and departed nodes are out of the verdict, as in `run`; beep
+  // runs no repair, so under live churn the survivors may honestly fail.
+  std::vector<std::uint8_t> alive;
+  if (bulk) {
     bulk::BulkOptions options;
     options.max_message_bits = 1;
     options.pool = &pool;
     options.fault = g_spec.fault_or_null();
     bulk::BulkBeepingMis protocol;
     auto result = bulk::run_bulk(g, seed, protocol, options);
+    alive = result.alive_mask();
     metrics = std::move(result.metrics);
     outputs = std::move(result.outputs);
   } else {
@@ -434,12 +444,15 @@ int cmd_beep(const gen::Family family, const VertexId n,
     options.max_message_bits = 1;
     options.fault = g_spec.fault_or_null();
     auto result = sim::run_protocol(g, seed, algos::beeping_mis(), options);
+    if (g_spec.fault.has_crashes()) alive = result.metrics.alive_mask();
     metrics = std::move(result.metrics);
     outputs = std::move(result.outputs);
   }
-  const auto check = analysis::check_mis(g, outputs);
+  const auto check = analysis::check_mis(g, outputs, &pool, alive);
   std::cout << "graph: " << g.summary() << "\n"
-            << "verify: " << check.describe() << "\n"
+            << "verify: "
+            << (alive.empty() ? check.describe() : alive_verdict(check.ok()))
+            << "\n"
             << "node-avg awake: "
             << analysis::Table::num(metrics.node_avg_awake())
             << " (all slots; beeping has no sleeping)\n"
