@@ -112,17 +112,22 @@ AggregateRun aggregate_runs(const std::vector<MisRun>& runs) {
 
 namespace {
 
-MisRun finish_run(MisEngine engine, std::uint64_t seed, bool valid,
-                  sim::Metrics metrics, std::vector<std::int64_t> outputs,
+MisRun finish_run(MisEngine engine, std::uint64_t seed, VertexId n,
+                  bool valid, sim::Metrics metrics,
+                  std::vector<std::int64_t> outputs,
                   std::vector<std::uint8_t> alive) {
   MisRun run;
   run.engine = engine;
   run.seed = seed;
   run.valid = valid;
-  run.node_avg_awake = metrics.node_avg_awake();
+  // worst_awake and node_avg_rounds read 0 without per-node metrics.
+  run.node_avg_awake =
+      n == 0 ? 0.0
+             : static_cast<double>(metrics.total_awake_node_rounds) /
+                   static_cast<double>(n);
   run.worst_awake = metrics.worst_awake();
   run.node_avg_rounds = metrics.node_avg_finish();
-  run.worst_rounds = metrics.worst_finish();
+  run.worst_rounds = metrics.makespan;
   run.total_messages = metrics.total_messages;
   for (std::int64_t out : outputs) {
     if (out == 1) ++run.mis_size;
@@ -217,7 +222,7 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
       result.metrics.churn_repair_rounds = report.repair_rounds;
       valid = report.valid;
     }
-    return finish_run(engine, seed, valid, std::move(result.metrics),
+    return finish_run(engine, seed, n, valid, std::move(result.metrics),
                       std::move(result.outputs), std::move(alive));
   }
   if (churn) {
@@ -259,8 +264,8 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
   std::vector<std::uint8_t> alive =
       crashes ? metrics.alive_mask() : std::vector<std::uint8_t>{};
   const bool valid = check_mis(g, outputs, opts.pool, alive).ok();
-  return finish_run(engine, seed, valid, std::move(metrics),
-                    std::move(outputs), std::move(alive));
+  return finish_run(engine, seed, g.num_vertices(), valid,
+                    std::move(metrics), std::move(outputs), std::move(alive));
 }
 
 std::function<Graph(std::uint64_t)> graph_factory(gen::Family family,

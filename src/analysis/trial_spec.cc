@@ -146,6 +146,8 @@ bool parse_trial_flags(std::vector<std::string>* args, TrialSpec* spec,
       spec->obs.trace_path = a[++i];
     } else if (flag == "--progress") {
       spec->obs.progress = true;
+    } else if (flag == "--mem-diet") {
+      spec->node_metrics = false;
     } else {
       rest.push_back(std::move(a[i]));
     }
@@ -168,6 +170,11 @@ bool parse_trial_flags(std::vector<std::string>* args, TrialSpec* spec,
   }
   if (spec->fault.recover.enabled() && spec->exec != ExecEngine::kBulk) {
     err << "error: --recover re-admits crashed nodes between bulk frames; "
+           "add --engine bulk\n";
+    return false;
+  }
+  if (!spec->node_metrics && spec->exec != ExecEngine::kBulk) {
+    err << "error: --mem-diet drops the bulk engine's per-node metrics; "
            "add --engine bulk\n";
     return false;
   }

@@ -1,15 +1,14 @@
-// The one command-line vocabulary every experiment front end shares.
+// The one command-line vocabulary of the `slumber` CLI.
 //
-// A TrialSpec bundles what used to be scattered per-tool flag handling:
+// A TrialSpec bundles the flags every trial-running command shares:
 // the execution back end (--engine), the G(n, p) seed schedule (--gen),
 // the lane count (--threads), the fault plan (--crash v@r, --loss p,
 // --loss-burst p_on p_off len, --churn rate, --churn-batches k,
-// --churn-live leave join, --recover mean), and the telemetry sinks
-// (--obs-out, --obs-trace, --progress). parse_trial_flags() consumes
-// those flags —
-// wherever they appear — from an argument vector and leaves the tool's
-// own positional arguments behind, so the CLI's run / sweep / beep
-// commands and the bench front ends all accept the identical grammar
+// --churn-live leave join, --recover mean), the memory diet
+// (--mem-diet), and the telemetry sinks (--obs-out, --obs-trace,
+// --progress). parse_trial_flags() consumes those flags -- wherever
+// they appear -- from an argument vector and leaves the positional
+// arguments behind, so every command accepts the identical grammar
 // with the identical diagnostics (full-token std::from_chars
 // validation; unknown values are rejected with the list of valid
 // names).
@@ -34,6 +33,9 @@ struct TrialSpec {
   /// --threads lane count; 0 = all hardware threads.
   unsigned threads = 0;
   fault::FaultPlan fault;
+  /// false under --mem-diet: bulk runs drop per-node metrics
+  /// (RunOptions::node_metrics).
+  bool node_metrics = true;
   /// Telemetry export + live progress (--obs-out / --obs-trace /
   /// --progress). Hand it to an obs::Session in main(); no effect on
   /// any trial output (the determinism tests pin this).
@@ -47,15 +49,16 @@ struct TrialSpec {
   /// RunOptions::num_threads only where the caller wants them; run_mis
   /// ignores that field, so it is left 0 here).
   RunOptions run_options(util::ThreadPool* pool = nullptr) const {
-    return {.exec = exec, .pool = pool, .fault = fault_or_null()};
+    return {.exec = exec, .pool = pool, .fault = fault_or_null(),
+            .node_metrics = node_metrics};
   }
 };
 
 /// Consumes every recognized shared flag from `args` (in place, any
 /// position) into `spec`. Returns false after printing a diagnostic to
 /// `err` on malformed or out-of-range values, unknown --engine/--gen
-/// names, or a churn request on the coroutine back end (churn repair
-/// needs the bulk engine's alive mask — say `--engine bulk`).
+/// names, or a bulk-only request (churn, live churn, recovery, the
+/// memory diet) on the coroutine back end -- say `--engine bulk`.
 ///
 ///   --threads N         lane count (>= 1)
 ///   --engine NAME       coroutine | bulk
@@ -76,6 +79,7 @@ struct TrialSpec {
 ///                       Geometric(JOIN) downtime (JOIN 0 = for good)
 ///   --recover MEAN      crashed nodes re-enter after a geometric
 ///                       downtime with mean MEAN rounds
+///   --mem-diet          drop per-node metrics (56 B/node); bulk only
 ///   --obs-out PATH      telemetry JSONL event stream (slumber-obs-v1)
 ///   --obs-trace PATH    Chrome trace-event file (load in Perfetto)
 ///   --progress          live stderr heartbeat with round/frame ETA

@@ -26,6 +26,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -150,6 +151,18 @@ struct FaultPlan {
            !recover.enabled() && !churn.enabled();
   }
 };
+
+/// One named row of the fault matrix.
+struct Scenario {
+  std::string name;
+  FaultPlan plan;
+};
+
+/// The fault matrix's seven scenarios, in table order: none, loss 1%,
+/// burst loss, crash, crash+recover, live churn, loss+churn. The rates
+/// are sized for n in the millions (`slumber faults`); a test at small
+/// n raises them in place. Plain data: building it draws nothing.
+std::vector<Scenario> standard_scenarios();
 
 namespace detail {
 

@@ -1,7 +1,8 @@
-// Full-token numeric argument parsing shared by the CLI and bench
-// front ends: unlike the atoi family, trailing junk ("4x"), signs,
-// empty tokens, overflow, and out-of-range values are all rejected with
-// a message naming the offending flag/argument.
+// Full-token numeric parsing shared by the CLI (its flag grammar and
+// positional arguments) and the graph readers: unlike the atoi family,
+// trailing junk ("4x"), signs, empty tokens, overflow, and out-of-range
+// values are all rejected with a message naming the offending
+// flag/argument.
 #pragma once
 
 #include <charconv>

@@ -8,6 +8,7 @@
 // ThreadSanitizer workload for the parallel bulk path (the tsan CI
 // job).
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -21,6 +22,7 @@
 #include "bulk/engine.h"
 #include "bulk/sleeping_mis.h"
 #include "core/sleeping_mis.h"
+#include "fault/fault.h"
 #include "graph/generators.h"
 #include "metrics_test_util.h"
 #include "sim/network.h"
@@ -328,6 +330,35 @@ TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
   }
 }
 
+TEST(BulkMemoryDiet, RunMisMeasuresWithoutNodeMetrics) {
+  // Without per-node metrics run_mis takes node_avg_awake from the
+  // awake total and worst_rounds from the makespan; both must equal
+  // what the per-node run reports, clean and with nodes crashed.
+  const Graph g = gen::gnp_avg_degree_sharded_csr(20000, 8.0, 3);
+  fault::FaultPlan crash = fault::standard_scenarios()[3].plan;
+  crash.crash_prob = 1e-3;
+  const fault::FaultPlan* const plans[] = {nullptr, &crash};
+  for (const fault::FaultPlan* plan : plans) {
+    for (const MisEngine engine : {MisEngine::kSleeping, MisEngine::kLubyA,
+                                   MisEngine::kLubyB, MisEngine::kGreedy}) {
+      SCOPED_TRACE(testing::Message() << analysis::engine_name(engine)
+                                      << (plan == nullptr ? "" : ", crash"));
+      analysis::RunOptions opts = {.exec = ExecEngine::kBulk, .fault = plan};
+      const analysis::MisRun a = analysis::run_mis(engine, g, 5, opts);
+      opts.node_metrics = false;
+      const analysis::MisRun b = analysis::run_mis(engine, g, 5, opts);
+      ASSERT_TRUE(b.metrics.node.empty());
+      EXPECT_GT(b.node_avg_awake, 0.0);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(a.node_avg_awake),
+                std::bit_cast<std::uint64_t>(b.node_avg_awake));
+      EXPECT_EQ(a.worst_rounds, b.worst_rounds);
+      if (plan != nullptr) {
+        EXPECT_GT(b.metrics.crashed_nodes, 3u);
+      }
+    }
+  }
+}
+
 // --- memory-diet graphs: CSR-only construction -----------------------
 
 /// A copy of a graph's CSR arrays, for from_csr to rebuild or reject.
@@ -490,6 +521,58 @@ TEST(BulkMemoryDiet, FromCsrRejectsEveryBrokenMirrorProbe) {
       }
     }
   }
+}
+
+// --- large n: sharded G(n, 8/n) at several lanes vs serial -----------
+//
+// Sharded builds and bulk SleepingMIS runs at sizes the unit matrices
+// above never reach, each against its serial twin bit for bit, on the
+// instance seed trial_seed(19 n, 0). The names carry no "Parallel", so
+// the TSan job's filter leaves these out; BulkParallel* puts every
+// sharded path under TSan at n <= 20,000.
+
+struct LargeNRun {
+  std::uint64_t seed = 0;
+  Graph g;
+  bulk::BulkResult run;
+};
+
+/// Builds G(n, 8/n) with the sharded schedule at `lanes` lanes, runs
+/// bulk SleepingMIS on it with per-node metrics at `lanes` lanes, and
+/// checks both against their serial twins and the MIS against the
+/// verifier.
+LargeNRun ExpectLargeNMatchesSerial(VertexId n, unsigned lanes) {
+  util::ThreadPool pool(lanes);
+  LargeNRun r;
+  r.seed = analysis::trial_seed(std::uint64_t{19} * n, 0);
+  r.g = gen::gnp_avg_degree_sharded_csr(n, 8.0, r.seed, {.pool = &pool});
+  EXPECT_TRUE(r.g.same_csr(gen::gnp_avg_degree_sharded_csr(n, 8.0, r.seed)));
+  bulk::BulkOptions options;
+  options.max_message_bits = sim::congest_bits_for(n);
+  options.pool = &pool;
+  r.run = bulk::bulk_sleeping_mis(r.g, r.seed, {}, nullptr, options);
+  options.pool = nullptr;
+  const bulk::BulkResult serial =
+      bulk::bulk_sleeping_mis(r.g, r.seed, {}, nullptr, options);
+  EXPECT_EQ(serial.outputs, r.run.outputs);
+  ExpectMetricsEqual(serial.metrics, r.run.metrics);
+  EXPECT_TRUE(serial.virtual_makespan == r.run.virtual_makespan);
+  EXPECT_TRUE(analysis::check_mis(r.g, r.run.outputs, &pool).ok());
+  return r;
+}
+
+TEST(BulkLargeN, MillionNodesTwoLanesMatchSerial) {
+  ExpectLargeNMatchesSerial(1'000'000, 2);
+}
+
+TEST(BulkLargeN, SmokeSizeThreeLanesMatchSerialAndCoroutine) {
+  const LargeNRun r = ExpectLargeNMatchesSerial(65536, 3);
+  const auto coro = analysis::run_mis(MisEngine::kSleeping, r.g, r.seed);
+  EXPECT_EQ(coro.outputs, r.run.outputs);
+  EXPECT_EQ(coro.metrics.total_awake_node_rounds,
+            r.run.metrics.total_awake_node_rounds);
+  EXPECT_EQ(coro.metrics.makespan, r.run.metrics.makespan);
+  EXPECT_EQ(coro.metrics.total_messages, r.run.metrics.total_messages);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@
 // digests they go through libm's log1p (the geometric skip).
 #include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -103,52 +104,13 @@ const Graph& digest_graph() {
   return g;
 }
 
-struct Scenario {
-  const char* name;
-  fault::FaultPlan plan;
-  /// Did the plan's fault actually fire in this run?
-  bool (*fired)(const sim::Metrics&);
-  std::uint64_t digest;
-};
-
-/// perfbench's seven fault scenarios, with crash_prob and the live
-/// leave rate raised so that every fault fires at n = 3000.
-std::vector<Scenario> scenarios() {
-  std::vector<Scenario> s(7);
-  s[0] = {"none", {}, [](const sim::Metrics&) { return true; },
-          0x6EB7924E26ADCAF3ULL};
-  s[1] = {"loss 1%", {},
-          [](const sim::Metrics& m) { return m.injected_losses > 0; },
-          0x0D8F1955E534C488ULL};
-  s[1].plan.loss_prob = 0.01;
-  s[2] = {"burst loss", {},
-          [](const sim::Metrics& m) { return m.injected_losses > 0; },
-          0x1DB26CE2C9E7897FULL};
-  s[2].plan.burst = {.p_on = 0.02, .p_off = 0.2, .epoch_len = 8};
-  s[3] = {"crash", {},
-          [](const sim::Metrics& m) { return m.crashed_nodes > 3; },
-          0xC7DF4016DD25C5B4ULL};
-  s[3].plan.crash_schedule = {{0, 1}, {1, 4}, {2, 16}};
+/// fault::standard_scenarios(), with crash_prob and the live leave
+/// rate raised so that every fault fires at n = 3000.
+std::vector<fault::Scenario> scenarios() {
+  std::vector<fault::Scenario> s = fault::standard_scenarios();
   s[3].plan.crash_prob = 1e-3;
-  s[4] = {"crash+recover", {},
-          [](const sim::Metrics& m) { return m.recovered_nodes > 0; },
-          0xD8A140C099CA0034ULL};
-  s[4].plan.crash_schedule = {{0, 1}, {1, 4}, {2, 16}};
   s[4].plan.crash_prob = 1e-3;
-  s[4].plan.recover.mean_down = 16;
-  s[5] = {"live churn", {},
-          [](const sim::Metrics& m) {
-            return m.live_leaves > 0 && m.live_rejoins > 0;
-          },
-          0x848055D7AE5F6384ULL};
-  s[5].plan.live_churn = {.leave_prob = 1e-3, .join_prob = 0.2};
-  s[6] = {"loss+churn", {},
-          [](const sim::Metrics& m) {
-            return m.injected_losses > 0 && m.churn_leaves > 0;
-          },
-          0xEEAC0B153DC605A7ULL};
-  s[6].plan.loss_prob = 0.01;
-  s[6].plan.churn = {.leave_prob = 0.05, .join_prob = 0.5, .batches = 3};
+  s[5].plan.live_churn.leave_prob = 1e-3;
   return s;
 }
 
@@ -200,18 +162,44 @@ std::uint64_t coroutine_digest(const sim::Protocol& protocol) {
 }
 
 TEST(RunDigest, BulkSleepingMisFaultScenarios) {
+  // One row per scenario, in table order: did the plan's fault actually
+  // fire in this run, and the run's digest.
+  const struct {
+    bool (*fired)(const sim::Metrics&);
+    std::uint64_t digest;
+  } expected[] = {
+      {[](const sim::Metrics&) { return true; }, 0x6EB7924E26ADCAF3ULL},
+      {[](const sim::Metrics& m) { return m.injected_losses > 0; },
+       0x0D8F1955E534C488ULL},
+      {[](const sim::Metrics& m) { return m.injected_losses > 0; },
+       0x1DB26CE2C9E7897FULL},
+      {[](const sim::Metrics& m) { return m.crashed_nodes > 3; },
+       0xC7DF4016DD25C5B4ULL},
+      {[](const sim::Metrics& m) { return m.recovered_nodes > 0; },
+       0xD8A140C099CA0034ULL},
+      {[](const sim::Metrics& m) {
+         return m.live_leaves > 0 && m.live_rejoins > 0;
+       },
+       0x848055D7AE5F6384ULL},
+      {[](const sim::Metrics& m) {
+         return m.injected_losses > 0 && m.churn_leaves > 0;
+       },
+       0xEEAC0B153DC605A7ULL},
+  };
+  const std::vector<fault::Scenario> plans = scenarios();
+  ASSERT_EQ(plans.size(), std::size(expected));
   util::ThreadPool pool(4);
-  for (const Scenario& scenario : scenarios()) {
-    SCOPED_TRACE(scenario.name);
+  for (std::size_t s = 0; s < plans.size(); ++s) {
+    SCOPED_TRACE(plans[s].name);
     for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
                                     &pool}) {
       bulk::BulkSleepingMis protocol;
       sim::Metrics metrics;
       const std::uint64_t digest =
-          bulk_digest(protocol, scenario.plan, /*mis_output=*/true, lanes,
+          bulk_digest(protocol, plans[s].plan, /*mis_output=*/true, lanes,
                       &metrics);
-      EXPECT_TRUE(scenario.fired(metrics));
-      EXPECT_EQ(digest, scenario.digest)
+      EXPECT_TRUE(expected[s].fired(metrics));
+      EXPECT_EQ(digest, expected[s].digest)
           << (lanes == nullptr ? "1 lane" : "4 lanes") << ": 0x" << std::hex
           << digest;
     }
@@ -274,7 +262,7 @@ TEST(RunDigest, BulkBaselinesFaultScenarios) {
         0x83A53F540EB47300ULL}},
   };
   util::ThreadPool pool(4);
-  const std::vector<Scenario> plans = scenarios();
+  const std::vector<fault::Scenario> plans = scenarios();
   for (const auto& c : cases) {
     for (std::size_t s = 0; s < plans.size(); ++s) {
       SCOPED_TRACE(testing::Message() << c.name << ", " << plans[s].name);
@@ -336,7 +324,7 @@ TEST(RunDigest, RunMisVerdicts) {
       {analysis::ExecEngine::kCoroutine, 4, "1001 1001 1001 1001"},
   };
   util::ThreadPool pool(4);
-  const std::vector<Scenario> plans = scenarios();
+  const std::vector<fault::Scenario> plans = scenarios();
   for (const auto& back_end : back_ends) {
     for (util::ThreadPool* lanes : {static_cast<util::ThreadPool*>(nullptr),
                                     &pool}) {

@@ -1,5 +1,7 @@
 // Tests for the synchronous sleeping-model simulator: round semantics,
 // sleeping message loss, event skipping, CONGEST enforcement, metrics.
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
@@ -89,6 +91,23 @@ TEST(SimTest, EventSkippingJumpsSleepGaps) {
   EXPECT_EQ(metrics.makespan, gap + 1);
   // Only one distinct round had awake nodes: simulation cost is O(1).
   EXPECT_EQ(metrics.distinct_active_rounds, 1u);
+}
+
+TEST(SimTest, NodeAveragesStayExactPastTwoToThe53) {
+  // Every node finishes at T = 3(2^43 - 1), Algorithm 1's schedule at
+  // n = 20,000. The sum of 20,000 such rounds passes 2^53, where a
+  // double accumulator starts rounding: the mean came out above T.
+  const std::uint64_t t = 3 * ((std::uint64_t{1} << 43) - 1);
+  NodeMetrics node;
+  node.finish_round = t;
+  node.decided_round = t;
+  node.awake_at_decision = t;
+  Metrics metrics;
+  metrics.node.assign(20000, node);
+  EXPECT_EQ(metrics.node_avg_finish(), static_cast<double>(t));
+  EXPECT_EQ(metrics.node_avg_decided(), static_cast<double>(t));
+  EXPECT_EQ(metrics.node_avg_awake_at_decision(), static_cast<double>(t));
+  EXPECT_EQ(metrics.worst_finish(), t);
 }
 
 TEST(SimTest, PerPortSendsTargetSingleNeighbor) {

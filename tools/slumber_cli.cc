@@ -37,6 +37,13 @@
 // lane-count-independent. A run that loses nodes is verified on the
 // alive subgraph.
 //
+// `--mem-diet` (run, with --engine bulk) drops the bulk engine's
+// per-node metrics, 56 B/node: with --gen sharded's CSR-only graphs it
+// is the 10^8-node memory envelope. Node-averaged awake and worst-case
+// rounds stay exact (from the aggregate counters); worst-case awake,
+// node-averaged rounds and the energy estimate need per-node data and
+// are not printed.
+//
 // Telemetry flags (any command; see obs/obs.h): `--obs-out run.jsonl`
 // streams slumber-obs-v1 events, `--obs-trace trace.json` writes a
 // Chrome trace-event file for Perfetto, `--progress` prints a live
@@ -51,7 +58,17 @@
 //       Run one engine on one graph; print the four complexity
 //       measures, verification result, and energy estimate.
 //   slumber sweep <engine> <family> <max_n> [seeds]
-//       Scaling sweep (n = 64, 256, ..., max_n).
+//       Scaling sweep (n = 64, 256, ..., max_n), seeds >= 1 per size
+//       (default 3).
+//   slumber faults <family> <n> [seed]
+//       The fault matrix: SleepingMIS, Luby-A, Luby-B and CRT-greedy
+//       under fault::standard_scenarios() on one graph, always on the
+//       bulk back end without per-node metrics (the scenarios replace
+//       the fault flags, which it rejects). Prints each cell's crashes,
+//       losses, MIS damage on the alive subgraph and repair effort;
+//       exits 1 when a fault-free, churn or live-dynamics cell ends in
+//       an invalid MIS. The 10^7 recipe:
+//       `slumber --threads 8 --gen sharded faults gnp_sparse 10000000`.
 //   slumber tree <levels>
 //       Print the recursion tree with the paper's Figure-1 labels.
 //   slumber graph <family> <n> <seed> [dot]
@@ -68,6 +85,7 @@
 //       Beeping-model MIS (1-bit messages, everyone awake).
 //   slumber leader <family> <n> [seed]
 //       Flood-max leader election with decision-instant accounting.
+#include <chrono>
 #include <cstdint>
 #include <iostream>
 #include <limits>
@@ -153,13 +171,14 @@ int usage() {
       "usage: slumber [--threads N] [--engine coroutine|bulk] "
       "[--gen legacy|sharded] [--crash V@R] [--loss P] "
       "[--loss-burst P_ON P_OFF LEN] [--churn P [--churn-batches K]] "
-      "[--churn-live LEAVE JOIN] [--recover MEAN_DOWN] "
+      "[--churn-live LEAVE JOIN] [--recover MEAN_DOWN] [--mem-diet] "
       "[--obs-out FILE.jsonl] [--obs-trace FILE.json] [--progress] "
       "<command> ...\n"
       "  slumber families\n"
       "  slumber engines\n"
       "  slumber run <engine> <family> <n> [seed]\n"
       "  slumber sweep <engine> <family> <max_n> [seeds]\n"
+      "  slumber faults <family> <n> [seed]\n"
       "  slumber tree <levels>\n"
       "  slumber graph <family> <n> <seed> [dot]\n"
       "  slumber trace <engine> <family> <n> <seed>\n"
@@ -226,10 +245,8 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
                             ? analysis::default_trial_threads()
                             : 1);
   const Graph g = make_cli_graph(family, n, seed, &pool);
-  const auto bounds = arboricity_bounds(g);
   std::cout << "graph: " << g.summary() << " (" << gen::family_name(family)
-            << ", arboricity in [" << bounds.lower << ", " << bounds.upper
-            << "])\n";
+            << ")\n";
   const auto run = analysis::run_mis(engine, g, seed, g_spec.run_options(&pool));
   std::cout << "engine: " << analysis::engine_name(engine) << " ("
             << analysis::exec_engine_name(g_spec.exec) << " execution, "
@@ -267,23 +284,30 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
     std::cout << "\n";
   }
   std::cout << "\n";
+  // Under --mem-diet the per-node measures are gone: print "-".
+  const bool per_node = g_spec.node_metrics;
+  const auto per_node_num = [per_node](auto value) {
+    return per_node ? analysis::Table::num(value) : std::string("-");
+  };
   analysis::Table table({"measure", "value", "paper bound (sleeping algs)"});
   table.add_row({"node-averaged awake", analysis::Table::num(run.node_avg_awake),
                  "O(1)"});
-  table.add_row({"worst-case awake", analysis::Table::num(run.worst_awake),
+  table.add_row({"worst-case awake", per_node_num(run.worst_awake),
                  "O(log n)"});
   table.add_row({"worst-case rounds", analysis::Table::num(run.worst_rounds),
                  "3n^3 (Alg1) / log^3.41 n (Alg2)"});
-  table.add_row({"node-averaged rounds",
-                 analysis::Table::num(run.node_avg_rounds), "same as above"});
+  table.add_row({"node-averaged rounds", per_node_num(run.node_avg_rounds),
+                 "same as above"});
   table.add_row({"messages delivered",
                  analysis::Table::num(run.total_messages), "-"});
   std::cout << table.render();
-  const auto report =
-      energy::evaluate(energy::EnergyModel::idealized(), run.metrics);
-  std::cout << "\nenergy (idealized sleep=0): mean "
-            << analysis::Table::num(report.mean_mj, 3) << " mJ, max "
-            << analysis::Table::num(report.max_mj, 3) << " mJ\n";
+  if (per_node) {
+    const auto report =
+        energy::evaluate(energy::EnergyModel::idealized(), run.metrics);
+    std::cout << "\nenergy (idealized sleep=0): mean "
+              << analysis::Table::num(report.mean_mj, 3) << " mJ, max "
+              << analysis::Table::num(report.max_mj, 3) << " mJ\n";
+  }
   return run.valid ? 0 : 1;
 }
 
@@ -308,11 +332,131 @@ int cmd_sweep(const analysis::MisEngine engine, const gen::Family family,
                    analysis::Table::num(agg.worst_rounds_mean, 0),
                    analysis::Table::num(agg.invalid_runs)});
   }
-  std::cout << table.render();
+  std::cout << "seeds: " << seeds << "\n" << table.render();
   std::cout << "awake-average slope vs log2 n: "
             << analysis::Table::num(analysis::log_fit(ns, awake).slope, 3)
             << "\n";
   return 0;
+}
+
+/// Damage to the MIS invariant on the alive-induced subgraph: edges
+/// with two alive MIS endpoints, and alive nodes that are neither in
+/// the MIS nor dominated by an alive MIS neighbor (undecided alive
+/// nodes count as uncovered).
+struct Damage {
+  std::uint64_t independence_violations = 0;
+  std::uint64_t uncovered = 0;
+};
+
+Damage measure_damage(const Graph& g, const analysis::MisRun& run) {
+  const auto alive = [&](VertexId v) {
+    return run.alive.empty() || run.alive[v] != 0;
+  };
+  Damage d;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (!alive(v)) continue;
+    if (run.outputs[v] == 1) {
+      for (const VertexId u : g.neighbors(v)) {
+        // Count each bad edge once.
+        if (u > v && alive(u) && run.outputs[u] == 1) {
+          ++d.independence_violations;
+        }
+      }
+      continue;
+    }
+    bool covered = false;
+    if (run.outputs[v] == 0) {
+      for (const VertexId u : g.neighbors(v)) {
+        if (alive(u) && run.outputs[u] == 1) {
+          covered = true;
+          break;
+        }
+      }
+    }
+    if (!covered) ++d.uncovered;
+  }
+  return d;
+}
+
+double ms_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+int cmd_faults(const gen::Family family, const VertexId n,
+               const std::uint64_t seed) {
+  if (g_spec.fault_or_null() != nullptr) {
+    std::cerr << "error: faults runs the fault matrix's own scenarios "
+                 "(fault::standard_scenarios()); drop the fault flags\n";
+    return 2;
+  }
+  util::ThreadPool pool(analysis::default_trial_threads());
+  const auto build_start = std::chrono::steady_clock::now();
+  const Graph g = make_cli_graph(family, n, seed, &pool);
+  std::cout << "graph: " << g.summary() << " (" << pool.num_threads()
+            << " lanes, " << gen::schedule_name(g_spec.schedule)
+            << " gen, build " << analysis::Table::num(ms_since(build_start), 0)
+            << " ms; bulk execution, no per-node metrics)\n\n";
+
+  analysis::Table table({"protocol", "scenario", "crashed", "recovered",
+                         "live -/+", "lost msgs", "alive", "MIS size",
+                         "indep viol", "uncovered", "repair", "valid",
+                         "run ms"});
+  bool clean_valid = true;
+  bool churn_valid = true;
+  bool live_valid = true;
+  const std::vector<fault::Scenario> scenarios = fault::standard_scenarios();
+  for (const analysis::MisEngine engine :
+       {analysis::MisEngine::kSleeping, analysis::MisEngine::kLubyA,
+        analysis::MisEngine::kLubyB, analysis::MisEngine::kGreedy}) {
+    for (const fault::Scenario& scenario : scenarios) {
+      const auto start = std::chrono::steady_clock::now();
+      const fault::FaultPlan* plan =
+          scenario.plan.empty() ? nullptr : &scenario.plan;
+      const analysis::MisRun run = analysis::run_mis(
+          engine, g, seed, {.exec = analysis::ExecEngine::kBulk, .pool = &pool,
+                            .fault = plan, .node_metrics = false});
+      const double run_ms = ms_since(start);
+      const Damage damage = measure_damage(g, run);
+      std::uint64_t alive = g.num_vertices();
+      for (const std::uint8_t a : run.alive) alive -= a == 0 ? 1 : 0;
+      if (plan == nullptr) clean_valid &= run.valid;
+      if (scenario.plan.churn.enabled()) churn_valid &= run.valid;
+      if (scenario.plan.has_live_dynamics()) live_valid &= run.valid;
+      // Built with += (GCC 12's -Wrestrict misfires on "-" + string).
+      std::string live_column = "-";
+      live_column += analysis::Table::num(run.metrics.live_leaves);
+      live_column += "/+";
+      live_column += analysis::Table::num(run.metrics.live_rejoins);
+      table.add_row({analysis::engine_name(engine), scenario.name,
+                     analysis::Table::num(run.metrics.crashed_nodes),
+                     analysis::Table::num(run.metrics.recovered_nodes),
+                     live_column,
+                     analysis::Table::num(run.metrics.injected_losses),
+                     analysis::Table::num(alive),
+                     analysis::Table::num(run.mis_size),
+                     analysis::Table::num(damage.independence_violations),
+                     analysis::Table::num(damage.uncovered),
+                     analysis::Table::num(run.metrics.churn_repair_rounds +
+                                          run.metrics.live_repair_rounds),
+                     run.valid ? "yes" : "NO",
+                     analysis::Table::num(run_ms, 0)});
+    }
+  }
+  std::cout << table.render();
+  if (!clean_valid) {
+    std::cerr << "faults: a fault-free run produced an invalid MIS\n";
+  }
+  if (!churn_valid) {
+    std::cerr << "faults: churn repair left an invalid MIS on the alive "
+                 "subgraph\n";
+  }
+  if (!live_valid) {
+    std::cerr << "faults: a live-dynamics run's final repair left an "
+                 "invalid MIS on the alive subgraph\n";
+  }
+  return clean_valid && churn_valid && live_valid ? 0 : 1;
 }
 
 int cmd_tree(const std::uint32_t levels) {
@@ -497,6 +641,13 @@ int run_command(int argc, char** argv) {
   const int nargs = static_cast<int>(args.size());
   if (nargs < 2) return usage();
   const std::string command = args[1];
+  if (!g_spec.node_metrics && command != "run") {
+    std::cerr << "error: --mem-diet applies to run only\n";
+    return 2;
+  }
+  // faults runs on the bulk back end whatever --engine says; the
+  // telemetry manifest below records that.
+  if (command == "faults") g_spec.exec = analysis::ExecEngine::kBulk;
   // The telemetry session outlives every per-command pool (they are
   // all locals of the cmd_* functions), so finalize() runs with no
   // instrumented thread still live — the obs/obs.h contract.
@@ -536,7 +687,8 @@ int run_command(int argc, char** argv) {
     return cmd_graph(family, n, seed,
                      nargs > 5 && std::string(args[5]) == "dot");
   }
-  if (command == "edge-color" || command == "beep" || command == "leader") {
+  if (command == "edge-color" || command == "beep" || command == "leader" ||
+      command == "faults") {
     if (nargs < 4) return usage();
     gen::Family family;
     if (!parse_family(args[2], &family)) return usage();
@@ -548,6 +700,7 @@ int run_command(int argc, char** argv) {
     }
     if (command == "edge-color") return cmd_edge_color(family, n, seed);
     if (command == "beep") return cmd_beep(family, n, seed);
+    if (command == "faults") return cmd_faults(family, n, seed);
     return cmd_leader(family, n, seed);
   }
   // Remaining commands share <engine> <family> <n> [arg4].
@@ -559,26 +712,27 @@ int run_command(int argc, char** argv) {
     return usage();
   }
   VertexId n = 0;
-  std::uint64_t arg5 = 1;
   // arg5 is a 64-bit seed for run/trace/matching but a 32-bit count for
-  // sweep (seeds) and ruling-set (k) — bound it per command so the
-  // later narrowing cast can never truncate silently.
-  const bool narrow_arg5 = command == "ruling-set" || command == "sweep";
+  // sweep (seeds, >= 1, default 3) and ruling-set (k) — bound it per
+  // command so the later narrowing cast can never truncate silently.
+  const bool sweep = command == "sweep";
+  std::uint64_t arg5 = sweep ? 3 : 1;
+  const bool narrow_arg5 = command == "ruling-set" || sweep;
   if (!parse_vertex_count(args[4], "<n>", &n) ||
       (nargs > 5 &&
        !parse_uint(args[5],
                    command == "ruling-set" ? "<k>"
-                   : command == "sweep"    ? "<seeds>"
+                   : sweep                 ? "<seeds>"
                                            : "<seed>",
-                   &arg5, 0,
+                   &arg5, sweep ? 1 : 0,
                    narrow_arg5
                        ? std::numeric_limits<std::uint32_t>::max()
                        : std::numeric_limits<std::uint64_t>::max()))) {
     return 2;
   }
   if (command == "run") return cmd_run(engine, family, n, arg5);
-  if (command == "sweep") {
-    return cmd_sweep(engine, family, n, static_cast<std::uint32_t>(arg5 > 1 ? arg5 : 3));
+  if (sweep) {
+    return cmd_sweep(engine, family, n, static_cast<std::uint32_t>(arg5));
   }
   if (command == "trace") return cmd_trace(engine, family, n, arg5);
   if (command == "matching") return cmd_matching(engine, family, n, arg5);
