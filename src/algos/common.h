@@ -5,22 +5,14 @@
 #include <bit>
 #include <cstdint>
 
+#include "core/rank.h"
+
 namespace slumber::algos {
 
-/// Random-priority width: 3 log2 n bits keeps priorities collision-free
-/// w.h.p. while staying within the CONGEST budget (ids break any ties
-/// deterministically regardless).
-inline std::uint32_t rank_bits_for(std::uint64_t n) {
-  const auto log_n = static_cast<std::uint32_t>(
-      std::bit_width(std::max<std::uint64_t>(n, 2) - 1));
-  return std::min<std::uint32_t>(3 * std::max<std::uint32_t>(log_n, 1), 48);
-}
-
-/// Strict priority order on (value, id) pairs: larger wins.
-inline bool priority_beats(std::uint64_t value_a, std::uint64_t id_a,
-                           std::uint64_t value_b, std::uint64_t id_b) {
-  return value_a != value_b ? value_a > value_b : id_a > id_b;
-}
+// The random-priority helpers live with the greedy order they define,
+// in core/rank.h: Algorithm 2's base case draws the same ranks.
+using core::priority_beats;
+using core::rank_bits_for;
 
 /// Default iteration cap for the Las-Vegas-style loops: generous
 /// multiple of the O(log n) w.h.p. bound so a genuine bug trips the

@@ -74,7 +74,7 @@ bool exec_engine_from_name(const std::string& name, ExecEngine* out) {
 }
 
 bool engine_supports_bulk(MisEngine engine) {
-  return bulk::bulk_supports(engine);
+  return bulk::bulk_mis_protocol(engine) != nullptr;
 }
 
 AggregateRun aggregate_runs(const MisRun* begin, const MisRun* end) {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <bit>
+#include <functional>
 #include <numeric>
 #include <utility>
 
@@ -34,11 +35,91 @@ std::vector<VertexId> all_vertices(VertexId n) {
   return alive;
 }
 
+// The scans below are the decision loops several protocols share; each
+// runs after the round's begin_round().
+
+/// The local-maximum round: every member broadcasts its `bits`-wide
+/// priority and wins iff no neighbor it hears beats its (priority, id).
+void local_max_scan(BulkEngine& eng, const std::vector<VertexId>& alive,
+                    VirtualRound round,
+                    const std::vector<std::uint64_t>& priority,
+                    std::uint32_t bits, std::vector<std::uint8_t>& win) {
+  const Graph& g = eng.graph();
+  const bool lossy = eng.lossy();
+  eng.scan_awake(alive, [&](BulkChunk& chunk,
+                            std::span<const VertexId> part) {
+    for (const VertexId v : part) {
+      std::uint64_t awake_nbrs = 0;
+      std::uint64_t heard = 0;
+      bool w = true;
+      for (const VertexId u : g.neighbors(v)) {
+        if (!eng.is_awake(u)) continue;
+        ++awake_nbrs;
+        if (lossy && !eng.link_up(v, u, round)) continue;
+        ++heard;
+        if (priority_beats(priority[u], u, priority[v], v)) w = false;
+      }
+      chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, bits);
+      win[v] = w ? 1 : 0;
+    }
+  });
+}
+
+/// The announce-and-join round: members with joining[v] != 0 send a
+/// `bits`-wide announcement, join the MIS and finish; members that hear
+/// one are dominated and finish. Returns the rest, in order.
+std::vector<VertexId> join_scan(BulkEngine& eng,
+                                const std::vector<VertexId>& alive,
+                                VirtualRound round,
+                                const std::vector<std::uint8_t>& joining,
+                                std::uint32_t bits) {
+  const Graph& g = eng.graph();
+  const bool lossy = eng.lossy();
+  const auto join = [&](BulkChunk& chunk, std::span<const VertexId> part) {
+    for (const VertexId v : part) {
+      std::uint64_t awake_nbrs = 0;
+      std::uint64_t delivered_out = 0;
+      std::uint64_t joins_heard = 0;
+      for (const VertexId u : g.neighbors(v)) {
+        if (!eng.is_awake(u)) continue;
+        ++awake_nbrs;
+        // One symmetric draw decides both directions.
+        if (lossy && !eng.link_up(v, u, round)) continue;
+        ++delivered_out;
+        joins_heard += joining[u];
+      }
+      if (joining[v] != 0) {
+        chunk.charge_send(v, g.degree(v), delivered_out, bits,
+                          awake_nbrs - delivered_out);
+      }
+      chunk.charge_received(v, joins_heard);
+      if (joining[v] != 0) {
+        chunk.decide(v, 1, round);
+        chunk.finish(v, round);
+      } else if (joins_heard > 0) {
+        chunk.decide(v, 0, round);
+        chunk.finish(v, round);
+      } else {
+        chunk.keep(v);
+      }
+    }
+  };
+  return eng.scan_awake(alive, join).kept;
+}
+
+/// Iteration cap exhausted: the members still active return undecided
+/// at the last round.
+void finish_undecided(BulkEngine& eng, const std::vector<VertexId>& alive,
+                      VirtualRound last) {
+  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
+    for (const VertexId v : part) chunk.finish(v, last);
+  });
+}
+
 }  // namespace
 
 void BulkLubyA::run(BulkEngine& eng) {
-  const Graph& g = eng.graph();
-  const VertexId n = g.num_vertices();
+  const VertexId n = eng.graph().num_vertices();
   if (n == 0) return;
   const std::uint32_t rank_bits = rank_bits_for(n);
   const std::uint32_t rank_msg_bits = sim::Message::rank(0, rank_bits).bits;
@@ -50,11 +131,9 @@ void BulkLubyA::run(BulkEngine& eng) {
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> priority(n, 0);
   std::vector<std::uint8_t> win(n, 0);
-  const bool dynamic = eng.dynamic();
-  const bool lossy = eng.lossy();
   // Re-entrants resume as fresh non-winners; their priority is redrawn
   // with everyone else's at the next round 1.
-  const auto reenter = [&](VertexId v) {
+  const std::function<void(VertexId)> reenter = [&](VertexId v) {
     win[v] = 0;
     priority[v] = 0;
   };
@@ -64,82 +143,21 @@ void BulkLubyA::run(BulkEngine& eng) {
        ++iteration) {
     // Round 1: fresh priorities; strict local maxima win.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      if (alive.empty()) break;
-    }
-    eng.mark_awake(alive);
-    eng.charge_round(alive, round);
+    if (!eng.begin_round(alive, round, AwakeSet::kNew, reenter)) break;
     eng.scan_awake(alive,
                    [&](BulkChunk&, std::span<const VertexId> part) {
                      for (const VertexId v : part) {
                        priority[v] = rng[v].next() >> (64 - rank_bits);
                      }
                    });
-    eng.scan_awake(alive, [&](BulkChunk& chunk,
-                              std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool w = true;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
-          ++heard;
-          if (priority_beats(priority[u], u, priority[v], v)) w = false;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, rank_msg_bits);
-        win[v] = w ? 1 : 0;
-      }
-    });
+    local_max_scan(eng, alive, round, priority, rank_msg_bits, win);
 
     // Round 2: winners announce and join; dominated neighbors exit.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);  // membership changed
-    }
-    eng.charge_round(alive, round);
-    alive = eng.scan_awake(
-                   alive,
-                   [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                     for (const VertexId v : part) {
-                       std::uint64_t awake_nbrs = 0;
-                       std::uint64_t delivered_out = 0;
-                       std::uint64_t winners_adjacent = 0;
-                       for (const VertexId u : g.neighbors(v)) {
-                         if (!eng.is_awake(u)) continue;
-                         ++awake_nbrs;
-                         // One symmetric draw decides both directions.
-                         if (lossy && !eng.link_up(v, u, round)) continue;
-                         ++delivered_out;
-                         winners_adjacent += win[u];
-                       }
-                       if (win[v] != 0) {
-                         chunk.charge_send(v, g.degree(v), delivered_out,
-                                           in_mis_bits,
-                                           awake_nbrs - delivered_out);
-                       }
-                       chunk.charge_received(v, winners_adjacent);
-                       if (win[v] != 0) {
-                         chunk.decide(v, 1, round);
-                         chunk.finish(v, round);
-                       } else if (winners_adjacent > 0) {
-                         chunk.decide(v, 0, round);
-                         chunk.finish(v, round);
-                       } else {
-                         chunk.keep(v);
-                       }
-                     }
-                   })
-                .kept;
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
+    alive = join_scan(eng, alive, round, win, in_mis_bits);
   }
-  // Iteration cap exhausted: remaining nodes return undecided.
-  const VirtualRound last = round;
-  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-    for (const VertexId v : part) chunk.finish(v, last);
-  });
+  finish_undecided(eng, alive, round);
 }
 
 void BulkLubyB::run(BulkEngine& eng) {
@@ -157,11 +175,10 @@ void BulkLubyB::run(BulkEngine& eng) {
   std::vector<std::uint64_t> active_deg(n, 0);
   std::vector<std::uint8_t> marked(n, 0);
   std::vector<std::uint8_t> win(n, 0);
-  const bool dynamic = eng.dynamic();
   const bool lossy = eng.lossy();
   // Re-entrants restart the iteration unmarked with no stale win or
   // degree estimate; both are recomputed from round 1's probe.
-  const auto reenter = [&](VertexId v) {
+  const std::function<void(VertexId)> reenter = [&](VertexId v) {
     marked[v] = 0;
     win[v] = 0;
     active_deg[v] = 0;
@@ -174,12 +191,7 @@ void BulkLubyB::run(BulkEngine& eng) {
     // mark outright, drawing nothing — note the short-circuit). Under
     // loss the degree estimate is the hello count actually heard.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      if (alive.empty()) break;
-    }
-    eng.mark_awake(alive);
-    eng.charge_round(alive, round);
+    if (!eng.begin_round(alive, round, AwakeSet::kNew, reenter)) break;
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -207,11 +219,7 @@ void BulkLubyB::run(BulkEngine& eng) {
 
     // Round 2: marked nodes exchange (degree, id); beaten marks unmark.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
@@ -241,53 +249,14 @@ void BulkLubyB::run(BulkEngine& eng) {
 
     // Round 3: winners announce and join; dominated neighbors exit.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
-    alive = eng.scan_awake(
-                   alive,
-                   [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                     for (const VertexId v : part) {
-                       std::uint64_t awake_nbrs = 0;
-                       std::uint64_t delivered_out = 0;
-                       std::uint64_t winners_adjacent = 0;
-                       for (const VertexId u : g.neighbors(v)) {
-                         if (!eng.is_awake(u)) continue;
-                         ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
-                         ++delivered_out;
-                         winners_adjacent += win[u];
-                       }
-                       if (win[v] != 0) {
-                         chunk.charge_send(v, g.degree(v), delivered_out,
-                                           in_mis_bits,
-                                           awake_nbrs - delivered_out);
-                       }
-                       chunk.charge_received(v, winners_adjacent);
-                       if (win[v] != 0) {
-                         chunk.decide(v, 1, round);
-                         chunk.finish(v, round);
-                       } else if (winners_adjacent > 0) {
-                         chunk.decide(v, 0, round);
-                         chunk.finish(v, round);
-                       } else {
-                         chunk.keep(v);
-                       }
-                     }
-                   })
-                .kept;
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
+    alive = join_scan(eng, alive, round, win, in_mis_bits);
   }
-  const VirtualRound last = round;
-  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-    for (const VertexId v : part) chunk.finish(v, last);
-  });
+  finish_undecided(eng, alive, round);
 }
 
 void BulkGreedy::run(BulkEngine& eng) {
-  const Graph& g = eng.graph();
-  const VertexId n = g.num_vertices();
+  const VertexId n = eng.graph().num_vertices();
   if (n == 0) return;
   const std::uint32_t rank_bits = rank_bits_for(n);
   const std::uint32_t rank_msg_bits = sim::Message::rank(0, rank_bits).bits;
@@ -308,83 +277,24 @@ void BulkGreedy::run(BulkEngine& eng) {
   });
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint8_t> win(n, 0);
-  const bool dynamic = eng.dynamic();
-  const bool lossy = eng.lossy();
   // Ranks are static (drawn at round 0), so a re-entrant only clears
   // its stale win bit and resumes the compare-exchange loop.
-  const auto reenter = [&](VertexId v) { win[v] = 0; };
+  const std::function<void(VertexId)> reenter = [&](VertexId v) {
+    win[v] = 0;
+  };
   VirtualRound round = 0;
 
   for (std::uint64_t iteration = 0; iteration < cap && !alive.empty();
        ++iteration) {
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      if (alive.empty()) break;
-    }
-    eng.mark_awake(alive);
-    eng.charge_round(alive, round);
-    eng.scan_awake(alive, [&](BulkChunk& chunk,
-                              std::span<const VertexId> part) {
-      for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        bool w = true;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
-          ++heard;
-          if (priority_beats(rank[u], u, rank[v], v)) w = false;
-        }
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, rank_msg_bits);
-        win[v] = w ? 1 : 0;
-      }
-    });
+    if (!eng.begin_round(alive, round, AwakeSet::kNew, reenter)) break;
+    local_max_scan(eng, alive, round, rank, rank_msg_bits, win);
 
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
-    alive = eng.scan_awake(
-                   alive,
-                   [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                     for (const VertexId v : part) {
-                       std::uint64_t awake_nbrs = 0;
-                       std::uint64_t delivered_out = 0;
-                       std::uint64_t winners_adjacent = 0;
-                       for (const VertexId u : g.neighbors(v)) {
-                         if (!eng.is_awake(u)) continue;
-                         ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
-                         ++delivered_out;
-                         winners_adjacent += win[u];
-                       }
-                       if (win[v] != 0) {
-                         chunk.charge_send(v, g.degree(v), delivered_out,
-                                           in_mis_bits,
-                                           awake_nbrs - delivered_out);
-                       }
-                       chunk.charge_received(v, winners_adjacent);
-                       if (win[v] != 0) {
-                         chunk.decide(v, 1, round);
-                         chunk.finish(v, round);
-                       } else if (winners_adjacent > 0) {
-                         chunk.decide(v, 0, round);
-                         chunk.finish(v, round);
-                       } else {
-                         chunk.keep(v);
-                       }
-                     }
-                   })
-                .kept;
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
+    alive = join_scan(eng, alive, round, win, in_mis_bits);
   }
-  const VirtualRound last = round;
-  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-    for (const VertexId v : part) chunk.finish(v, last);
-  });
+  finish_undecided(eng, alive, round);
 }
 
 void BulkIsraeliItai::run(BulkEngine& eng) {
@@ -409,7 +319,6 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
   // target's awake status and the round-1 link draw) — the acceptor
   // consults this instead of re-deriving last round's delivery.
   std::vector<std::uint8_t> sent_ok(n, 0);
-  const bool dynamic = eng.dynamic();
   const bool lossy = eng.lossy();
   // A re-entrant resumes as an idle non-proposer with no pending match.
   // Its port view (port_active / active_count) survives the downtime:
@@ -417,7 +326,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
   // while away are struck again by later round-3 announcements or leave
   // it proposing to terminated nodes (delivery simply fails) — the same
   // staleness loss already handles.
-  const auto reenter = [&](VertexId v) {
+  const std::function<void(VertexId)> reenter = [&](VertexId v) {
     proposer[v] = 0;
     target[v] = kInvalidVertex;
     partner[v] = -1;
@@ -472,12 +381,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     // target one acceptor, so the receive tallies go through relaxed
     // atomic increments (an order-free integer sum).
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      if (alive.empty()) break;
-    }
-    eng.mark_awake(alive);
-    eng.charge_round(alive, round);
+    if (!eng.begin_round(alive, round, AwakeSet::kNew, reenter)) break;
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) recv[v] = 0;
     });
@@ -506,11 +410,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     // proposer and the acceptor become partners. A proposer targets
     // exactly one node, so partner[w] and recv[w] have a unique writer.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
     eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
       for (const VertexId v : part) recv[v] = 0;
     });
@@ -550,11 +450,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
     // Round 3: matched nodes announce and terminate; the rest strike
     // announced neighbors from their active port sets.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
     alive =
         eng.scan_awake(
                alive,
@@ -594,10 +490,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
                })
             .kept;
   }
-  const VirtualRound last = round;
-  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-    for (const VertexId v : part) chunk.finish(v, last);
-  });
+  finish_undecided(eng, alive, round);
 }
 
 void BulkBeepingMis::run(BulkEngine& eng) {
@@ -621,11 +514,10 @@ void BulkBeepingMis::run(BulkEngine& eng) {
   std::vector<std::uint64_t> rank(n, 0);
   std::vector<std::uint8_t> contending(n, 0);
   std::vector<std::uint8_t> beeper(n, 0);
-  const bool dynamic = eng.dynamic();
   const bool lossy = eng.lossy();
   // A re-entrant sits out the rest of the current auction (it missed
   // the phase's candidate draw) and contends from the next phase.
-  const auto reenter = [&](VertexId v) {
+  const std::function<void(VertexId)> reenter = [&](VertexId v) {
     contending[v] = 0;
     beeper[v] = 0;
     rank[v] = 0;
@@ -644,16 +536,13 @@ void BulkBeepingMis::run(BulkEngine& eng) {
         contending[v] = candidate ? 1 : 0;
       }
     });
-    eng.mark_awake(alive);  // one awake set for the whole phase
 
-    // Bit auction, most significant bit first.
+    // Bit auction, most significant bit first. The phase's first slot
+    // marks the one awake set of the whole phase.
     for (std::uint32_t slot = 0; slot < total_bits; ++slot) {
       ++round;
-      if (dynamic) {
-        alive = eng.apply_dynamics(std::move(alive), round, reenter);
-        eng.mark_awake(alive);
-      }
-      eng.charge_round(alive, round);
+      eng.begin_round(alive, round,
+                      slot == 0 ? AwakeSet::kNew : AwakeSet::kSame, reenter);
       const std::uint32_t bit_index = total_bits - 1 - slot;
       eng.scan_awake(alive, [&](BulkChunk&, std::span<const VertexId> part) {
         for (const VertexId v : part) {
@@ -691,48 +580,10 @@ void BulkBeepingMis::run(BulkEngine& eng) {
 
     // Join slot: survivors beep-and-join; listeners that hear it exit.
     ++round;
-    if (dynamic) {
-      alive = eng.apply_dynamics(std::move(alive), round, reenter);
-      eng.mark_awake(alive);
-    }
-    eng.charge_round(alive, round);
-    alive = eng.scan_awake(
-                   alive,
-                   [&](BulkChunk& chunk, std::span<const VertexId> part) {
-                     for (const VertexId v : part) {
-                       std::uint64_t awake_nbrs = 0;
-                       std::uint64_t delivered_out = 0;
-                       std::uint64_t joins_heard = 0;
-                       for (const VertexId u : g.neighbors(v)) {
-                         if (!eng.is_awake(u)) continue;
-                         ++awake_nbrs;
-                         if (lossy && !eng.link_up(v, u, round)) continue;
-                         ++delivered_out;
-                         joins_heard += contending[u];
-                       }
-                       if (contending[v] != 0) {
-                         chunk.charge_send(v, g.degree(v), delivered_out,
-                                           beep_bits,
-                                           awake_nbrs - delivered_out);
-                       }
-                       chunk.charge_received(v, joins_heard);
-                       if (contending[v] != 0) {
-                         chunk.decide(v, 1, round);
-                         chunk.finish(v, round);
-                       } else if (joins_heard > 0) {
-                         chunk.decide(v, 0, round);
-                         chunk.finish(v, round);
-                       } else {
-                         chunk.keep(v);
-                       }
-                     }
-                   })
-                .kept;
+    eng.begin_round(alive, round, AwakeSet::kSame, reenter);
+    alive = join_scan(eng, alive, round, contending, beep_bits);
   }
-  const VirtualRound last = round;
-  eng.scan_awake(alive, [&](BulkChunk& chunk, std::span<const VertexId> part) {
-    for (const VertexId v : part) chunk.finish(v, last);
-  });
+  finish_undecided(eng, alive, round);
 }
 
 std::unique_ptr<BulkProtocol> bulk_mis_protocol(algos::MisEngine engine,
@@ -752,20 +603,6 @@ std::unique_ptr<BulkProtocol> bulk_mis_protocol(algos::MisEngine engine,
       return nullptr;
   }
   return nullptr;
-}
-
-bool bulk_supports(algos::MisEngine engine) {
-  switch (engine) {
-    case algos::MisEngine::kSleeping:
-    case algos::MisEngine::kLubyA:
-    case algos::MisEngine::kLubyB:
-    case algos::MisEngine::kGreedy:
-      return true;
-    case algos::MisEngine::kFastSleeping:
-    case algos::MisEngine::kGhaffari:
-      return false;
-  }
-  return false;
 }
 
 }  // namespace slumber::bulk

@@ -25,7 +25,6 @@ namespace slumber::bulk {
 class BulkLubyA final : public BulkProtocol {
  public:
   explicit BulkLubyA(algos::LubyOptions options = {}) : options_(options) {}
-  std::string_view name() const override { return "Luby-A/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:
@@ -35,7 +34,6 @@ class BulkLubyA final : public BulkProtocol {
 class BulkLubyB final : public BulkProtocol {
  public:
   explicit BulkLubyB(algos::LubyOptions options = {}) : options_(options) {}
-  std::string_view name() const override { return "Luby-B/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:
@@ -45,7 +43,6 @@ class BulkLubyB final : public BulkProtocol {
 class BulkGreedy final : public BulkProtocol {
  public:
   explicit BulkGreedy(algos::GreedyOptions options = {}) : options_(options) {}
-  std::string_view name() const override { return "CRT-greedy/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:
@@ -56,7 +53,6 @@ class BulkIsraeliItai final : public BulkProtocol {
  public:
   explicit BulkIsraeliItai(algos::IsraeliItaiOptions options = {})
       : options_(options) {}
-  std::string_view name() const override { return "Israeli-Itai/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:
@@ -67,7 +63,6 @@ class BulkBeepingMis final : public BulkProtocol {
  public:
   explicit BulkBeepingMis(algos::BeepingMisOptions options = {})
       : options_(options) {}
-  std::string_view name() const override { return "Beeping/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:
@@ -79,8 +74,5 @@ class BulkBeepingMis final : public BulkProtocol {
 /// is honored by the sleeping engine only, mirroring run_mis.
 std::unique_ptr<BulkProtocol> bulk_mis_protocol(
     algos::MisEngine engine, core::RecursionTrace* trace = nullptr);
-
-/// True iff `engine` has a bulk implementation.
-bool bulk_supports(algos::MisEngine engine);
 
 }  // namespace slumber::bulk

@@ -148,9 +148,21 @@ void BulkEngine::mark_awake(std::span<const VertexId> awake) {
       });
 }
 
+bool BulkEngine::begin_round(std::vector<VertexId>& awake, VirtualRound round,
+                             AwakeSet set,
+                             const std::function<void(VertexId)>& on_reenter) {
+  const bool dynamic_run = dynamic();
+  if (dynamic_run) {
+    awake = apply_dynamics(std::move(awake), round, on_reenter);
+  }
+  if (awake.empty()) return false;
+  if (set == AwakeSet::kNew || dynamic_run) mark_awake(awake);
+  charge_round(awake, round);
+  return true;
+}
+
 void BulkEngine::charge_round(std::span<const VertexId> awake,
                               VirtualRound round) {
-  if (awake.empty()) return;
   if (obs::enabled()) {
     // Out-of-band progress + occupancy samples (write-only telemetry).
     obs::progress_round(static_cast<double>(round));
@@ -294,8 +306,8 @@ std::vector<VertexId> BulkEngine::apply_dynamics(
     }
   }
   // The coroutine scheduler counts a round whose wake bucket was
-  // non-empty as active even when every woken node crashes; the
-  // protocol's charge_round(empty set) would miss it.
+  // non-empty as active even when every woken node crashes;
+  // begin_round charges no empty set, so it would miss it.
   if (result.empty() && before > 0) ++metrics_.distinct_active_rounds;
   return result;
 }

@@ -5,8 +5,10 @@
 // map-bucket churn per wake-up, which caps single trials at laptop
 // scale. This engine is the second execution back end: protocols keep
 // their per-node state in flat arrays, and each synchronous round is
-// executed by iterating an explicit awake set over the graph's CSR
-// neighbor spans. Nothing is allocated per node-round.
+// the engine's round prologue (BulkEngine::begin_round: live dynamics,
+// awake marking, the round's awake charge) followed by scans of the
+// awake set over the graph's CSR neighbor spans. Nothing is allocated
+// per node-round.
 //
 // Semantics are the sleeping model of sim::Network, and the accounting
 // is bitwise-compatible: a protocol ported to this engine reproduces
@@ -38,7 +40,7 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "fault/fault.h"
@@ -110,9 +112,9 @@ struct BulkOptions {
   /// chunk-locally and merged in chunk index order, so faulty runs stay
   /// bitwise identical at every lane count and agree with the coroutine
   /// scheduler under the same plan and seed. Live dynamics (mid-run
-  /// churn, crash recovery) run inside apply_dynamics between frames;
-  /// FaultPlan::churn is applied by the experiment layer after the run,
-  /// not here.
+  /// churn, crash recovery) run in every round's prologue
+  /// (BulkEngine::begin_round); FaultPlan::churn is applied by the
+  /// experiment layer after the run, not here.
   const fault::FaultPlan* fault = nullptr;
 };
 
@@ -180,9 +182,10 @@ class BulkChunk {
   void keep(VertexId v) { kept_.push_back(v); }
 
   /// Appends v to the chunk's second ordered output list
-  /// (ScanResult::dropped). apply_dynamics collects the nodes removed
-  /// this round here, so downtime scheduling happens in a deterministic
-  /// order no matter how the scan was chunked.
+  /// (ScanResult::dropped). begin_round's live-dynamics filter
+  /// collects the nodes removed this round here, so downtime scheduling
+  /// happens in a deterministic order no matter how the scan was
+  /// chunked.
   void drop(VertexId v) { dropped_.push_back(v); }
 
   /// Free-form per-chunk counter; scan_awake returns the sum across
@@ -215,14 +218,18 @@ struct ScanResult {
   std::uint64_t user = 0;
 };
 
+/// What a round's awake set is, for BulkEngine::begin_round: a new set,
+/// or the set the previous round marked (a later round of one frame or
+/// iteration), which needs no re-marking unless live dynamics changed
+/// it.
+enum class AwakeSet : bool { kNew, kSame };
+
 /// The shared accounting and awake-set substrate bulk protocols run on.
 ///
-/// A protocol executes one virtual round by (1) mark_awake() with the
-/// round's awake set, (2) charge_round(), (3) scan_awake() over the set
-/// doing its own logic over CSR spans, calling the BulkChunk accounting
-/// methods as it goes. Rounds whose awake set is unchanged (e.g. the
-/// three communication rounds of one SleepingMISRecursive frame) may
-/// skip re-marking.
+/// A protocol executes one virtual round as the round prologue,
+/// begin_round() (live dynamics, awake marking, the round's awake
+/// charge), followed by scan_awake() over the set doing its own logic
+/// over CSR spans, calling the BulkChunk accounting methods as it goes.
 class BulkEngine {
  public:
   BulkEngine(const Graph& g, std::uint64_t seed, BulkOptions options = {});
@@ -263,7 +270,8 @@ class BulkEngine {
   /// engine's copy of it when it had at most ceil(n/64) members, by
   /// zero-filling the n/8-byte bitset otherwise, so the copy never
   /// exceeds n/16 bytes. Setting is O(|awake|) and shards over the pool
-  /// when one is configured; `awake` may be in any order.
+  /// when one is configured; `awake` may be in any order. Protocols
+  /// mark through begin_round.
   void mark_awake(std::span<const VertexId> awake);
 
   /// True iff v is in the current awake set.
@@ -271,20 +279,26 @@ class BulkEngine {
     return ((awake_bits_[v >> 6] >> (v & 63)) & 1) != 0;
   }
 
-  /// Charges one awake round at virtual round `round` to every node of
-  /// `awake` (which must equal the currently marked set).
-  void charge_round(std::span<const VertexId> awake, VirtualRound round);
+  /// The round prologue every bulk protocol opens virtual round `round`
+  /// with. Under live dynamics it first filters `awake` in place through
+  /// the round's crash, leave and re-entry draws (see apply_dynamics
+  /// below; `on_reenter` resets a re-entrant's protocol state). It marks
+  /// the set awake, unless `set` is AwakeSet::kSame and the run has no
+  /// live dynamics, and charges the round to every member. Returns
+  /// false, having marked and charged nothing, when the set is empty, so
+  /// an iteration's first round can stop the protocol.
+  bool begin_round(std::vector<VertexId>& awake, VirtualRound round,
+                   AwakeSet set,
+                   const std::function<void(VertexId)>& on_reenter);
 
   // --- fault injection (fault/fault.h) ------------------------------
 
-  /// True iff the run's plan injects message loss / crashes. Protocols
-  /// hoist these so the fault-free hot loops stay branch-predictable.
+  /// True iff the run's plan injects message loss. Protocols hoist this
+  /// so the fault-free hot loops stay branch-predictable.
   bool lossy() const { return fault_.has_loss(); }
-  bool crashy() const { return fault_.has_crashes(); }
 
   /// True iff the membership can change mid-run (crashes, mid-run
-  /// churn, recovery re-entries): the gate protocols hoist for the
-  /// apply_dynamics round prologue.
+  /// churn, recovery re-entries), so begin_round filters every set.
   bool dynamic() const {
     return fault_.has_crashes() || fault_.has_live_churn();
   }
@@ -311,36 +325,6 @@ class BulkEngine {
   /// True iff v is currently out of the network for any reason.
   bool down(VertexId v) const { return crashed(v) || departed(v); }
 
-  /// Live-dynamics round prologue: evaluates the crash and mid-run
-  /// leave draws for every node of `awake` at `round` and re-admits
-  /// every down node whose keyed-draw downtime has elapsed. Returns the
-  /// survivors in input order (order-preserving sharded filter)
-  /// followed by the re-entrants in (due round, node id) order.
-  ///
-  /// Removals: crashed nodes are fail-stopped (flagged, finish-stamped,
-  /// counted in Metrics::crashed_nodes); under RecoverSpec their
-  /// comeback round is scheduled from a keyed downtime draw. Leavers
-  /// (LiveChurnSpec) are treated likewise, with their rejoin downtime
-  /// drawn from the leave stream itself. Already-down nodes in `awake`
-  /// are dropped silently (stale ancestor member lists in the
-  /// SleepingMIS recursion legitimately carry nodes that left inside a
-  /// child frame).
-  ///
-  /// Re-entries: the engine clears the node's down flag and decision
-  /// state (it re-enters undecided) and calls `on_reenter` so the
-  /// protocol can reset its own per-node state before the node is
-  /// appended to the returned set.
-  ///
-  /// Call before mark_awake() / charge_round() of every dynamic round;
-  /// a no-op pass-through when dynamic() is false. Matching the
-  /// coroutine scheduler, a round whose every awake node crashes (and
-  /// that admits no re-entrant) still counts as a distinct active
-  /// round. Every draw is keyed on (node, round), so the returned set —
-  /// and all bookkeeping — is bitwise independent of the lane count.
-  std::vector<VertexId> apply_dynamics(
-      std::vector<VertexId> awake, VirtualRound round,
-      const std::function<void(VertexId)>& on_reenter = {});
-
   bool decided(VertexId v) const { return decided_[v] != 0; }
   std::int64_t output(VertexId v) const { return outputs_[v]; }
 
@@ -360,6 +344,39 @@ class BulkEngine {
   // Folds one chunk's aggregate partials into the metrics. Called in
   // chunk index order.
   void merge_chunk(const BulkChunk& chunk);
+
+  // Charges one awake round at virtual round `round` to every node of
+  // `awake` (the currently marked set).
+  void charge_round(std::span<const VertexId> awake, VirtualRound round);
+
+  // begin_round's live-dynamics filter: evaluates the crash and mid-run
+  // leave draws for every node of `awake` at `round` and re-admits
+  // every down node whose keyed-draw downtime has elapsed. Returns the
+  // survivors in input order (order-preserving sharded filter)
+  // followed by the re-entrants in (due round, node id) order.
+  //
+  // Removals: crashed nodes are fail-stopped (flagged, finish-stamped,
+  // counted in Metrics::crashed_nodes); under RecoverSpec their
+  // comeback round is scheduled from a keyed downtime draw. Leavers
+  // (LiveChurnSpec) are treated likewise, with their rejoin downtime
+  // drawn from the leave stream itself. Already-down nodes in `awake`
+  // are dropped silently (stale ancestor member lists in the
+  // SleepingMIS recursion legitimately carry nodes that left inside a
+  // child frame).
+  //
+  // Re-entries: the engine clears the node's down flag and decision
+  // state (it re-enters undecided) and calls `on_reenter` so the
+  // protocol can reset its own per-node state before the node is
+  // appended to the returned set.
+  //
+  // Called only when dynamic(). Matching the coroutine scheduler, a
+  // round whose every awake node crashes (and that admits no
+  // re-entrant) still counts as a distinct active round. Every draw is
+  // keyed on (node, round), so the returned set — and all bookkeeping —
+  // is bitwise independent of the lane count.
+  std::vector<VertexId> apply_dynamics(
+      std::vector<VertexId> awake, VirtualRound round,
+      const std::function<void(VertexId)>& on_reenter);
 
   const Graph& graph_;
   BulkOptions options_;
@@ -479,7 +496,6 @@ inline void BulkChunk::finish(VertexId v, VirtualRound round) {
 class BulkProtocol {
  public:
   virtual ~BulkProtocol() = default;
-  virtual std::string_view name() const = 0;
   virtual void run(BulkEngine& engine) = 0;
 };
 

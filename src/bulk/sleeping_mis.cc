@@ -180,9 +180,7 @@ struct Walker {
     // frame's members are awake, so hearing no hello means "isolated in
     // G[U]" (under loss: effectively isolated this round). Under
     // fold_status() it also charges the sync and second-detection rounds.
-    if (dynamic) members = eng.apply_dynamics(std::move(members), start, reenter);
-    eng.mark_awake(members);
-    eng.charge_round(members, start);
+    eng.begin_round(members, start, AwakeSet::kNew, reenter);
     const ScanResult detect1 = scan(
         span_cat, "detect1", k, members,
         [&](BulkChunk& chunk, std::span<const VertexId> part) {
@@ -236,9 +234,8 @@ struct Walker {
     // coroutine engine's message snapshot does — per lane as well as
     // serially.
     const VirtualRound sync = start + duration128(k - 1) + 1;
-    if (dynamic) members = eng.apply_dynamics(std::move(members), sync, reenter);
-    eng.mark_awake(members);  // children re-marked the set during the left call
-    eng.charge_round(members, sync);
+    // The left call's frames re-marked the set.
+    eng.begin_round(members, sync, AwakeSet::kNew, reenter);
     scan(span_cat, "sync", k, members,
          [&](BulkChunk& chunk, std::span<const VertexId> part) {
            if (!fold_status()) charge_status_round(chunk, part, sync);
@@ -259,11 +256,7 @@ struct Walker {
     // neighbor whose status message is lost simply isn't heard; it
     // cannot block the join (that is the injected damage).
     const VirtualRound detect2 = sync + 1;
-    if (dynamic) {
-      members = eng.apply_dynamics(std::move(members), detect2, reenter);
-      eng.mark_awake(members);  // membership changed; sync's marking is stale
-    }
-    eng.charge_round(members, detect2);
+    eng.begin_round(members, detect2, AwakeSet::kSame, reenter);
     scan(span_cat, "detect2", k, members,
          [&](BulkChunk& chunk, std::span<const VertexId> part) {
            if (!fold_status()) charge_status_round(chunk, part, detect2);

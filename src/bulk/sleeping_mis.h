@@ -27,7 +27,6 @@ class BulkSleepingMis final : public BulkProtocol {
                            core::RecursionTrace* trace = nullptr)
       : options_(options), trace_(trace) {}
 
-  std::string_view name() const override { return "SleepingMIS/bulk"; }
   void run(BulkEngine& engine) override;
 
  private:

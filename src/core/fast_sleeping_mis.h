@@ -38,13 +38,10 @@ struct FastSleepingMisOptions {
   std::uint64_t base_rounds = 0;
 };
 
-/// Protocol factory for Algorithm 2. Output 1 = in MIS, 0 = not.
+/// Protocol factory for Algorithm 2. Output 1 = in MIS, 0 = not. It
+/// runs Algorithm 1's frame (core/sleeping_mis.cc) with the greedy base
+/// case; ranks are rank_bits_for(n) bits wide (core/rank.h).
 sim::Protocol fast_sleeping_mis(FastSleepingMisOptions options = {},
                                 RecursionTrace* trace = nullptr);
-
-/// The rank width (bits) used by the greedy base case for a network of
-/// size n: 3 log2 n bits, CONGEST-compliant and collision-free w.h.p.
-/// (ties are broken by node id deterministically either way).
-std::uint32_t greedy_rank_bits(std::uint64_t n);
 
 }  // namespace slumber::core

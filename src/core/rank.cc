@@ -34,8 +34,7 @@ std::vector<VertexId> greedy_order_from_bits_and_base(
   std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
     const int cmp = compare_k_rank(bits[a], bits[b], levels);
     if (cmp != 0) return cmp > 0;
-    if (base_rank[a] != base_rank[b]) return base_rank[a] > base_rank[b];
-    return a > b;  // greedy base tie-break: larger (rank, id) wins first
+    return priority_beats(base_rank[a], a, base_rank[b], b);
   });
   return order;
 }

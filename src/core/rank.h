@@ -9,12 +9,32 @@
 // E13 bench can check the equivalence against a sequential greedy.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
 #include "graph/graph.h"
 
 namespace slumber::core {
+
+/// Random-rank width for a network of size n: 3 log2 n bits keeps ranks
+/// collision-free w.h.p. while staying within the CONGEST budget (ids
+/// break any ties deterministically regardless). Algorithm 2's greedy
+/// base case and the baselines' random priorities all draw this many.
+inline std::uint32_t rank_bits_for(std::uint64_t n) {
+  const auto log_n = static_cast<std::uint32_t>(
+      std::bit_width(std::max<std::uint64_t>(n, 2) - 1));
+  return std::min<std::uint32_t>(3 * std::max<std::uint32_t>(log_n, 1), 48);
+}
+
+/// Strict priority order on (value, id) pairs: larger wins. The greedy
+/// base case and the randomized greedy baseline process nodes in this
+/// order.
+inline bool priority_beats(std::uint64_t value_a, std::uint64_t id_a,
+                           std::uint64_t value_b, std::uint64_t id_b) {
+  return value_a != value_b ? value_a > value_b : id_a > id_b;
+}
 
 /// Per-node coin bits: bits[v][i] is X_i of node v, for i in [1, K]
 /// (index 0 unused).

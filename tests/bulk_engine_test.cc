@@ -5,12 +5,15 @@
 // seeds, and coin biases. This is the contract that lets the bulk
 // engine stand in for the reference implementation at 10M+-node scale.
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "algos/beeping_mis.h"
+#include "algos/greedy.h"
 #include "algos/israeli_itai.h"
+#include "algos/luby.h"
 #include "analysis/experiment.h"
 #include "analysis/verify.h"
 #include "bulk/baselines.h"
@@ -178,6 +181,51 @@ TEST(BulkBaselines, BeepingMisAgrees) {
     ExpectMetricsEqual(coro.metrics, bulk_run.metrics);
     EXPECT_TRUE(analysis::check_mis(g, bulk_run.outputs).ok());
   }
+}
+
+TEST(BulkBaselines, IterationCapAgrees) {
+  // A cap of 1 or 2 iterations runs out before most graphs are solved:
+  // the nodes still active finish undecided at the last round, and both
+  // engines must stamp them alike.
+  bool left_undecided = false;
+  for (const std::uint64_t cap : {1, 2}) {
+    for (const gen::Family family :
+         {gen::Family::kGnpSparse, gen::Family::kComplete,
+          gen::Family::kPath}) {
+      const Graph g = gen::make(family, 200, cap);
+      sim::NetworkOptions net;
+      net.max_message_bits = sim::congest_bits_for(g.num_vertices());
+      bulk::BulkOptions bopts;
+      bopts.max_message_bits = net.max_message_bits;
+      const auto agree = [&](const char* name,
+                             const sim::Protocol& coro_protocol,
+                             bulk::BulkProtocol&& bulk_protocol, bool mis) {
+        SCOPED_TRACE(std::string(name) + " " + gen::family_name(family) +
+                     " cap=" + std::to_string(cap));
+        const auto coro = sim::run_protocol(g, cap, coro_protocol, net);
+        const auto bulk_run = bulk::run_bulk(g, cap, bulk_protocol, bopts);
+        EXPECT_EQ(coro.outputs, bulk_run.outputs);
+        ExpectMetricsEqual(coro.metrics, bulk_run.metrics);
+        if (mis) {
+          for (const std::int64_t out : bulk_run.outputs) {
+            left_undecided = left_undecided || out == -1;
+          }
+        }
+      };
+      agree("Luby-A", algos::luby_a({.max_iterations = cap}),
+            bulk::BulkLubyA({.max_iterations = cap}), true);
+      agree("Luby-B", algos::luby_b({.max_iterations = cap}),
+            bulk::BulkLubyB({.max_iterations = cap}), true);
+      agree("greedy", algos::distributed_greedy_mis({.max_iterations = cap}),
+            bulk::BulkGreedy({.max_iterations = cap}), true);
+      agree("Israeli-Itai",
+            algos::israeli_itai_matching({.max_iterations = cap}),
+            bulk::BulkIsraeliItai({.max_iterations = cap}), false);
+      agree("beeping", algos::beeping_mis({.max_phases = cap}),
+            bulk::BulkBeepingMis({.max_phases = cap}), true);
+    }
+  }
+  EXPECT_TRUE(left_undecided);
 }
 
 TEST(BulkBaselines, BeepingMisValidPastSixtyFiveThousand) {

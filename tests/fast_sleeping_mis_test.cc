@@ -163,7 +163,7 @@ TEST(FastSleepingMisTest, BaseRanksRecorded) {
   run_on(g, 3, &trace);
   ASSERT_EQ(trace.base_rank.size(), 32u);
   // Ranks fit the declared bit width.
-  const std::uint64_t limit = 1ULL << greedy_rank_bits(32);
+  const std::uint64_t limit = 1ULL << rank_bits_for(32);
   for (std::uint64_t r : trace.base_rank) EXPECT_LT(r, limit);
 }
 

@@ -34,6 +34,7 @@
 #include "bulk/engine.h"
 #include "bulk/sleeping_mis.h"
 #include "core/fast_sleeping_mis.h"
+#include "core/instrumentation.h"
 #include "core/sleeping_mis.h"
 #include "fault/churn.h"
 #include "fault/fault.h"
@@ -303,6 +304,42 @@ TEST(RunDigest, CoroutineFastSleepingMis) {
     EXPECT_EQ(digest, c.digest)
         << "bias " << c.bias << ": 0x" << std::hex << digest;
   }
+}
+
+// The recursion bookkeeping of both coroutine protocols: K, every
+// node's coin bits and base rank, and each call's key and CallStats
+// (participants, left, right, isolated joins, first round) in map
+// order. The digests above pin outputs and metrics, not which nodes a
+// frame counted where.
+TEST(RunDigest, CoroutineRecursionTraces) {
+  const auto trace_digest = [](const auto& make_protocol) {
+    core::RecursionTrace trace;
+    sim::NetworkOptions net;
+    net.max_message_bits = sim::congest_bits_for(kN);
+    sim::run_protocol(digest_graph(), kRunSeed, make_protocol(&trace), net);
+    Digest d;
+    d.add(trace.levels);
+    d.add(std::uint64_t{trace.bits.size()});
+    for (const std::vector<std::uint8_t>& bits : trace.bits) d.add_all(bits);
+    d.add_all(trace.base_rank);
+    d.add(std::uint64_t{trace.calls.size()});
+    for (const auto& [key, call] : trace.calls) {
+      for (const std::uint64_t field :
+           {std::uint64_t{key.first}, key.second, call.participants,
+            call.left, call.right, call.isolated_joins, call.first_round}) {
+        d.add(field);
+      }
+    }
+    return d.value();
+  };
+  const std::uint64_t sleeping = trace_digest(
+      [](core::RecursionTrace* t) { return core::sleeping_mis({}, t); });
+  const std::uint64_t fast = trace_digest(
+      [](core::RecursionTrace* t) { return core::fast_sleeping_mis({}, t); });
+  EXPECT_EQ(sleeping, 0x5F3185C472B2EEB8ULL)
+      << "SleepingMIS: 0x" << std::hex << sleeping;
+  EXPECT_EQ(fast, 0x165465743974D1A5ULL)
+      << "Fast-SleepingMIS: 0x" << std::hex << fast;
 }
 
 // run_mis's verdicts: one character per (engine, scenario) cell, '1'

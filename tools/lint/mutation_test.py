@@ -63,6 +63,28 @@ PLANTS = [
         "src/graph/graph.cc",
     ),
     (
+        # The announce-and-join scan's tally hoisted out of the lambda
+        # into the free helper that hands it to scan_awake: every lane
+        # then adds into one captured counter. D5 must analyze a scan
+        # body that lives in a free helper, not in a protocol's run().
+        "d5-join-scan-hoisted-tally",
+        "src/bulk/baselines.cc",
+        "  const auto join = [&](BulkChunk& chunk, "
+        "std::span<const VertexId> part) {\n"
+        "    for (const VertexId v : part) {\n"
+        "      std::uint64_t awake_nbrs = 0;\n"
+        "      std::uint64_t delivered_out = 0;\n"
+        "      std::uint64_t joins_heard = 0;\n",
+        "  std::uint64_t joins_heard = 0;\n"
+        "  const auto join = [&](BulkChunk& chunk, "
+        "std::span<const VertexId> part) {\n"
+        "    for (const VertexId v : part) {\n"
+        "      std::uint64_t awake_nbrs = 0;\n"
+        "      std::uint64_t delivered_out = 0;\n",
+        "slumber-d5",
+        "src/bulk/baselines.cc",
+    ),
+    (
         "d5-churn-leave-counter",
         "src/fault/churn.cc",
         "++leave_parts[c];",

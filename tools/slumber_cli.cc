@@ -11,7 +11,8 @@
 // end for run / sweep / beep: the coroutine scheduler (default; every
 // MIS engine, fault injection, tracing) or the bulk flat-state engine
 // (sleeping / luby-a / luby-b / greedy, 10M+-node scale). The two are
-// bitwise interchangeable where they overlap.
+// bitwise interchangeable where they overlap. `faults` always runs
+// bulk; every other command rejects --engine bulk with exit 2.
 //
 // A global `--gen <legacy|sharded>` flag selects the G(n, p) seed
 // schedule for the gnp families (see graph/generators.h): legacy is
@@ -35,7 +36,7 @@
 // the survivors' MIS (beep runs no repair). Churn, live churn, and
 // recovery need `--engine bulk`. All fault streams are engine- and
 // lane-count-independent. A run that loses nodes is verified on the
-// alive subgraph.
+// alive subgraph. Every other command rejects fault flags with exit 2.
 //
 // `--mem-diet` (run, with --engine bulk) drops the bulk engine's
 // per-node metrics, 56 B/node: with --gen sharded's CSR-only graphs it
@@ -58,8 +59,9 @@
 //       Run one engine on one graph; print the four complexity
 //       measures, verification result, and energy estimate.
 //   slumber sweep <engine> <family> <max_n> [seeds]
-//       Scaling sweep (n = 64, 256, ..., max_n), seeds >= 1 per size
-//       (default 3).
+//       Scaling sweep (n = 64, 256, ..., max_n; max_n >= 64), seeds >= 1
+//       per size (default 3); the awake-average slope is printed once
+//       two sizes ran.
 //   slumber faults <family> <n> [seed]
 //       The fault matrix: SleepingMIS, Luby-A, Luby-B and CRT-greedy
 //       under fault::standard_scenarios() on one graph, always on the
@@ -314,6 +316,11 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
 int cmd_sweep(const analysis::MisEngine engine, const gen::Family family,
               const VertexId max_n, const std::uint32_t seeds) {
   if (!check_bulk_support(engine)) return 2;
+  if (max_n < 64) {
+    std::cerr << "error: sweep <max_n> must be >= 64, the first size it "
+                 "runs\n";
+    return 2;
+  }
   analysis::Table table({"n", "node-avg awake", "worst awake", "worst rounds",
                          "invalid"});
   std::vector<double> ns;
@@ -333,9 +340,11 @@ int cmd_sweep(const analysis::MisEngine engine, const gen::Family family,
                    analysis::Table::num(agg.invalid_runs)});
   }
   std::cout << "seeds: " << seeds << "\n" << table.render();
-  std::cout << "awake-average slope vs log2 n: "
-            << analysis::Table::num(analysis::log_fit(ns, awake).slope, 3)
-            << "\n";
+  if (ns.size() >= 2) {  // a slope needs two sizes
+    std::cout << "awake-average slope vs log2 n: "
+              << analysis::Table::num(analysis::log_fit(ns, awake).slope, 3)
+              << "\n";
+  }
   return 0;
 }
 
@@ -386,11 +395,6 @@ double ms_since(std::chrono::steady_clock::time_point start) {
 
 int cmd_faults(const gen::Family family, const VertexId n,
                const std::uint64_t seed) {
-  if (g_spec.fault_or_null() != nullptr) {
-    std::cerr << "error: faults runs the fault matrix's own scenarios "
-                 "(fault::standard_scenarios()); drop the fault flags\n";
-    return 2;
-  }
   util::ThreadPool pool(analysis::default_trial_threads());
   const auto build_start = std::chrono::steady_clock::now();
   const Graph g = make_cli_graph(family, n, seed, &pool);
@@ -641,8 +645,26 @@ int run_command(int argc, char** argv) {
   const int nargs = static_cast<int>(args.size());
   if (nargs < 2) return usage();
   const std::string command = args[1];
+  // A command rejects the shared flags it does not use rather than
+  // ignore them.
+  const bool trial_command =
+      command == "run" || command == "sweep" || command == "beep";
   if (!g_spec.node_metrics && command != "run") {
     std::cerr << "error: --mem-diet applies to run only\n";
+    return 2;
+  }
+  if (g_spec.fault_or_null() != nullptr && !trial_command) {
+    std::cerr << (command == "faults"
+                      ? "error: faults runs the fault matrix's own scenarios "
+                        "(fault::standard_scenarios()); drop the fault flags\n"
+                      : "error: fault flags apply to run, sweep and beep "
+                        "only\n");
+    return 2;
+  }
+  if (g_spec.exec == analysis::ExecEngine::kBulk && !trial_command &&
+      command != "faults") {
+    std::cerr << "error: --engine bulk applies to run, sweep, beep and "
+                 "faults only\n";
     return 2;
   }
   // faults runs on the bulk back end whatever --engine says; the
