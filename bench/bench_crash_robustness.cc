@@ -41,9 +41,9 @@ Outcome sweep(MisEngine engine, double crash_prob, std::uint32_t seeds) {
         sim::run_protocol(g, 1000 + s, algos::mis_protocol(engine), options);
 
     bool violated = false;
-    for (const Edge& e : g.edges()) {
-      if (outputs[e.u] == 1 && outputs[e.v] == 1) violated = true;
-    }
+    g.for_each_edge([&](VertexId u, VertexId v) {
+      if (outputs[u] == 1 && outputs[v] == 1) violated = true;
+    });
     out.independence_violation_runs += violated ? 1.0 : 0.0;
     std::uint64_t undecided = 0;
     for (VertexId v = 0; v < n; ++v) {

@@ -8,6 +8,7 @@
 // switch fabric: ports are vertices, requested circuits are edges, a
 // matching is a set of non-conflicting circuits.
 #include <iostream>
+#include <vector>
 
 #include "algos/matching.h"
 #include "analysis/table.h"
@@ -49,8 +50,9 @@ int main() {
   const auto result =
       algos::maximal_matching_via_mis(requests, 11, algos::MisEngine::kSleeping);
   std::cout << "\ngranted circuits (SleepingMIS): ";
+  const std::vector<Edge> circuits = requests.edges();
   for (EdgeId e : result.matched_edges) {
-    const Edge edge = requests.edges()[e];
+    const Edge edge = circuits[e];
     std::cout << edge.u << "-" << edge.v << " ";
   }
   std::cout << "\n";

@@ -46,12 +46,13 @@ int main() {
             << " (bound 2*Delta-1 = " << 2 * g.max_degree() - 1 << ")\n\n";
 
   std::cout << "slot table (first 8 slots):\n";
+  const std::vector<Edge> links = g.edges();
   std::size_t shown = 0;
   for (const auto& [color, edges] : slots) {
     if (shown++ == 8) break;
     std::cout << "  slot " << color << ": " << edges.size() << " links |";
     for (std::size_t i = 0; i < std::min<std::size_t>(edges.size(), 6); ++i) {
-      const Edge edge = g.edges()[edges[i]];
+      const Edge edge = links[edges[i]];
       std::cout << " " << edge.u << "-" << edge.v;
     }
     if (edges.size() > 6) std::cout << " ...";

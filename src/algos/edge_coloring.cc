@@ -48,10 +48,10 @@ bool check_edge_coloring(const Graph& g,
   // colors were range-checked above, so colors[eid] indexes safely.
   // stamp[c] == v + 1 means color c was already seen at vertex v.
   std::vector<VertexId> stamp(static_cast<std::size_t>(palette), 0);
+  const std::vector<Edge> edges = g.edges();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     for (VertexId u : g.neighbors(v)) {
       const Edge e = u < v ? Edge{u, v} : Edge{v, u};
-      const auto& edges = g.edges();
       const auto it = std::lower_bound(edges.begin(), edges.end(), e);
       const auto eid = static_cast<EdgeId>(it - edges.begin());
       const auto c = static_cast<std::size_t>(colors[eid]);

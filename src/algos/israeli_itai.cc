@@ -119,6 +119,7 @@ sim::Protocol israeli_itai_matching(IsraeliItaiOptions options) {
 std::optional<std::vector<EdgeId>> matching_from_outputs(
     const Graph& g, const std::vector<std::int64_t>& outputs) {
   std::vector<EdgeId> matched;
+  const std::vector<Edge> edges = g.edges();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     const std::int64_t out = outputs[v];
     if (out < 0) continue;
@@ -128,7 +129,6 @@ std::optional<std::vector<EdgeId>> matching_from_outputs(
     if (!g.has_edge(v, u)) return std::nullopt;
     if (v < u) {  // record each matched edge once
       const Edge e{v, u};
-      const auto& edges = g.edges();
       const auto it = std::lower_bound(edges.begin(), edges.end(), e);
       if (it == edges.end() || *it != e) return std::nullopt;
       matched.push_back(static_cast<EdgeId>(it - edges.begin()));

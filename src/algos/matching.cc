@@ -8,10 +8,10 @@
 
 namespace slumber::algos {
 
-sim::Protocol mis_protocol(MisEngine engine) {
+sim::Protocol mis_protocol(MisEngine engine, core::RecursionTrace* trace) {
   switch (engine) {
-    case MisEngine::kSleeping: return core::sleeping_mis();
-    case MisEngine::kFastSleeping: return core::fast_sleeping_mis();
+    case MisEngine::kSleeping: return core::sleeping_mis({}, trace);
+    case MisEngine::kFastSleeping: return core::fast_sleeping_mis({}, trace);
     case MisEngine::kLubyA: return luby_a();
     case MisEngine::kLubyB: return luby_b();
     case MisEngine::kGreedy: return distributed_greedy_mis();
@@ -38,13 +38,15 @@ MatchingResult maximal_matching_via_mis(const Graph& g, std::uint64_t seed,
 bool is_maximal_matching(const Graph& g,
                          const std::vector<EdgeId>& matched_edges) {
   std::vector<std::uint8_t> covered(g.num_vertices(), 0);
+  const std::vector<Edge> edges = g.edges();
   for (EdgeId e : matched_edges) {
-    const Edge edge = g.edges()[e];
+    if (e >= edges.size()) return false;  // not an edge of g
+    const Edge edge = edges[e];
     if (covered[edge.u] || covered[edge.v]) return false;  // not a matching
     covered[edge.u] = 1;
     covered[edge.v] = 1;
   }
-  for (const Edge& edge : g.edges()) {
+  for (const Edge& edge : edges) {
     if (!covered[edge.u] && !covered[edge.v]) return false;  // not maximal
   }
   return true;

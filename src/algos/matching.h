@@ -14,6 +14,10 @@
 #include "graph/graph.h"
 #include "sim/network.h"
 
+namespace slumber::core {
+struct RecursionTrace;
+}  // namespace slumber::core
+
 namespace slumber::algos {
 
 /// Which MIS engine drives the reduction.
@@ -26,9 +30,12 @@ enum class MisEngine {
   kGhaffari,
 };
 
-/// Protocol factory for an engine; used by the matching and ruling-set
-/// reductions and the engine-comparison benches.
-sim::Protocol mis_protocol(MisEngine engine);
+/// Protocol factory for an engine; used by analysis::run_mis, the
+/// matching and ruling-set reductions and the engine-comparison benches.
+/// `trace`, when non-null, collects the recursion trace of the two
+/// sleeping engines (borrowed); the others ignore it.
+sim::Protocol mis_protocol(MisEngine engine,
+                           core::RecursionTrace* trace = nullptr);
 
 struct MatchingResult {
   /// Edge ids of g forming a maximal matching.
@@ -41,7 +48,8 @@ struct MatchingResult {
 MatchingResult maximal_matching_via_mis(const Graph& g, std::uint64_t seed,
                                         MisEngine engine);
 
-/// True iff `matched_edges` is a valid maximal matching of g.
+/// True iff `matched_edges` is a valid maximal matching of g (false on
+/// an id that is not an edge of g).
 bool is_maximal_matching(const Graph& g,
                          const std::vector<EdgeId>& matched_edges);
 

@@ -2,16 +2,10 @@
 
 #include <stdexcept>
 
-#include "algos/ghaffari.h"
-#include "algos/greedy.h"
-#include "algos/luby.h"
 #include "analysis/stats.h"
 #include "analysis/verify.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
-#include "bulk/sleeping_mis.h"
-#include "core/fast_sleeping_mis.h"
-#include "core/sleeping_mis.h"
 #include "fault/churn.h"
 #include "fault/fault.h"
 #include "obs/obs.h"
@@ -232,30 +226,7 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
     throw std::invalid_argument(
         "run_mis: live churn and crash recovery require the bulk engine");
   }
-  sim::Protocol protocol;
-  switch (engine) {
-    case MisEngine::kSleeping:
-      protocol = core::sleeping_mis({}, opts.trace);
-      break;
-    case MisEngine::kFastSleeping:
-      protocol = core::fast_sleeping_mis({}, opts.trace);
-      break;
-    case MisEngine::kLubyA:
-      protocol = algos::luby_a();
-      break;
-    case MisEngine::kLubyB:
-      protocol = algos::luby_b();
-      break;
-    case MisEngine::kGreedy:
-      protocol = algos::distributed_greedy_mis();
-      break;
-    case MisEngine::kGhaffari:
-      protocol = algos::ghaffari_mis();
-      break;
-    default:
-      throw std::invalid_argument("run_mis: unknown engine");
-  }
-
+  const sim::Protocol protocol = algos::mis_protocol(engine, opts.trace);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   options.fault = opts.fault;

@@ -33,14 +33,16 @@ struct FastSleepingMisOptions {
   double coin_bias = 0.5;
   /// The constant c in the fixed greedy budget of c*log n rounds.
   double base_c = 6.0;
-  /// Explicit base budget in rounds (even, >= 2); 0 means
-  /// greedy_base_rounds(n, base_c).
+  /// Explicit base budget in rounds (>= 2; an odd budget sleeps its
+  /// last round); 0 means greedy_base_rounds(n, base_c).
   std::uint64_t base_rounds = 0;
 };
 
 /// Protocol factory for Algorithm 2. Output 1 = in MIS, 0 = not. It
 /// runs Algorithm 1's frame (core/sleeping_mis.cc) with the greedy base
-/// case; ranks are rank_bits_for(n) bits wide (core/rank.h).
+/// case; ranks are rank_bits_for(n) bits wide (core/rank.h). Throws
+/// std::invalid_argument on base_rounds == 1, a budget too short for
+/// one greedy iteration.
 sim::Protocol fast_sleeping_mis(FastSleepingMisOptions options = {},
                                 RecursionTrace* trace = nullptr);
 

@@ -213,6 +213,11 @@ sim::Protocol sleeping_mis(SleepingMisOptions options, RecursionTrace* trace) {
 
 sim::Protocol fast_sleeping_mis(FastSleepingMisOptions options,
                                 RecursionTrace* trace) {
+  if (options.base_rounds == 1) {
+    throw std::invalid_argument(
+        "Fast-SleepingMIS: base_rounds = 1 is below the 2 rounds of one "
+        "greedy iteration (0 picks the default budget)");
+  }
   return [options, trace](sim::Context& ctx) {
     const std::uint32_t levels =
         options.levels != 0 ? options.levels : fast_recursion_depth(ctx.n());

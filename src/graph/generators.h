@@ -219,9 +219,8 @@ struct MakeOptions {
 };
 
 /// make() with an explicit generation schedule. kSharded routes the
-/// gnp families through the sharded builders (the returned graphs are
-/// memory-diet: has_edge_list() is false) and leaves every other
-/// family untouched.
+/// gnp families through the sharded builders, which stage no edge
+/// list, and leaves every other family untouched.
 Graph make(Family family, VertexId n, std::uint64_t seed,
            const MakeOptions& options);
 

@@ -56,40 +56,35 @@ Graph::Graph(VertexId n, std::vector<Edge> edges) : n_(n) {
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  edges_ = std::move(edges);
-  num_edges_ = edges_.size();
+  num_edges_ = edges.size();
 
   std::vector<std::uint32_t> deg(n, 0);
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     ++deg[e.u];
     ++deg[e.v];
   }
   offsets_.assign(std::uint64_t{n} + 1, 0);
-  for (VertexId v = 0; v < n; ++v) offsets_[v + 1] = offsets_[v] + deg[v];
+  for (VertexId v = 0; v < n; ++v) {
+    offsets_[v + 1] = offsets_[v] + deg[v];
+    max_degree_ = std::max(max_degree_, deg[v]);
+  }
   adjacency_.resize(offsets_[n]);
 
+  // Sorted (u, v) edges fill each range in port order: a vertex's lower
+  // neighbors arrive first (as u, ascending), then its higher ones (as
+  // v, ascending).
   std::vector<CsrOffset> cursor(offsets_.begin(), offsets_.end() - 1);
-  for (const Edge& e : edges_) {
+  for (const Edge& e : edges) {
     adjacency_[cursor[e.u]++] = e.v;
     adjacency_[cursor[e.v]++] = e.u;
   }
-  // Edges are sorted by (u, v), so each vertex's neighbor list as filled
-  // above is sorted for the 'u' side but not necessarily for the 'v' side;
-  // sort each range to guarantee the documented port order.
-  for (VertexId v = 0; v < n; ++v) {
-    std::sort(adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]),
-              adjacency_.begin() + static_cast<std::ptrdiff_t>(offsets_[v + 1]));
-    max_degree_ = std::max(max_degree_, deg[v]);
-  }
 }
 
-const std::vector<Edge>& Graph::edges() const {
-  if (!has_edge_list_) {
-    throw std::logic_error(
-        "Graph::edges: edge list dropped (memory-diet CSR graph); iterate "
-        "neighbors() with u < v instead");
-  }
-  return edges_;
+std::vector<Edge> Graph::edges() const {
+  std::vector<Edge> list;
+  list.reserve(num_edges_);
+  for_each_edge([&list](VertexId u, VertexId v) { list.push_back({u, v}); });
+  return list;
 }
 
 Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
@@ -110,7 +105,6 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
   Graph g;
   g.n_ = n;
   g.num_edges_ = adjacency.size() / 2;
-  g.has_edge_list_ = false;
   g.offsets_ = std::move(offsets);
   g.adjacency_ = std::move(adjacency);
   // Validate the caller's contract: each range sorted strictly
@@ -231,28 +225,29 @@ std::pair<Graph, std::vector<VertexId>> Graph::induced(
     return it->second;
   };
   std::vector<Edge> sub_edges;
-  for (const Edge& e : edges_) {
-    const std::int64_t iu = lookup(e.u);
-    if (iu < 0) continue;
-    const std::int64_t iv = lookup(e.v);
-    if (iv < 0) continue;
+  for_each_edge([&](VertexId u, VertexId v) {
+    const std::int64_t iu = lookup(u);
+    if (iu < 0) return;
+    const std::int64_t iv = lookup(v);
+    if (iv < 0) return;
     sub_edges.push_back(
         {static_cast<VertexId>(iu), static_cast<VertexId>(iv)});
-  }
+  });
   return {Graph(static_cast<VertexId>(to_original.size()), std::move(sub_edges)),
           std::move(to_original)};
 }
 
 Graph Graph::line_graph() const {
-  const auto m =
-      checked_vertex_count(edges_.size(), "Graph::line_graph");
+  const auto m = checked_vertex_count(num_edges_, "Graph::line_graph");
   // Bucket edge ids by endpoint; any two edge ids in the same bucket are
   // adjacent in the line graph.
   std::vector<std::vector<EdgeId>> incident(n_);
-  for (EdgeId e = 0; e < m; ++e) {
-    incident[edges_[e].u].push_back(e);
-    incident[edges_[e].v].push_back(e);
-  }
+  EdgeId e = 0;
+  for_each_edge([&](VertexId u, VertexId v) {
+    incident[u].push_back(e);
+    incident[v].push_back(e);
+    ++e;
+  });
   GraphBuilder builder(m);
   for (VertexId v = 0; v < n_; ++v) {
     const auto& bucket = incident[v];
@@ -266,8 +261,6 @@ Graph Graph::line_graph() const {
 }
 
 std::string Graph::summary() const {
-  // num_edges_, not edges_.size(): memory-diet graphs drop the edge
-  // list but still know their edge count.
   return "n=" + std::to_string(n_) + " m=" + std::to_string(num_edges_) +
          " maxdeg=" + std::to_string(max_degree_);
 }

@@ -7,9 +7,11 @@
 // 0..deg(v)-1 in the order they appear in the adjacency array, matching
 // the port-numbering assumption of the model in the paper (Section 1.2).
 //
-// Graphs are immutable after construction; use GraphBuilder to assemble
-// edge sets incrementally. All operations that return neighbor lists
-// return std::span views into the CSR arrays (no allocation).
+// The CSR arrays are the only stored form: edges() and for_each_edge()
+// derive the sorted edge list from them. Graphs are immutable after
+// construction; use GraphBuilder to assemble edge sets incrementally.
+// All operations that return neighbor lists return std::span views into
+// the CSR arrays (no allocation).
 #pragma once
 
 #include <cstdint>
@@ -55,21 +57,21 @@ class Graph {
   /// Empty graph (0 vertices).
   Graph() = default;
 
-  /// Builds a graph with `n` vertices from an edge list. Self-loops are
-  /// rejected (throws std::invalid_argument); duplicate edges are merged.
-  /// Endpoints must be < n.
+  /// Builds a graph with `n` vertices from an edge list, which is freed
+  /// once the CSR is built. Self-loops are rejected (throws
+  /// std::invalid_argument); duplicate edges are merged. Endpoints must
+  /// be < n.
   Graph(VertexId n, std::vector<Edge> edges);
 
   /// Vertices per block of from_csr's validation scan.
   static constexpr VertexId kCsrCheckBlock = 4096;
 
-  /// Memory-diet construction straight from CSR arrays, retaining NO
-  /// edge list (has_edge_list() is false and edges() throws
-  /// std::logic_error). `offsets` must have n+1 monotone entries with
-  /// offsets[0] == 0 and offsets[n] == adjacency.size(); every
-  /// adjacency range must be sorted ascending with in-range endpoints
-  /// and no self-loops or duplicates, and edge {u,v} must appear in
-  /// both endpoint ranges (all validated, throws std::invalid_argument).
+  /// Construction straight from CSR arrays. `offsets` must have n+1
+  /// monotone entries with offsets[0] == 0 and offsets[n] ==
+  /// adjacency.size(); every adjacency range must be sorted ascending
+  /// with in-range endpoints and no self-loops or duplicates, and edge
+  /// {u,v} must appear in both endpoint ranges (all validated, throws
+  /// std::invalid_argument).
   /// The offsets are validated in full before any range is read, so a
   /// malformed array is rejected without reading out of bounds.
   /// This is the 10^8-node path: peak memory is the CSR arrays
@@ -88,10 +90,6 @@ class Graph {
 
   VertexId num_vertices() const { return n_; }
   std::size_t num_edges() const { return num_edges_; }
-
-  /// False for memory-diet graphs built by from_csr: the CSR arrays are
-  /// authoritative and edges() is unavailable.
-  bool has_edge_list() const { return has_edge_list_; }
 
   /// Degree of vertex v.
   std::uint32_t degree(VertexId v) const {
@@ -125,10 +123,21 @@ class Graph {
   /// True iff {u, v} is an edge.
   bool has_edge(VertexId u, VertexId v) const { return port_to(u, v) >= 0; }
 
-  /// The normalized, sorted edge list. Throws std::logic_error on a
-  /// memory-diet graph (see from_csr / has_edge_list); iterate the CSR
-  /// via neighbors() with u < v there instead.
-  const std::vector<Edge>& edges() const;
+  /// The edges as (u, v) pairs with u < v, sorted; edge id e is the
+  /// e-th. Built from the CSR on every call (O(m) time, 8 bytes per
+  /// edge), so hoist it out of loops; for_each_edge streams the same
+  /// list without storing it.
+  std::vector<Edge> edges() const;
+
+  /// Calls fn(u, v) for every edge, in edges() order.
+  template <typename Fn>
+  void for_each_edge(Fn&& fn) const {
+    for (VertexId u = 0; u < n_; ++u) {
+      for (const VertexId v : neighbors(u)) {
+        if (v > u) fn(u, v);
+      }
+    }
+  }
 
   /// True iff the vertex has no incident edges.
   bool is_isolated(VertexId v) const { return degree(v) == 0; }
@@ -148,9 +157,8 @@ class Graph {
 
   /// True iff this and `other` have bitwise-identical CSR arrays (same
   /// vertex count, offsets, and adjacency) — equal topology with equal
-  /// port numbering, regardless of whether either retains an edge
-  /// list. The determinism gates of the sharded generators compare
-  /// lane-count variants with this.
+  /// port numbering. The determinism gates of the sharded generators
+  /// compare lane-count variants with this.
   bool same_csr(const Graph& other) const {
     return n_ == other.n_ && offsets_ == other.offsets_ &&
            adjacency_ == other.adjacency_;
@@ -163,11 +171,8 @@ class Graph {
   VertexId n_ = 0;
   std::uint32_t max_degree_ = 0;
   std::uint64_t num_edges_ = 0;
-  bool has_edge_list_ = true;
   util::PodVector<CsrOffset> offsets_;   // size n_+1
   util::PodVector<VertexId> adjacency_;  // size 2|E|
-  std::vector<Edge> edges_;              // sorted, normalized; empty when
-                                         // has_edge_list_ is false
 };
 
 /// Narrows a 64-bit vertex count to VertexId, throwing std::overflow_error

@@ -16,18 +16,6 @@ namespace slumber::io {
 
 namespace {
 
-/// Streams every edge as (u, v) with u < v in sorted (u, v) order —
-/// identical to iterating Graph::edges(), but off the CSR arrays, so
-/// the writers also accept memory-diet graphs (has_edge_list() false).
-template <typename Fn>
-void for_each_edge_sorted(const Graph& g, Fn&& fn) {
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
-    for (const VertexId v : g.neighbors(u)) {
-      if (v > u) fn(u, v);
-    }
-  }
-}
-
 constexpr std::uint64_t kMaxU64 = std::numeric_limits<std::uint64_t>::max();
 
 /// util::parse_uint under the io.h error contract: `token` must be a
@@ -86,8 +74,8 @@ std::size_t bounded_reserve(std::uint64_t m) {
 
 void write_edge_list(std::ostream& out, const Graph& g) {
   out << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for_each_edge_sorted(
-      g, [&](VertexId u, VertexId v) { out << u << ' ' << v << '\n'; });
+  g.for_each_edge(
+      [&](VertexId u, VertexId v) { out << u << ' ' << v << '\n'; });
 }
 
 Graph read_edge_list(std::istream& in) {
@@ -117,7 +105,7 @@ Graph read_edge_list(std::istream& in) {
 
 void write_dimacs(std::ostream& out, const Graph& g) {
   out << "p edge " << g.num_vertices() << ' ' << g.num_edges() << '\n';
-  for_each_edge_sorted(g, [&](VertexId u, VertexId v) {
+  g.for_each_edge([&](VertexId u, VertexId v) {
     out << "e " << (u + 1) << ' ' << (v + 1) << '\n';
   });
 }
@@ -185,7 +173,7 @@ void write_dot(std::ostream& out, const Graph& g,
     if (marked[v]) out << " [style=filled, fillcolor=lightblue]";
     out << ";\n";
   }
-  for_each_edge_sorted(g, [&](VertexId u, VertexId v) {
+  g.for_each_edge([&](VertexId u, VertexId v) {
     out << "  " << u << " -- " << v << ";\n";
   });
   out << "}\n";

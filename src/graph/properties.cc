@@ -146,12 +146,12 @@ ArboricityBounds arboricity_bounds(const Graph& g) {
 
 std::uint64_t triangle_count(const Graph& g) {
   std::uint64_t triangles = 0;
-  for (const Edge& e : g.edges()) {
-    auto nu = g.neighbors(e.u);
-    auto nv = g.neighbors(e.v);
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    auto nu = g.neighbors(u);
+    auto nv = g.neighbors(v);
     // Count common neighbors w > v to count each triangle once.
-    auto iu = std::lower_bound(nu.begin(), nu.end(), e.v + 1);
-    auto iv = std::lower_bound(nv.begin(), nv.end(), e.v + 1);
+    auto iu = std::lower_bound(nu.begin(), nu.end(), v + 1);
+    auto iv = std::lower_bound(nv.begin(), nv.end(), v + 1);
     while (iu != nu.end() && iv != nv.end()) {
       if (*iu < *iv) {
         ++iu;
@@ -163,7 +163,7 @@ std::uint64_t triangle_count(const Graph& g) {
         ++iv;
       }
     }
-  }
+  });
   return triangles;
 }
 

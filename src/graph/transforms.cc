@@ -9,7 +9,7 @@ namespace slumber {
 Graph power(const Graph& g, std::uint32_t k) {
   const VertexId n = g.num_vertices();
   if (k == 0) return Graph(n, {});
-  if (k == 1) return Graph(n, g.edges());
+  if (k == 1) return g;
 
   GraphBuilder builder(n);
   // BFS to depth k from every vertex; distances are reset lazily via a
@@ -61,9 +61,9 @@ Graph disjoint_union(std::span<const Graph> parts) {
   GraphBuilder builder(static_cast<VertexId>(total));
   VertexId offset = 0;
   for (const Graph& part : parts) {
-    for (const Edge& e : part.edges()) {
-      builder.add_edge(e.u + offset, e.v + offset);
-    }
+    part.for_each_edge([&](VertexId u, VertexId v) {
+      builder.add_edge(u + offset, v + offset);
+    });
     offset += part.num_vertices();
   }
   return std::move(builder).build();
@@ -73,12 +73,12 @@ Graph subdivision(const Graph& g) {
   const VertexId n = g.num_vertices();
   const auto m = static_cast<VertexId>(g.num_edges());
   GraphBuilder builder(n + m);
-  for (EdgeId e = 0; e < m; ++e) {
-    const Edge edge = g.edges()[e];
-    const VertexId x = n + e;
-    builder.add_edge(edge.u, x);
-    builder.add_edge(x, edge.v);
-  }
+  VertexId x = n;  // the vertex subdividing edge e is n + e
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    builder.add_edge(u, x);
+    builder.add_edge(x, v);
+    ++x;
+  });
   return std::move(builder).build();
 }
 
@@ -86,11 +86,11 @@ Graph mycielski(const Graph& g) {
   const VertexId n = g.num_vertices();
   const VertexId apex = 2 * n;
   GraphBuilder builder(2 * n + 1);
-  for (const Edge& e : g.edges()) {
-    builder.add_edge(e.u, e.v);        // original edge
-    builder.add_edge(n + e.u, e.v);    // shadow(u) - v
-    builder.add_edge(e.u, n + e.v);    // u - shadow(v)
-  }
+  g.for_each_edge([&](VertexId u, VertexId v) {
+    builder.add_edge(u, v);      // original edge
+    builder.add_edge(n + u, v);  // shadow(u) - v
+    builder.add_edge(u, n + v);  // u - shadow(v)
+  });
   for (VertexId v = 0; v < n; ++v) builder.add_edge(n + v, apex);
   return std::move(builder).build();
 }

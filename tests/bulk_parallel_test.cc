@@ -359,7 +359,7 @@ TEST(BulkMemoryDiet, RunMisMeasuresWithoutNodeMetrics) {
   }
 }
 
-// --- memory-diet graphs: CSR-only construction -----------------------
+// --- from_csr construction ------------------------------------------
 
 /// A copy of a graph's CSR arrays, for from_csr to rebuild or reject.
 struct Csr {
@@ -388,12 +388,9 @@ Graph from_copy(Csr csr, util::ThreadPool* pool) {
 TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
   Rng rng(3);
   const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
-  // The CSR-only twin: a's own arrays, with no edge list retained.
+  // The from_csr twin: a's own arrays.
   const Graph b = from_copy(copy_csr(a), nullptr);
   ASSERT_TRUE(b.same_csr(a));
-  EXPECT_TRUE(a.has_edge_list());
-  EXPECT_FALSE(b.has_edge_list());
-  EXPECT_THROW(b.edges(), std::logic_error);
   const auto run_a = run_bulk_mis(MisEngine::kSleeping, a, 3, nullptr);
   const auto run_b = run_bulk_mis(MisEngine::kSleeping, b, 3, nullptr);
   EXPECT_EQ(run_a.outputs, run_b.outputs);
@@ -416,7 +413,6 @@ TEST(BulkMemoryDiet, FromCsrValidatesShape) {
   const Graph p = Graph::from_csr(3, {0, 1, 3, 4}, {1, 0, 2, 1});
   EXPECT_EQ(p.num_edges(), 2u);
   EXPECT_EQ(p.degree(1), 2u);
-  EXPECT_FALSE(p.has_edge_list());
   // Offsets that go down and back up: the ends match the 2-entry
   // adjacency, but range 0 claims 4 entries. Rejected before any range
   // is read (an ASan build catches an overread here).
@@ -428,7 +424,7 @@ TEST(BulkMemoryDiet, FromCsrValidatesShape) {
   }
 }
 
-// --- memory-diet graphs: the pipelined mirror check ------------------
+// --- from_csr: the pipelined mirror check ---------------------------
 
 /// A mirror probe of Graph::from_csr: the entry u > v of v's range,
 /// confirmed by finding v in u's range.

@@ -63,11 +63,11 @@ bool check_edge_coloring_reference(const Graph& g,
   for (std::int64_t c : colors) {
     if (c < 0 || c >= palette) return false;
   }
+  const std::vector<Edge> edges = g.edges();
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     std::unordered_set<std::int64_t> seen;
     for (VertexId u : g.neighbors(v)) {
       const Edge e = u < v ? Edge{u, v} : Edge{v, u};
-      const auto& edges = g.edges();
       const auto it = std::lower_bound(edges.begin(), edges.end(), e);
       const auto eid = static_cast<EdgeId>(it - edges.begin());
       if (!seen.insert(colors[eid]).second) return false;
@@ -135,9 +135,10 @@ TEST(DeterminismContainerTest, CheckEdgeColoringMatchesReference) {
     // Corrupt one edge to collide with a same-endpoint neighbor: both
     // implementations must reject identically.
     auto corrupted = result.colors;
-    const Edge e0 = g.edges()[0];
+    const std::vector<Edge> edges = g.edges();
+    const Edge e0 = edges[0];
     for (std::size_t eid = 1; eid < corrupted.size(); ++eid) {
-      const Edge e = g.edges()[eid];
+      const Edge e = edges[eid];
       if (e.u == e0.u || e.v == e0.u || e.u == e0.v || e.v == e0.v) {
         corrupted[eid] = result.colors[0];
         break;

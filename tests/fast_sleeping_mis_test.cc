@@ -3,6 +3,9 @@
 // Corollary-1 equivalence with sequential greedy on (bits, base rank).
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "analysis/experiment.h"
 #include "analysis/verify.h"
 #include "core/fast_sleeping_mis.h"
 #include "core/rank.h"
@@ -90,6 +93,25 @@ TEST(FastSleepingMisTest, BaseBudgetOverrideChangesMakespan) {
             schedule_duration(fast_recursion_depth(64), 20));
 }
 
+TEST(FastSleepingMisTest, OneRoundBaseBudgetRejected) {
+  // One round holds no 2-round greedy iteration: the base case would
+  // leave every undecided node undecided.
+  FastSleepingMisOptions options;
+  options.base_rounds = 1;
+  EXPECT_THROW(fast_sleeping_mis(options), std::invalid_argument);
+}
+
+TEST(FastSleepingMisTest, OddBaseBudgetSleepsItsLastRound) {
+  Rng rng(1);
+  const Graph g = gen::gnp_avg_degree(2000, 8.0, rng);
+  FastSleepingMisOptions options;
+  options.base_rounds = 3;
+  auto [metrics, outputs] = run_on(g, 1, nullptr, options);
+  EXPECT_EQ(metrics.makespan,
+            schedule_duration(fast_recursion_depth(2000), 3));
+  EXPECT_TRUE(analysis::check_mis(g, outputs).ok());
+}
+
 TEST(FastSleepingMisTest, LevelsOverrideUsesDeeperTree) {
   Rng rng(3);
   const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
@@ -165,6 +187,34 @@ TEST(FastSleepingMisTest, BaseRanksRecorded) {
   // Ranks fit the declared bit width.
   const std::uint64_t limit = 1ULL << rank_bits_for(32);
   for (std::uint64_t r : trace.base_rank) EXPECT_LT(r, limit);
+}
+
+TEST(FastSleepingMisTest, RunMisTraceMatchesProtocolTrace) {
+  // analysis::run_mis builds its protocol through algos::mis_protocol,
+  // which must hand the trace to Algorithm 2 as the factory does.
+  Rng rng(8);
+  const Graph g = gen::gnp_avg_degree(300, 8.0, rng);
+  RecursionTrace via_run_mis;
+  RecursionTrace via_factory;
+  const auto run = analysis::run_mis(algos::MisEngine::kFastSleeping, g, 7,
+                                     {.trace = &via_run_mis});
+  const auto direct = run_on(g, 7, &via_factory);
+  EXPECT_EQ(run.outputs, direct.outputs);
+  EXPECT_EQ(via_run_mis.levels, via_factory.levels);
+  EXPECT_EQ(via_run_mis.bits, via_factory.bits);
+  EXPECT_EQ(via_run_mis.base_rank, via_factory.base_rank);
+  ASSERT_FALSE(via_factory.calls.empty());
+  ASSERT_EQ(via_run_mis.calls.size(), via_factory.calls.size());
+  for (const auto& [key, stats] : via_factory.calls) {
+    const auto it = via_run_mis.calls.find(key);
+    ASSERT_NE(it, via_run_mis.calls.end())
+        << "call (k=" << key.first << ", path=" << key.second << ")";
+    EXPECT_EQ(it->second.participants, stats.participants);
+    EXPECT_EQ(it->second.left, stats.left);
+    EXPECT_EQ(it->second.right, stats.right);
+    EXPECT_EQ(it->second.isolated_joins, stats.isolated_joins);
+    EXPECT_EQ(it->second.first_round, stats.first_round);
+  }
 }
 
 }  // namespace

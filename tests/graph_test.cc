@@ -1,9 +1,19 @@
 // Unit tests for the CSR graph substrate.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
+#include "algos/edge_coloring.h"
+#include "algos/matching.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
+#include "graph/io.h"
+#include "graph/transforms.h"
+#include "util/alloc.h"
+#include "util/rng.h"
 
 namespace slumber {
 namespace {
@@ -133,6 +143,59 @@ TEST(GraphTest, BuilderAcceptsBothOrientations) {
 TEST(GraphTest, SummaryString) {
   Graph g(3, {{0, 1}, {1, 2}});
   EXPECT_EQ(g.summary(), "n=3 m=2 maxdeg=2");
+}
+
+// The CSR is a graph's only stored form: a from_csr twin of an
+// edge-built graph derives the same edge list, transforms and
+// reductions from it.
+TEST(GraphTest, FromCsrTwinMatchesEdgeBuiltGraph) {
+  Rng rng(3);
+  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
+  util::PodVector<CsrOffset> offsets{0};
+  util::PodVector<VertexId> adjacency;
+  for (VertexId v = 0; v < a.num_vertices(); ++v) {
+    const auto nbrs = a.neighbors(v);
+    adjacency.insert(adjacency.end(), nbrs.begin(), nbrs.end());
+    offsets.push_back(adjacency.size());
+  }
+  const Graph b = Graph::from_csr(a.num_vertices(), std::move(offsets),
+                                  std::move(adjacency));
+  ASSERT_TRUE(b.same_csr(a));
+  EXPECT_EQ(b.edges(), a.edges());
+
+  std::vector<VertexId> every_other;
+  for (VertexId v = 0; v < a.num_vertices(); v += 2) every_other.push_back(v);
+  std::vector<VertexId> shuffled(a.num_vertices());
+  std::iota(shuffled.begin(), shuffled.end(), VertexId{0});
+  Rng(5).shuffle(shuffled);
+  shuffled.resize(900);
+  for (const auto& subset : {every_other, shuffled}) {
+    const auto [sub_a, map_a] = a.induced(subset);
+    const auto [sub_b, map_b] = b.induced(subset);
+    EXPECT_GT(sub_a.num_edges(), 0u);
+    EXPECT_TRUE(sub_b.same_csr(sub_a));
+    EXPECT_EQ(map_b, map_a);
+  }
+  EXPECT_TRUE(b.line_graph().same_csr(a.line_graph()));
+  EXPECT_TRUE(power(b, 1).same_csr(power(a, 1)));
+  EXPECT_TRUE(power(b, 2).same_csr(power(a, 2)));
+  EXPECT_TRUE(subdivision(b).same_csr(subdivision(a)));
+  EXPECT_TRUE(mycielski(b).same_csr(mycielski(a)));
+  const Graph parts_a[] = {a, a};
+  const Graph parts_b[] = {b, b};
+  EXPECT_TRUE(disjoint_union(parts_b).same_csr(disjoint_union(parts_a)));
+
+  const auto matching_a =
+      algos::maximal_matching_via_mis(a, 3, algos::MisEngine::kSleeping);
+  const auto matching_b =
+      algos::maximal_matching_via_mis(b, 3, algos::MisEngine::kSleeping);
+  EXPECT_EQ(matching_b.matched_edges, matching_a.matched_edges);
+  EXPECT_TRUE(algos::is_maximal_matching(b, matching_b.matched_edges));
+  const auto coloring_a = algos::edge_coloring_via_line_graph(a, 3);
+  const auto coloring_b = algos::edge_coloring_via_line_graph(b, 3);
+  EXPECT_EQ(coloring_b.colors, coloring_a.colors);
+  EXPECT_TRUE(algos::check_edge_coloring(b, coloring_b.colors));
+  EXPECT_EQ(io::to_string(b), io::to_string(a));
 }
 
 }  // namespace

@@ -52,6 +52,7 @@ TEST(MatchingTest, EmptyGraphEmptyMatching) {
 TEST(MatchingTest, VerifierRejectsNonMatching) {
   const Graph g = gen::path(4);  // edges: {0,1}=0, {1,2}=1, {2,3}=2
   EXPECT_FALSE(is_maximal_matching(g, {0, 1}));  // share vertex 1
+  EXPECT_FALSE(is_maximal_matching(g, {0, 7}));  // 7 is not an edge id
 }
 
 TEST(MatchingTest, VerifierRejectsNonMaximal) {

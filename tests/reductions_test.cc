@@ -57,6 +57,7 @@ TEST(ReductionBoundsTest, ColorClassesAreMatchings) {
       result.colors.empty()
           ? -1
           : *std::max_element(result.colors.begin(), result.colors.end());
+  const std::vector<Edge> edges = g.edges();
   for (std::int64_t c = 0; c <= max_color; ++c) {
     std::vector<EdgeId> cls;
     for (EdgeId e = 0; e < result.colors.size(); ++e) {
@@ -65,7 +66,7 @@ TEST(ReductionBoundsTest, ColorClassesAreMatchings) {
     // A matching: no two class edges share an endpoint.
     std::vector<std::uint8_t> covered(g.num_vertices(), 0);
     for (EdgeId e : cls) {
-      const Edge edge = g.edges()[e];
+      const Edge edge = edges[e];
       EXPECT_FALSE(covered[edge.u] || covered[edge.v])
           << "color " << c << " is not a matching";
       covered[edge.u] = 1;
@@ -105,8 +106,9 @@ TEST(ReductionBoundsTest, SubdivisionMatchingPairsAcrossBipartition) {
   const Graph s = subdivision(base);
   const auto result = maximal_matching_via_mis(s, 77, MisEngine::kLubyA);
   ASSERT_TRUE(is_maximal_matching(s, result.matched_edges));
+  const std::vector<Edge> edges = s.edges();
   for (EdgeId e : result.matched_edges) {
-    const Edge edge = s.edges()[e];
+    const Edge edge = edges[e];
     const bool u_is_original = edge.u < base.num_vertices();
     const bool v_is_original = edge.v < base.num_vertices();
     EXPECT_NE(u_is_original, v_is_original);

@@ -56,7 +56,6 @@ TEST(ShardedGen, BitwiseIdenticalAcrossLaneCounts) {
       ref_options.stats_out = &ref_stats;
       const Graph reference =
           gen::gnp_avg_degree_sharded_csr(n, 8.0, seed, ref_options);
-      EXPECT_FALSE(reference.has_edge_list());
       for (const unsigned lanes : kLaneCounts) {
         SCOPED_TRACE(testing::Message()
                      << "n=" << n << " seed=" << seed << " lanes=" << lanes);
@@ -239,7 +238,6 @@ TEST(ShardedGen, MakeRoutesGnpFamiliesThroughShardedSchedule) {
       gen::make(gen::Family::kGnpSparse, 3000, 17, options);
   const Graph direct = gen::gnp_avg_degree_sharded_csr(3000, 8.0, 17);
   ExpectSameCsr(via_make, direct);
-  EXPECT_FALSE(via_make.has_edge_list());
   // Non-gnp families have one schedule; both spellings agree.
   const Graph cycle_sharded =
       gen::make(gen::Family::kCycle, 100, 1, options);

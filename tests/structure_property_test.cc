@@ -37,10 +37,11 @@ TEST_P(StructureFuzzTest, LineGraphMatchesDefinition) {
   const Graph g = gen::gnp(16, 0.3, rng);
   const Graph line = g.line_graph();
   ASSERT_EQ(line.num_vertices(), g.num_edges());
-  for (EdgeId a = 0; a < g.num_edges(); ++a) {
-    for (EdgeId b = a + 1; b < g.num_edges(); ++b) {
-      const Edge ea = g.edges()[a];
-      const Edge eb = g.edges()[b];
+  const std::vector<Edge> edges = g.edges();
+  for (EdgeId a = 0; a < edges.size(); ++a) {
+    for (EdgeId b = a + 1; b < edges.size(); ++b) {
+      const Edge ea = edges[a];
+      const Edge eb = edges[b];
       const bool share = ea.u == eb.u || ea.u == eb.v || ea.v == eb.u ||
                          ea.v == eb.v;
       EXPECT_EQ(line.has_edge(a, b), share) << a << "," << b;

@@ -15,12 +15,10 @@
 // bulk; every other command rejects --engine bulk with exit 2.
 //
 // A global `--gen <legacy|sharded>` flag selects the G(n, p) seed
-// schedule for the gnp families (see graph/generators.h): legacy is
-// the single-stream generator, sharded the counter-based per-block
-// one, whose CSR build parallelizes over the --threads lanes under
-// --engine bulk and which produces memory-diet (CSR-only) graphs.
-// Commands that need the staged edge list (matching, edge-color,
-// ruling-set) reject --gen sharded with an explanation.
+// schedule for the gnp families (see graph/generators.h) in every
+// command that builds a graph: legacy is the single-stream generator,
+// sharded the counter-based per-block one, whose CSR build
+// parallelizes over the --threads lanes under --engine bulk.
 //
 // Fault-injection flags (run / sweep / beep; see fault/fault.h) ride
 // the same global grammar: `--crash V@R` fail-stops node V at round R
@@ -39,8 +37,8 @@
 // alive subgraph. Every other command rejects fault flags with exit 2.
 //
 // `--mem-diet` (run, with --engine bulk) drops the bulk engine's
-// per-node metrics, 56 B/node: with --gen sharded's CSR-only graphs it
-// is the 10^8-node memory envelope. Node-averaged awake and worst-case
+// per-node metrics, 56 B/node: with --gen sharded's parallel CSR build
+// it is the 10^8-node memory envelope. Node-averaged awake and worst-case
 // rounds stay exact (from the aggregate counters); worst-case awake,
 // node-averaged rounds and the energy estimate need per-node data and
 // are not printed.
@@ -110,8 +108,6 @@
 #include "analysis/trial_spec.h"
 #include "analysis/verify.h"
 #include "core/schedule.h"
-#include "core/sleeping_mis.h"
-#include "core/fast_sleeping_mis.h"
 #include "energy/energy.h"
 #include "graph/generators.h"
 #include "graph/io.h"
@@ -140,18 +136,6 @@ Graph make_cli_graph(const gen::Family family, const VertexId n,
   options.schedule = g_spec.schedule;
   options.pool = pool;
   return gen::make(family, n, seed, options);
-}
-
-/// Commands that reduce through the staged edge list cannot take
-/// memory-diet graphs; fail with an explanation instead of a throw.
-bool check_edge_list_schedule(const char* command) {
-  if (g_spec.schedule == gen::Schedule::kSharded) {
-    std::cerr << "error: " << command
-              << " needs an edge-list graph; --gen sharded builds CSR-only "
-                 "memory-diet graphs (use --gen legacy)\n";
-    return false;
-  }
-  return true;
 }
 
 using util::parse_uint;  // full-token std::from_chars validation
@@ -486,24 +470,17 @@ int cmd_graph(const gen::Family family, const VertexId n,
 
 int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
               const VertexId n, const std::uint64_t seed) {
+  if (!analysis::engine_uses_sleeping(engine)) {
+    std::cerr << "trace: only the sleeping engines are supported\n";
+    return 2;
+  }
   const Graph g = make_cli_graph(family, n, seed);
   sim::RingTrace trace(60);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   options.trace = &trace;
-  sim::Protocol protocol;
-  switch (engine) {
-    case analysis::MisEngine::kSleeping:
-      protocol = core::sleeping_mis();
-      break;
-    case analysis::MisEngine::kFastSleeping:
-      protocol = core::fast_sleeping_mis();
-      break;
-    default:
-      std::cerr << "trace: only the sleeping engines are supported\n";
-      return 2;
-  }
-  auto [metrics, outputs] = sim::run_protocol(g, seed, protocol, options);
+  auto [metrics, outputs] =
+      sim::run_protocol(g, seed, algos::mis_protocol(engine), options);
   std::cout << trace.render();
   std::cout << "total events: " << trace.total_events()
             << ", makespan: " << metrics.makespan << "\n";
@@ -512,8 +489,7 @@ int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
                  const VertexId n, const std::uint64_t seed) {
-  if (!check_edge_list_schedule("matching")) return 2;
-  const Graph g = gen::make(family, n, seed);
+  const Graph g = make_cli_graph(family, n, seed);
   std::cout << "graph: " << g.summary() << ", line graph n = "
             << g.num_edges() << "\n";
   const auto result = algos::maximal_matching_via_mis(g, seed, engine);
@@ -530,8 +506,7 @@ int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_edge_color(const gen::Family family, const VertexId n,
                    const std::uint64_t seed) {
-  if (!check_edge_list_schedule("edge-color")) return 2;
-  const Graph g = gen::make(family, n, seed);
+  const Graph g = make_cli_graph(family, n, seed);
   const auto result = algos::edge_coloring_via_line_graph(g, seed);
   const bool valid = algos::check_edge_coloring(g, result.colors);
   std::cout << "graph: " << g.summary() << "\n"
@@ -545,8 +520,7 @@ int cmd_edge_color(const gen::Family family, const VertexId n,
 int cmd_ruling_set(const analysis::MisEngine engine, const gen::Family family,
                    const VertexId n, const std::uint32_t k,
                    const std::uint64_t seed) {
-  if (!check_edge_list_schedule("ruling-set")) return 2;
-  const Graph g = gen::make(family, n, seed);
+  const Graph g = make_cli_graph(family, n, seed);
   const auto result = algos::ruling_set_via_mis(g, k, seed, engine);
   const auto check = algos::check_ruling_set(g, result.rulers, k + 1, k);
   std::cout << "graph: " << g.summary() << ", power G^" << k << "\n"
