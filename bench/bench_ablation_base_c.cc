@@ -41,8 +41,7 @@ int main() {
       double makespan_total = 0.0;
       const std::uint64_t base_rounds = core::greedy_base_rounds(n, c);
       for (std::uint32_t s = 0; s < seeds; ++s) {
-        Rng rng(n + s);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
         core::FastSleepingMisOptions options;
         options.levels = levels;
         options.base_c = c;

@@ -36,8 +36,7 @@ int main() {
     double r_total = 0.0;
     std::uint32_t invalid = 0;
     for (std::uint32_t s = 0; s < kSeeds; ++s) {
-      Rng rng(1000 + s);
-      const Graph g = gen::gnp_avg_degree(kN, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, 1000 + s);
       core::RecursionTrace trace;
       core::SleepingMisOptions options;
       options.coin_bias = p;

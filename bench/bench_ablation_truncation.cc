@@ -36,8 +36,7 @@ int main() {
     std::uint32_t invalid = 0;
     std::uint64_t makespan = 0;
     for (std::uint32_t s = 0; s < kSeeds; ++s) {
-      Rng rng(500 + s);
-      const Graph g = gen::gnp_avg_degree(kN, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, 500 + s);
       core::RecursionTrace trace;
       core::FastSleepingMisOptions options;
       options.levels = k2;

@@ -38,8 +38,9 @@ int main() {
   std::vector<Workload> workloads;
   workloads.push_back({"random_tree (a=1)", gen::random_tree(kN, rng)});
   workloads.push_back({"cycle (a~2)", gen::cycle(kN)});
-  workloads.push_back({"gnp avg-deg 8", gen::gnp_avg_degree(kN, 8.0, rng)});
-  workloads.push_back({"gnp dense p=0.25", gen::gnp(kN, 0.25, rng)});
+  workloads.push_back(
+      {"gnp avg-deg 8", gen::gnp_avg_degree_sharded_csr(kN, 8.0, 4)});
+  workloads.push_back({"gnp dense p=0.25", gen::gnp_sharded_csr(kN, 0.25, 5)});
   workloads.push_back(
       {"lollipop (clique n/2)", gen::lollipop(kN, kN / 2)});
   workloads.push_back({"complete (a~n/2)", gen::complete(kN)});

@@ -29,8 +29,7 @@ using namespace slumber;
 // parallel batch.
 sim::Metrics run_sleeping(VertexId n, std::uint64_t graph_seed,
                           std::uint64_t run_seed) {
-  Rng rng(graph_seed);
-  const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, graph_seed);
   sim::Network net(g, run_seed);
   return net.run(core::sleeping_mis());
 }

@@ -46,8 +46,7 @@ int main() {
         const MisEngine engine = engines[(t / kSeeds) % engines.size()];
         const std::uint64_t seed = analysis::trial_seed(
             31 * n, static_cast<std::uint32_t>(t % kSeeds));
-        Rng rng(seed);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
         return analysis::run_mis(engine, g, seed);
       });
 

@@ -38,8 +38,7 @@ int main() {
     double beeping_total = 0.0;
     std::uint32_t beep_bits = 0;
     for (std::uint32_t s = 0; s < seeds; ++s) {
-      Rng rng(n + s);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
       sim::NetworkOptions options;
       options.max_message_bits = 1;  // the whole point of beeping
       auto [metrics, outputs] =
@@ -57,8 +56,7 @@ int main() {
     auto engine_avg = [&](MisEngine engine, std::uint32_t* bits_seen) {
       double total = 0.0;
       for (std::uint32_t s = 0; s < seeds; ++s) {
-        Rng rng(n + s);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
         const auto run = analysis::run_mis(engine, g, 3 * n + s);
         if (!run.valid) {
           std::cerr << "INVALID " << analysis::engine_name(engine)

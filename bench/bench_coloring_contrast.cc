@@ -34,8 +34,7 @@ int main() {
     double coloring_total = 0.0;
     const std::uint32_t seeds = 5;
     for (std::uint32_t s = 0; s < seeds; ++s) {
-      Rng rng(n + s);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
       sim::NetworkOptions options;
       options.max_message_bits = sim::congest_bits_for(n);
       auto [metrics, outputs] =
@@ -50,8 +49,7 @@ int main() {
 
     double greedy_coloring_total = 0.0;
     for (std::uint32_t s = 0; s < seeds; ++s) {
-      Rng rng(n + s);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
       sim::NetworkOptions options;
       options.max_message_bits = sim::congest_bits_for(n);
       auto [metrics, outputs] =
@@ -67,8 +65,7 @@ int main() {
     auto mis_avg = [&](MisEngine engine) {
       double total = 0.0;
       for (std::uint32_t s = 0; s < seeds; ++s) {
-        Rng rng(n + s);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
         const auto run = analysis::run_mis(engine, g, 2 * n + s);
         total += run.metrics.node_avg_decided();
       }

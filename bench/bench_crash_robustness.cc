@@ -30,8 +30,7 @@ Outcome sweep(MisEngine engine, double crash_prob, std::uint32_t seeds) {
   Outcome out;
   const VertexId n = 512;
   for (std::uint32_t s = 0; s < seeds; ++s) {
-    Rng rng(n + s);
-    const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + s);
     fault::FaultPlan plan;
     plan.crash_prob = crash_prob;
     sim::NetworkOptions options;

@@ -34,8 +34,7 @@ int main() {
     double worst_total = 0.0;
     bool all_valid = true;
     for (std::uint32_t s = 0; s < seeds; ++s) {
-      Rng rng(n * 3 + s);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n * 3 + s);
       const auto result = algos::edge_coloring_via_line_graph(g, n + s);
       all_valid = all_valid && algos::check_edge_coloring(g, result.colors);
       delta_total += g.max_degree();

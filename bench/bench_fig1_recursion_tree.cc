@@ -32,8 +32,7 @@ int main() {
 
   std::cout << analysis::banner(
       "E2 (part 2): measured recursion tree on G(48, avg deg 6), seed 7");
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(48, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(48, 6.0, 7);
   core::RecursionTrace trace;
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());

@@ -56,8 +56,7 @@ int main() {
     std::uint64_t makespan = 0;
     const std::uint32_t seeds = 5;
     for (std::uint32_t s = 0; s < seeds; ++s) {
-      Rng rng(100 + s);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, 100 + s);
       core::RecursionTrace trace;
       const auto run = analysis::run_mis(analysis::MisEngine::kFastSleeping, g,
                                          200 + s, {.trace = &trace});

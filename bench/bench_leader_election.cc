@@ -62,11 +62,11 @@ int main() {
       std::string name;
       Graph g;
     };
-    Rng rng(n);
     std::vector<Case> cases;
     cases.push_back({"star", gen::star(n)});
     cases.push_back({"cycle", gen::cycle(n)});
-    cases.push_back({"gnp avg-deg 8", gen::gnp_avg_degree(n, 8.0, rng)});
+    cases.push_back(
+        {"gnp avg-deg 8", gen::gnp_avg_degree_sharded_csr(n, 8.0, n)});
     for (const Case& c : cases) {
       if (!is_connected(c.g)) continue;
       const Row row = measure(c.g, 17 * n + 5, seeds);

@@ -32,8 +32,7 @@ int main() {
       double delivered = 0.0;
       double dropped = 0.0;
       for (std::uint32_t s = 0; s < seeds; ++s) {
-        Rng rng(n * 11 + s);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n * 11 + s);
         const auto run = analysis::run_mis(engine, g, n + 51 * s);
         if (!run.valid) {
           std::cerr << "INVALID " << analysis::engine_name(engine)

@@ -26,8 +26,7 @@ constexpr std::uint32_t kSeeds = 40;
 double validity_rate(const sim::Protocol& protocol, double loss) {
   std::uint32_t valid = 0;
   for (std::uint32_t s = 0; s < kSeeds; ++s) {
-    Rng rng(10 + s);
-    const Graph g = gen::gnp_avg_degree(kN, 6.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 6.0, 10 + s);
     fault::FaultPlan plan;
     plan.loss_prob = loss;
     sim::NetworkOptions options;

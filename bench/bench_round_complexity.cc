@@ -28,8 +28,7 @@ int main() {
   std::vector<double> alg1;
   std::vector<double> alg2;
   for (const VertexId n : {32u, 64u, 128u, 256u, 512u}) {
-    Rng rng(3 * n);
-    const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, 3 * n);
     const auto run1 = analysis::run_mis(MisEngine::kSleeping, g, n + 1);
     const auto run2 = analysis::run_mis(MisEngine::kFastSleeping, g, n + 1);
     const auto run3 = analysis::run_mis(MisEngine::kLubyA, g, n + 1);

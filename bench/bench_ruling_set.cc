@@ -36,8 +36,7 @@ int main() {
         double deg_total = 0.0;
         bool all_valid = true;
         for (std::uint32_t s = 0; s < seeds; ++s) {
-          Rng rng(n * 13 + s);
-          const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+          const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n * 13 + s);
           const auto result =
               algos::ruling_set_via_mis(g, k, n + 97 * s, engine);
           const auto check =

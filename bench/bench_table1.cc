@@ -48,8 +48,7 @@ int main() {
       const auto agg = analysis::aggregate_mis(
           engine,
           [n](std::uint64_t seed) {
-            Rng rng(seed);
-            return gen::gnp_avg_degree(n, 8.0, rng);
+            return gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
           },
           10 * n, kSeeds);
       avg_awake[engine].push_back(agg.node_avg_awake_mean);

@@ -28,8 +28,7 @@ int main() {
       std::vector<double> all_awake;
       const std::uint32_t seeds = 5;
       for (std::uint32_t s = 0; s < seeds; ++s) {
-        Rng rng(7 * n + s);
-        const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+        const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, 7 * n + s);
         const auto run = analysis::run_mis(engine, g, 13 * n + s);
         worst_total += static_cast<double>(run.worst_awake);
         for (const auto& m : run.metrics.node) {

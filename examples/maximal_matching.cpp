@@ -18,8 +18,7 @@ int main() {
   using namespace slumber;
 
   // A 48-port switch with random circuit requests (G(48, avg deg 5)).
-  Rng rng(3);
-  const Graph requests = gen::gnp_avg_degree(48, 5.0, rng);
+  const Graph requests = gen::gnp_avg_degree_sharded_csr(48, 5.0, 3);
   std::cout << "circuit requests: " << requests.summary() << " (line graph: "
             << requests.line_graph().summary() << ")\n\n";
 

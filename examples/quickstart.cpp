@@ -22,8 +22,7 @@ int main() {
 
   // 1. A workload: G(64, avg degree 6), deterministic in the seed.
   const std::uint64_t seed = 2020;  // PODC 2020
-  Rng rng(seed);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, seed);
   std::cout << "graph: " << g.summary() << "\n";
 
   // 2. Run Algorithm 1 under the CONGEST(log n) budget.

@@ -2,7 +2,7 @@
 // of the paper's Table 1 evolve with n for Algorithm 1, Algorithm 2,
 // and Luby's baseline, on a topology of the user's choice?
 //
-//   $ ./scaling_study [family] [max_n] [threads] [exec] [gen]
+//   $ ./scaling_study [family] [max_n] [threads] [exec]
 //
 // where family is one of: gnp_sparse (default), cycle, star, grid,
 // lollipop, random_tree, barabasi_albert, unit_disk, ...; threads is
@@ -16,13 +16,8 @@
 // opening two orders of magnitude more n: `./scaling_study gnp_sparse
 // 4194304 0 bulk` reproduces the paper's flat awake-complexity curve
 // at multi-million node scale (Algorithm 2 has no bulk port yet and is
-// skipped there).
-//
-// gen is "legacy" (default) or "sharded": the G(n, p) seed schedule
-// for the gnp families (graph/generators.h). "sharded" uses the
-// counter-based per-block generator — bit-reproducible in (n, seed) at
-// every lane count, but a different realization than "legacy"; in bulk
-// mode its CSR build additionally shards over the trial lanes.
+// skipped there). In bulk mode the gnp families' CSR build shards over
+// the trial lanes too (graph/generators.h).
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -51,15 +46,6 @@ int main(int argc, char** argv) {
               << "'; options: coroutine bulk\n";
     return 1;
   }
-  gen::Schedule schedule = gen::Schedule::kLegacy;
-  if (argc > 5 && !gen::schedule_from_name(argv[5], &schedule)) {
-    std::cerr << "unknown generator schedule '" << argv[5] << "'; options:";
-    for (const gen::Schedule s : gen::all_schedules()) {
-      std::cerr << ' ' << gen::schedule_name(s);
-    }
-    std::cerr << "\n";
-    return 1;
-  }
 
   gen::Family family = gen::Family::kGnpSparse;
   bool found = false;
@@ -81,9 +67,7 @@ int main(int argc, char** argv) {
 
   std::cout << analysis::banner("scaling study on " + family_name + " (" +
                                 analysis::exec_engine_name(exec) +
-                                " execution, " +
-                                gen::schedule_name(schedule) +
-                                " generator)");
+                                " execution)");
   std::vector<analysis::MisEngine> engines = {
       analysis::MisEngine::kSleeping, analysis::MisEngine::kFastSleeping,
       analysis::MisEngine::kLubyA};
@@ -106,27 +90,24 @@ int main(int argc, char** argv) {
     for (VertexId n = 64; n <= max_n; n *= 4) {
       constexpr std::uint32_t kSeeds = 3;
       analysis::AggregateRun agg;
-      gen::MakeOptions make_options;
-      make_options.schedule = schedule;
       if (exec == analysis::ExecEngine::kBulk) {
         // Same seed schedule and reduction order as aggregate_mis, so
         // this is bitwise identical to the trial-parallel coroutine
-        // path where the engines overlap. Sharded-schedule builds
-        // shard their CSR passes over the trial lanes too.
-        make_options.pool = &bulk_pool;
+        // path where the engines overlap. The gnp builds shard their
+        // CSR passes over the trial lanes too.
         std::vector<analysis::MisRun> runs;
         runs.reserve(kSeeds);
         for (std::uint32_t s = 0; s < kSeeds; ++s) {
           const std::uint64_t seed = analysis::trial_seed(1000 + n, s);
-          const Graph g = gen::make(family, n, seed, make_options);
+          const Graph g = gen::make(family, n, seed, &bulk_pool);
           runs.push_back(analysis::run_mis(
               engine, g, seed, {.exec = exec, .pool = &bulk_pool}));
         }
         agg = analysis::aggregate_runs(runs);
       } else {
         agg = analysis::aggregate_mis(
-            engine, analysis::graph_factory(family, n, make_options),
-            1000 + n, kSeeds, {.exec = exec});
+            engine, analysis::graph_factory(family, n), 1000 + n, kSeeds,
+            {.exec = exec});
       }
       if (agg.invalid_runs > 0) {
         std::cerr << "invalid runs at n=" << n << "\n";

@@ -240,11 +240,8 @@ MisRun run_mis(MisEngine engine, const Graph& g, std::uint64_t seed,
 }
 
 std::function<Graph(std::uint64_t)> graph_factory(gen::Family family,
-                                                  VertexId n,
-                                                  gen::MakeOptions options) {
-  return [family, n, options](std::uint64_t seed) {
-    return gen::make(family, n, seed, options);
-  };
+                                                  VertexId n) {
+  return [family, n](std::uint64_t seed) { return gen::make(family, n, seed); };
 }
 
 }  // namespace slumber::analysis

@@ -171,14 +171,11 @@ AggregateRun aggregate_mis(MisEngine engine, const GraphFactory& make_graph,
                            const RunOptions& opts = {});
 
 /// The factory the sweep-style runners hand to run_trials /
-/// aggregate_mis: trial seed -> gen::make(family, n, seed, options).
-/// This is where a generation schedule (gen::Schedule::kSharded, first
-/// touch) plugs into the experiment layer; `options` is captured by
-/// value and any pool it names must outlive the factory. Trials run
-/// concurrently under the parallel runner, so prefer a null pool there
-/// (a nested same-pool build would just run inline anyway).
-std::function<Graph(std::uint64_t)> graph_factory(
-    gen::Family family, VertexId n, gen::MakeOptions options = {});
+/// aggregate_mis: trial seed -> gen::make(family, n, seed). Trials run
+/// concurrently under the parallel runner, so each graph is built
+/// serially on its trial's lane.
+std::function<Graph(std::uint64_t)> graph_factory(gen::Family family,
+                                                  VertexId n);
 
 }  // namespace slumber::analysis
 

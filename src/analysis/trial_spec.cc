@@ -52,16 +52,6 @@ bool parse_trial_flags(std::vector<std::string>* args, TrialSpec* spec,
             << "'; valid back ends: coroutine bulk\n";
         return false;
       }
-    } else if (flag == "--gen") {
-      if (!flag_value(a, i, "--gen", err)) return false;
-      if (!gen::schedule_from_name(a[++i], &spec->schedule)) {
-        err << "error: unknown --gen '" << a[i] << "'; valid generators:";
-        for (const gen::Schedule schedule : gen::all_schedules()) {
-          err << ' ' << gen::schedule_name(schedule);
-        }
-        err << '\n';
-        return false;
-      }
     } else if (flag == "--crash") {
       if (!flag_value(a, i, "--crash", err)) return false;
       const std::string& token = a[++i];
@@ -148,6 +138,9 @@ bool parse_trial_flags(std::vector<std::string>* args, TrialSpec* spec,
       spec->obs.progress = true;
     } else if (flag == "--mem-diet") {
       spec->node_metrics = false;
+    } else if (flag.starts_with("--")) {
+      err << "error: unknown flag '" << flag << "'\n";
+      return false;
     } else {
       rest.push_back(std::move(a[i]));
     }

@@ -1,17 +1,16 @@
 // The one command-line vocabulary of the `slumber` CLI.
 //
 // A TrialSpec bundles the flags every trial-running command shares:
-// the execution back end (--engine), the G(n, p) seed schedule (--gen),
-// the lane count (--threads), the fault plan (--crash v@r, --loss p,
-// --loss-burst p_on p_off len, --churn rate, --churn-batches k,
-// --churn-live leave join, --recover mean), the memory diet
-// (--mem-diet), and the telemetry sinks (--obs-out, --obs-trace,
-// --progress). parse_trial_flags() consumes those flags -- wherever
-// they appear -- from an argument vector and leaves the positional
-// arguments behind, so every command accepts the identical grammar
-// with the identical diagnostics (full-token std::from_chars
-// validation; unknown values are rejected with the list of valid
-// names).
+// the execution back end (--engine), the lane count (--threads), the
+// fault plan (--crash v@r, --loss p, --loss-burst p_on p_off len,
+// --churn rate, --churn-batches k, --churn-live leave join, --recover
+// mean), the memory diet (--mem-diet), and the telemetry sinks
+// (--obs-out, --obs-trace, --progress). parse_trial_flags() consumes
+// those flags -- wherever they appear -- from an argument vector and
+// leaves the positional arguments behind, so every command accepts the
+// identical grammar with the identical diagnostics (full-token
+// std::from_chars validation; unknown values are rejected with the
+// list of valid names, and an unknown `--` flag by name).
 #pragma once
 
 #include <iostream>
@@ -20,7 +19,6 @@
 
 #include "analysis/experiment.h"
 #include "fault/fault.h"
-#include "graph/generators.h"
 #include "obs/obs.h"
 
 namespace slumber::analysis {
@@ -29,7 +27,6 @@ namespace slumber::analysis {
 /// `fault_or_null()` so a fault-free spec costs the engines nothing.
 struct TrialSpec {
   ExecEngine exec = ExecEngine::kCoroutine;
-  gen::Schedule schedule = gen::Schedule::kLegacy;
   /// --threads lane count; 0 = all hardware threads.
   unsigned threads = 0;
   fault::FaultPlan fault;
@@ -56,13 +53,13 @@ struct TrialSpec {
 
 /// Consumes every recognized shared flag from `args` (in place, any
 /// position) into `spec`. Returns false after printing a diagnostic to
-/// `err` on malformed or out-of-range values, unknown --engine/--gen
-/// names, or a bulk-only request (churn, live churn, recovery, the
-/// memory diet) on the coroutine back end -- say `--engine bulk`.
+/// `err` on malformed or out-of-range values, an unknown --engine
+/// name, any other token starting with `--` (an unknown flag), or a
+/// bulk-only request (churn, live churn, recovery, the memory diet) on
+/// the coroutine back end -- say `--engine bulk`.
 ///
 ///   --threads N         lane count (>= 1)
 ///   --engine NAME       coroutine | bulk
-///   --gen NAME          generation schedule (gen::all_schedules())
 ///   --crash V@R         fail-stop node V at round R (repeatable)
 ///   --loss P            per-link-per-round symmetric message loss
 ///   --loss-burst P_ON P_OFF LEN

@@ -5,8 +5,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "graph/gnp_detail.h"
-
 namespace slumber::gen {
 
 Graph empty(VertexId n) { return Graph(n, {}); }
@@ -15,186 +13,153 @@ Graph complete(VertexId n) {
   const std::uint64_t m =
       n < 2 ? 0 : checked_edge_count(std::uint64_t{n} * (n - 1) / 2,
                                      "complete");
-  GraphBuilder builder(n);
-  builder.reserve(m);
+  std::vector<Edge> edges;
+  edges.reserve(m);
   for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) builder.add_edge(u, v);
+    for (VertexId v = u + 1; v < n; ++v) edges.push_back({u, v});
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph cycle(VertexId n) {
   if (n < 3) throw std::invalid_argument("cycle: need n >= 3");
-  GraphBuilder builder(n);
-  builder.reserve(n);
-  for (VertexId v = 0; v < n; ++v) builder.add_edge(v, (v + 1) % n);
-  return std::move(builder).build();
+  std::vector<Edge> edges;
+  edges.reserve(n);
+  for (VertexId v = 0; v < n; ++v) edges.push_back({v, (v + 1) % n});
+  return Graph(n, std::move(edges));
 }
 
 Graph path(VertexId n) {
-  GraphBuilder builder(n);
-  builder.reserve(n > 0 ? n - 1 : 0);
-  for (VertexId v = 0; v + 1 < n; ++v) builder.add_edge(v, v + 1);
-  return std::move(builder).build();
+  std::vector<Edge> edges;
+  edges.reserve(n > 0 ? n - 1 : 0);
+  for (VertexId v = 0; v + 1 < n; ++v) edges.push_back({v, v + 1});
+  return Graph(n, std::move(edges));
 }
 
 Graph star(VertexId n) {
-  GraphBuilder builder(n);
-  builder.reserve(n > 0 ? n - 1 : 0);
-  for (VertexId v = 1; v < n; ++v) builder.add_edge(0, v);
-  return std::move(builder).build();
+  std::vector<Edge> edges;
+  edges.reserve(n > 0 ? n - 1 : 0);
+  for (VertexId v = 1; v < n; ++v) edges.push_back({0, v});
+  return Graph(n, std::move(edges));
 }
 
 Graph complete_bipartite(VertexId a, VertexId b) {
-  GraphBuilder builder(
-      checked_vertex_count(std::uint64_t{a} + b, "complete_bipartite"));
-  builder.reserve(
+  const VertexId n =
+      checked_vertex_count(std::uint64_t{a} + b, "complete_bipartite");
+  std::vector<Edge> edges;
+  edges.reserve(
       checked_edge_count(std::uint64_t{a} * b, "complete_bipartite"));
   for (VertexId u = 0; u < a; ++u) {
-    for (VertexId v = 0; v < b; ++v) builder.add_edge(u, a + v);
+    for (VertexId v = 0; v < b; ++v) edges.push_back({u, a + v});
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph grid(VertexId rows, VertexId cols) {
-  GraphBuilder builder(
-      checked_vertex_count(std::uint64_t{rows} * cols, "grid"));
+  const VertexId n = checked_vertex_count(std::uint64_t{rows} * cols, "grid");
+  std::vector<Edge> edges;
   if (rows > 0 && cols > 0) {
-    builder.reserve(std::uint64_t{rows} * (cols - 1) +
-                    std::uint64_t{rows - 1} * cols);
+    edges.reserve(std::uint64_t{rows} * (cols - 1) +
+                  std::uint64_t{rows - 1} * cols);
   }
   auto id = [cols](VertexId r, VertexId c) { return r * cols + c; };
   for (VertexId r = 0; r < rows; ++r) {
     for (VertexId c = 0; c < cols; ++c) {
-      if (c + 1 < cols) builder.add_edge(id(r, c), id(r, c + 1));
-      if (r + 1 < rows) builder.add_edge(id(r, c), id(r + 1, c));
+      if (c + 1 < cols) edges.push_back({id(r, c), id(r, c + 1)});
+      if (r + 1 < rows) edges.push_back({id(r, c), id(r + 1, c)});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph torus(VertexId rows, VertexId cols) {
   if (rows < 3 || cols < 3) throw std::invalid_argument("torus: need >= 3x3");
-  GraphBuilder builder(
-      checked_vertex_count(std::uint64_t{rows} * cols, "torus"));
-  builder.reserve(2 * std::uint64_t{rows} * cols);
+  const VertexId n =
+      checked_vertex_count(std::uint64_t{rows} * cols, "torus");
+  std::vector<Edge> edges;
+  edges.reserve(2 * std::uint64_t{rows} * cols);
   auto id = [cols](VertexId r, VertexId c) { return r * cols + c; };
   for (VertexId r = 0; r < rows; ++r) {
     for (VertexId c = 0; c < cols; ++c) {
-      builder.add_edge(id(r, c), id(r, (c + 1) % cols));
-      builder.add_edge(id(r, c), id((r + 1) % rows, c));
+      edges.push_back({id(r, c), id(r, (c + 1) % cols)});
+      edges.push_back({id(r, c), id((r + 1) % rows, c)});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph hypercube(std::uint32_t d) {
   if (d >= 32) throw std::overflow_error("hypercube: 2^d overflows VertexId");
   const VertexId n = VertexId{1} << d;
-  GraphBuilder builder(n);
-  builder.reserve(std::uint64_t{n} * d / 2);
+  std::vector<Edge> edges;
+  edges.reserve(std::uint64_t{n} * d / 2);
   for (VertexId v = 0; v < n; ++v) {
     for (std::uint32_t bit = 0; bit < d; ++bit) {
       const VertexId u = v ^ (VertexId{1} << bit);
-      if (u > v) builder.add_edge(v, u);
+      if (u > v) edges.push_back({v, u});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph binary_tree(VertexId n) {
-  GraphBuilder builder(n);
-  builder.reserve(n > 0 ? n - 1 : 0);
-  for (VertexId v = 1; v < n; ++v) builder.add_edge(v, (v - 1) / 2);
-  return std::move(builder).build();
+  std::vector<Edge> edges;
+  edges.reserve(n > 0 ? n - 1 : 0);
+  for (VertexId v = 1; v < n; ++v) edges.push_back({v, (v - 1) / 2});
+  return Graph(n, std::move(edges));
 }
 
 Graph lollipop(VertexId n, VertexId clique_size) {
   if (clique_size > n) throw std::invalid_argument("lollipop: clique > n");
-  GraphBuilder builder(n);
-  builder.reserve(checked_edge_count(
+  std::vector<Edge> edges;
+  edges.reserve(checked_edge_count(
       (clique_size < 2 ? 0
                        : std::uint64_t{clique_size} * (clique_size - 1) / 2) +
           (n - clique_size),
       "lollipop"));
   for (VertexId u = 0; u < clique_size; ++u) {
-    for (VertexId v = u + 1; v < clique_size; ++v) builder.add_edge(u, v);
+    for (VertexId v = u + 1; v < clique_size; ++v) edges.push_back({u, v});
   }
-  for (VertexId v = clique_size; v < n; ++v) builder.add_edge(v - 1, v);
-  return std::move(builder).build();
+  for (VertexId v = clique_size; v < n; ++v) edges.push_back({v - 1, v});
+  return Graph(n, std::move(edges));
 }
 
 Graph caterpillar(VertexId spine, VertexId legs) {
   const VertexId n = checked_vertex_count(
       std::uint64_t{spine} * (std::uint64_t{legs} + 1), "caterpillar");
-  GraphBuilder builder(n);
-  builder.reserve(n > 0 ? n - 1 : 0);
-  for (VertexId s = 0; s + 1 < spine; ++s) builder.add_edge(s, s + 1);
+  std::vector<Edge> edges;
+  edges.reserve(n > 0 ? n - 1 : 0);
+  for (VertexId s = 0; s + 1 < spine; ++s) edges.push_back({s, s + 1});
   for (VertexId s = 0; s < spine; ++s) {
     for (VertexId leg = 0; leg < legs; ++leg) {
-      builder.add_edge(s, spine + s * legs + leg);
+      edges.push_back({s, spine + s * legs + leg});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph clique_chain(VertexId n, VertexId clique_size) {
   if (clique_size == 0) throw std::invalid_argument("clique_chain: k == 0");
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
   {
     const std::uint64_t k = clique_size;
     const std::uint64_t full = n / clique_size;
     const std::uint64_t rest = n % clique_size;
-    builder.reserve(checked_edge_count(
+    edges.reserve(checked_edge_count(
         full * (k * (k - 1) / 2) + rest * (rest - (rest > 0 ? 1 : 0)) / 2,
         "clique_chain"));
   }
   for (VertexId base = 0; base < n; base += clique_size) {
     const VertexId end = std::min<VertexId>(base + clique_size, n);
     for (VertexId u = base; u < end; ++u) {
-      for (VertexId v = u + 1; v < end; ++v) builder.add_edge(u, v);
+      for (VertexId v = u + 1; v < end; ++v) edges.push_back({u, v});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg) {
   return std::min(1.0, avg_deg / static_cast<double>(n - 1));
-}
-
-std::size_t gnp_reserve_hint(VertexId n, double p) {
-  const double pairs = 0.5 * static_cast<double>(n) *
-                       static_cast<double>(n - 1);
-  const double mean = p * pairs;
-  return static_cast<std::size_t>(
-      mean + 4.0 * std::sqrt(mean * (1.0 - p)) + 16.0);
-}
-
-Graph gnp(VertexId n, double p, Rng& rng) {
-  GraphBuilder builder(n);
-  if (p <= 0.0 || n < 2) return std::move(builder).build();
-  if (p >= 1.0) return complete(n);
-  builder.reserve(gnp_reserve_hint(n, p));
-  // The legacy single-stream schedule: one draw sequence across the
-  // whole vertex triangle. Edges are staged through a fixed-size chunk
-  // and flushed via add_edges, the streaming construction path.
-  std::vector<Edge> chunk;
-  constexpr std::size_t kChunk = 1 << 14;
-  chunk.reserve(kChunk);
-  detail::for_each_gnp_edge_rows(0, n, p, rng, [&](VertexId u, VertexId v) {
-    chunk.push_back({u, v});
-    if (chunk.size() == kChunk) {
-      builder.add_edges(chunk);
-      chunk.clear();
-    }
-  });
-  builder.add_edges(chunk);
-  return std::move(builder).build();
-}
-
-Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng) {
-  if (n < 2) return empty(n);
-  return gnp(n, gnp_probability_for_avg_degree(n, avg_deg), rng);
 }
 
 Graph random_tree(VertexId n, Rng& rng) {
@@ -210,18 +175,18 @@ Graph random_tree(VertexId n, Rng& rng) {
   for (VertexId v = 0; v < n; ++v) {
     if (deg[v] == 1) leaves.insert(v);
   }
-  GraphBuilder builder(n);
-  builder.reserve(n - 1);
+  std::vector<Edge> edges;
+  edges.reserve(n - 1);
   for (VertexId x : pruefer) {
     const VertexId leaf = *leaves.begin();
     leaves.erase(leaves.begin());
-    builder.add_edge(leaf, x);
+    edges.push_back({leaf, x});
     if (--deg[x] == 1) leaves.insert(x);
   }
   const VertexId u = *leaves.begin();
   const VertexId v = *std::next(leaves.begin());
-  builder.add_edge(u, v);
-  return std::move(builder).build();
+  edges.push_back({u, v});
+  return Graph(n, std::move(edges));
 }
 
 Graph random_regular(VertexId n, std::uint32_t d, Rng& rng) {
@@ -262,16 +227,16 @@ Graph barabasi_albert(VertexId n, std::uint32_t m, Rng& rng) {
   if (n == 0) return empty(0);
   const VertexId seed_size = std::max<VertexId>(m + 1, 2);
   if (n <= seed_size) return complete(n);
-  GraphBuilder builder(n);
-  builder.reserve(std::uint64_t{seed_size} * (seed_size - 1) / 2 +
-                  std::uint64_t{n - seed_size} * m);
+  std::vector<Edge> edges;
+  edges.reserve(std::uint64_t{seed_size} * (seed_size - 1) / 2 +
+                std::uint64_t{n - seed_size} * m);
   // Repeated-endpoint list: attachment proportional to degree.
   std::vector<VertexId> endpoint_pool;
   endpoint_pool.reserve(std::uint64_t{seed_size} * (seed_size - 1) +
                         2 * std::uint64_t{n - seed_size} * m);
   for (VertexId u = 0; u < seed_size; ++u) {
     for (VertexId v = u + 1; v < seed_size; ++v) {
-      builder.add_edge(u, v);
+      edges.push_back({u, v});
       endpoint_pool.push_back(u);
       endpoint_pool.push_back(v);
     }
@@ -282,12 +247,12 @@ Graph barabasi_albert(VertexId n, std::uint32_t m, Rng& rng) {
       targets.insert(endpoint_pool[rng.below(endpoint_pool.size())]);
     }
     for (VertexId t : targets) {
-      builder.add_edge(v, t);
+      edges.push_back({v, t});
       endpoint_pool.push_back(v);
       endpoint_pool.push_back(t);
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph random_geometric(VertexId n, double radius, Rng& rng,
@@ -310,9 +275,9 @@ Graph random_geometric(VertexId n, double radius, Rng& rng,
         .push_back(v);
   }
   const double r2 = radius * radius;
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
   // Expected |E| ~ C(n,2) * pi r^2 (slight overestimate near the border).
-  builder.reserve(static_cast<std::size_t>(
+  edges.reserve(static_cast<std::size_t>(
       0.5 * static_cast<double>(n) * static_cast<double>(n) *
           std::min(1.0, 3.14159265358979323846 * r2) +
       16.0));
@@ -331,13 +296,13 @@ Graph random_geometric(VertexId n, double radius, Rng& rng,
           if (u <= v) continue;
           const double ddx = pts[u].first - pts[v].first;
           const double ddy = pts[u].second - pts[v].second;
-          if (ddx * ddx + ddy * ddy <= r2) builder.add_edge(v, u);
+          if (ddx * ddx + ddy * ddy <= r2) edges.push_back({v, u});
         }
       }
     }
   }
   if (coords_out != nullptr) *coords_out = std::move(pts);
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 std::vector<Family> all_families() {
@@ -380,45 +345,8 @@ std::string family_name(Family family) {
   return "unknown";
 }
 
-std::vector<Schedule> all_schedules() {
-  return {Schedule::kLegacy, Schedule::kSharded};
-}
-
-std::string schedule_name(Schedule schedule) {
-  switch (schedule) {
-    case Schedule::kLegacy: return "legacy";
-    case Schedule::kSharded: return "sharded";
-  }
-  return "unknown";
-}
-
-bool schedule_from_name(const std::string& name, Schedule* out) {
-  for (const Schedule schedule : all_schedules()) {
-    if (schedule_name(schedule) == name) {
-      *out = schedule;
-      return true;
-    }
-  }
-  return false;
-}
-
 Graph make(Family family, VertexId n, std::uint64_t seed,
-           const MakeOptions& options) {
-  if (options.schedule == Schedule::kSharded) {
-    const ShardedGnpOptions sharded{.pool = options.pool};
-    switch (family) {
-      case Family::kGnpSparse:
-        return gnp_avg_degree_sharded_csr(n, 8.0, seed, sharded);
-      case Family::kGnpDense:
-        return gnp_sharded_csr(n, 0.5, seed, sharded);
-      default:
-        break;  // every other family has a single schedule
-    }
-  }
-  return make(family, n, seed);
-}
-
-Graph make(Family family, VertexId n, std::uint64_t seed) {
+           util::ThreadPool* pool) {
   Rng rng(seed);
   const auto side = static_cast<VertexId>(std::max(
       2.0, std::round(std::sqrt(static_cast<double>(n)))));
@@ -442,8 +370,10 @@ Graph make(Family family, VertexId n, std::uint64_t seed) {
     case Family::kCaterpillar:
       return caterpillar(std::max<VertexId>(1, n / 4), 3);
     case Family::kCliqueChain: return clique_chain(n, 8);
-    case Family::kGnpSparse: return gnp_avg_degree(n, 8.0, rng);
-    case Family::kGnpDense: return gnp(n, 0.5, rng);
+    case Family::kGnpSparse:
+      return gnp_avg_degree_sharded_csr(n, 8.0, seed, {.pool = pool});
+    case Family::kGnpDense:
+      return gnp_sharded_csr(n, 0.5, seed, {.pool = pool});
     case Family::kRandomTree: return random_tree(n, rng);
     case Family::kRandomRegular:
       return random_regular(n % 2 == 0 ? n : n + 1, 4, rng);

@@ -11,25 +11,14 @@
 //
 // All generators are deterministic in (parameters, seed).
 //
-// Seed schedules for the G(n, p) family. There are two, and they
-// realize *different* (equally distributed) edge sets from the same
-// seed:
-//
-//  * Legacy single-stream (gnp / gnp_avg_degree): one Rng& consumed
-//    sequentially across the whole vertex triangle. Bit-reproducible
-//    given (n, p, rng state), but inherently serial — pair t+1's draw
-//    depends on pair t's.
-//  * Counter-based per-block (gnp_sharded_csr /
-//    gnp_avg_degree_sharded_csr): vertices are split into fixed-size
-//    blocks and block b draws from util::stream_rng(seed, b), a pure
-//    function of (seed, b). Blocks are independent, so the two CSR
-//    passes shard across a thread pool, and the output is bitwise
-//    identical at every lane count (including the pool-less serial
-//    path). Bit-reproducible given (n, p, seed).
-//
-// Cross-schedule runs agree statistically (same G(n, p) distribution;
-// tests/sharded_gen_test.cc holds the degree distributions together)
-// but never bitwise.
+// G(n, p) has one seed schedule, the counter-based per-block one
+// (gnp_sharded_csr / gnp_avg_degree_sharded_csr, after Batagelj and
+// Brandes' geometric skipping): vertices are split into fixed-size
+// blocks and block b draws from util::stream_rng(seed, b), a pure
+// function of (seed, b). Blocks are independent, so the two CSR passes
+// shard across a thread pool, and the output is bitwise identical at
+// every lane count (including the pool-less serial path).
+// Bit-reproducible given (n, p, seed).
 #pragma once
 
 #include <cstdint>
@@ -85,21 +74,9 @@ Graph caterpillar(VertexId spine, VertexId legs);
 /// Disjoint union of n/k cliques of size k (plus one smaller remainder).
 Graph clique_chain(VertexId n, VertexId clique_size);
 
-/// Erdos-Renyi G(n, p).
-Graph gnp(VertexId n, double p, Rng& rng);
-
-/// Erdos-Renyi with expected average degree `avg_deg` (p = avg_deg/(n-1)).
-Graph gnp_avg_degree(VertexId n, double avg_deg, Rng& rng);
-
-/// The edge probability every gnp_avg_degree* variant derives from a
+/// The edge probability gnp_avg_degree_sharded_csr derives from a
 /// target average degree: min(1, avg_deg / (n - 1)). Requires n >= 2.
 double gnp_probability_for_avg_degree(VertexId n, double avg_deg);
-
-/// The edge-list reservation the legacy gnp builder makes for G(n, p):
-/// expected count plus four sigma of binomial slack, so the builder
-/// almost never reallocates (and never doubles peak memory at the
-/// 10M-node scale the bulk engine targets).
-std::size_t gnp_reserve_hint(VertexId n, double p);
 
 /// Optional instrumentation returned by the sharded builders.
 struct ShardedGnpStats {
@@ -125,17 +102,16 @@ struct ShardedGnpOptions {
   ShardedGnpStats* stats_out = nullptr;
 };
 
-/// Sharded memory-diet G(n, p): the counter-based per-block seed
-/// schedule (see the header comment), streamed straight into CSR with
-/// no edge-list stage, both passes parallel over the options' pool.
-/// Output is a pure function of (n, p, seed) — bitwise identical for
-/// every lane count including the serial pool-less path — but differs
-/// from gnp(n, p, Rng(seed)) realization-wise: the two schedules draw
-/// the triangle from different streams.
+/// Erdos-Renyi G(n, p) under the counter-based per-block seed schedule
+/// (see the header comment), streamed straight into CSR with no
+/// edge-list stage, both passes parallel over the options' pool.
+/// Output is a pure function of (n, p, seed): bitwise identical for
+/// every lane count, including the serial pool-less path.
 Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
                       const ShardedGnpOptions& options = {});
 
-/// Sharded companion of gnp_avg_degree (p = avg_deg/(n-1)).
+/// Erdos-Renyi with expected average degree `avg_deg`
+/// (p = avg_deg/(n-1)).
 Graph gnp_avg_degree_sharded_csr(VertexId n, double avg_deg,
                                  std::uint64_t seed,
                                  const ShardedGnpOptions& options = {});
@@ -192,36 +168,9 @@ std::string family_name(Family family);
 
 /// Instantiates a family at size ~n with the given seed. The realized
 /// vertex count may differ slightly (e.g. hypercube rounds to 2^d).
-Graph make(Family family, VertexId n, std::uint64_t seed);
-
-/// Which G(n, p) seed schedule make() uses for the gnp families (see
-/// the header comment; other families have a single schedule and
-/// ignore the choice).
-enum class Schedule {
-  kLegacy,   // single-stream gnp / gnp_avg_degree
-  kSharded,  // counter-based per-block gnp_sharded_csr family
-};
-
-/// All schedules, for CLI enumeration.
-std::vector<Schedule> all_schedules();
-
-/// "legacy" / "sharded".
-std::string schedule_name(Schedule schedule);
-
-/// Parses a schedule_name() string; returns false on unknown input.
-bool schedule_from_name(const std::string& name, Schedule* out);
-
-struct MakeOptions {
-  Schedule schedule = Schedule::kLegacy;
-  /// Build-time parallelism + first-touch placement for the sharded
-  /// schedule (forwarded to ShardedGnpOptions); ignored by kLegacy.
-  util::ThreadPool* pool = nullptr;
-};
-
-/// make() with an explicit generation schedule. kSharded routes the
-/// gnp families through the sharded builders, which stage no edge
-/// list, and leaves every other family untouched.
+/// `pool`, when non-null, shards the gnp families' CSR build over its
+/// lanes (borrowed; the graph is identical for every lane count).
 Graph make(Family family, VertexId n, std::uint64_t seed,
-           const MakeOptions& options);
+           util::ThreadPool* pool = nullptr);
 
 }  // namespace slumber::gen

@@ -248,33 +248,21 @@ Graph Graph::line_graph() const {
     incident[v].push_back(e);
     ++e;
   });
-  GraphBuilder builder(m);
+  std::vector<Edge> edges;
   for (VertexId v = 0; v < n_; ++v) {
     const auto& bucket = incident[v];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
       for (std::size_t j = i + 1; j < bucket.size(); ++j) {
-        builder.add_edge(bucket[i], bucket[j]);
+        edges.push_back({bucket[i], bucket[j]});
       }
     }
   }
-  return std::move(builder).build();
+  return Graph(m, std::move(edges));
 }
 
 std::string Graph::summary() const {
   return "n=" + std::to_string(n_) + " m=" + std::to_string(num_edges_) +
          " maxdeg=" + std::to_string(max_degree_);
-}
-
-void GraphBuilder::add_edges(std::span<const Edge> edges) {
-  const std::size_t needed = edges_.size() + edges.size();
-  if (needed > edges_.capacity()) {
-    edges_.reserve(std::max(needed, edges_.size() + edges_.size() / 2));
-  }
-  for (const Edge& e : edges) edges_.push_back(normalize(e.u, e.v));
-}
-
-Graph GraphBuilder::build() && {
-  return Graph(n_, std::move(edges_));
 }
 
 }  // namespace slumber

@@ -9,7 +9,8 @@
 //
 // The CSR arrays are the only stored form: edges() and for_each_edge()
 // derive the sorted edge list from them. Graphs are immutable after
-// construction; use GraphBuilder to assemble edge sets incrementally.
+// construction; to assemble one incrementally, collect its edges in a
+// std::vector<Edge> and hand that to Graph(n, edges).
 // All operations that return neighbor lists return std::span views into
 // the CSR arrays (no allocation).
 #pragma once
@@ -54,13 +55,13 @@ struct Edge {
 /// Immutable simple undirected graph in CSR form.
 class Graph {
  public:
-  /// Empty graph (0 vertices).
+  /// Empty graph (0 vertices), with the one offset every CSR holds.
   Graph() = default;
 
   /// Builds a graph with `n` vertices from an edge list, which is freed
-  /// once the CSR is built. Self-loops are rejected (throws
-  /// std::invalid_argument); duplicate edges are merged. Endpoints must
-  /// be < n.
+  /// once the CSR is built. Either orientation of an edge is accepted;
+  /// self-loops are rejected (throws std::invalid_argument); duplicate
+  /// edges are merged. Endpoints must be < n.
   Graph(VertexId n, std::vector<Edge> edges);
 
   /// Vertices per block of from_csr's validation scan.
@@ -76,7 +77,7 @@ class Graph {
   /// malformed array is rejected without reading out of bounds.
   /// This is the 10^8-node path: peak memory is the CSR arrays
   /// themselves, skipping the ~8 bytes/edge staging list of
-  /// GraphBuilder (see gen::gnp_sharded_csr). The arrays
+  /// Graph(n, edges) (see gen::gnp_sharded_csr). The arrays
   /// are util::PodVector so producers can size them without a serial
   /// zero-fill and first-touch pages from the lanes that will scan them
   /// (util::sharded_fill). The validation scan runs in blocks of
@@ -171,8 +172,8 @@ class Graph {
   VertexId n_ = 0;
   std::uint32_t max_degree_ = 0;
   std::uint64_t num_edges_ = 0;
-  util::PodVector<CsrOffset> offsets_;   // size n_+1
-  util::PodVector<VertexId> adjacency_;  // size 2|E|
+  util::PodVector<CsrOffset> offsets_{0};  // size n_+1
+  util::PodVector<VertexId> adjacency_;    // size 2|E|
 };
 
 /// Narrows a 64-bit vertex count to VertexId, throwing std::overflow_error
@@ -182,48 +183,5 @@ VertexId checked_vertex_count(std::uint64_t n, const char* what);
 
 /// Guards a 64-bit edge count against EdgeId overflow; returns the count.
 std::uint64_t checked_edge_count(std::uint64_t m, const char* what);
-
-/// Incremental builder for Graph. Tolerates duplicate edges and
-/// both edge orientations; rejects self-loops at build() time.
-///
-/// At 10M+-node scale the edge buffer dominates peak memory, so callers
-/// that know (or can bound) their edge count should reserve() ahead:
-/// push_back growth doubles the buffer, briefly holding ~3x the final
-/// footprint during the reallocation copy. The streaming path is
-/// reserve() once, then add_edges() in chunks.
-class GraphBuilder {
- public:
-  explicit GraphBuilder(VertexId n) : n_(n) {}
-
-  /// Pre-allocates space for `edges` edges so subsequent add_edge /
-  /// add_edges calls never trigger doubling reallocation.
-  void reserve(std::size_t edges) { edges_.reserve(edges); }
-
-  /// Adds the undirected edge {u, v}.
-  void add_edge(VertexId u, VertexId v) { edges_.push_back(normalize(u, v)); }
-
-  /// Chunked bulk append: normalizes and appends every edge of `edges`.
-  /// Grows by at least 1.5x when capacity is exceeded (instead of the
-  /// default doubling), so un-reserved streaming callers cap the
-  /// transient overshoot; reserve()-ahead callers never reallocate.
-  void add_edges(std::span<const Edge> edges);
-
-  /// Number of vertices the builder was created with.
-  VertexId num_vertices() const { return n_; }
-
-  /// Edges added so far (not yet deduplicated).
-  std::size_t num_added_edges() const { return edges_.size(); }
-
-  /// Finalizes into an immutable Graph.
-  Graph build() &&;
-
- private:
-  static Edge normalize(VertexId u, VertexId v) {
-    return u <= v ? Edge{u, v} : Edge{v, u};
-  }
-
-  VertexId n_;
-  std::vector<Edge> edges_;
-};
 
 }  // namespace slumber

@@ -1,10 +1,10 @@
-// Sharded G(n, p) generation: counter-based per-block RNG streams and
-// a parallel two-pass CSR build.
+// G(n, p) generation, the repo's only G(n, p) builder: counter-based
+// per-block RNG streams and a parallel two-pass CSR build.
 //
-// The legacy gnp builder consumes one RNG stream sequentially across
-// the whole vertex triangle, which makes generation inherently
-// serial — at n = 10^8 the build is ~40% of a bulk trial's wall time.
-// Here the triangle's rows are split into fixed-size vertex blocks
+// Pairs are sampled by Batagelj-Brandes geometric skipping. One RNG
+// stream consumed across the whole vertex triangle would make the
+// build inherently serial (pair t+1's draw depends on pair t's), so
+// the triangle's rows are split into fixed-size vertex blocks
 // (kBlockVertices rows per block, a constant — never a function of the
 // lane count), and block b enumerates the G(n, p) pairs whose higher
 // endpoint lies in its rows from its own counter-based stream,
@@ -52,11 +52,11 @@
 // land near the lanes that later scan them.
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
 #include "graph/generators.h"
-#include "graph/gnp_detail.h"
 #include "obs/obs.h"
 #include "util/alloc.h"
 #include "util/lookahead.h"
@@ -66,6 +66,54 @@
 namespace slumber::gen {
 
 namespace {
+
+/// Batagelj-Brandes geometric-skipping enumeration of the G(n, p) pairs
+/// whose higher endpoint v lies in [row_begin, row_end): streams every
+/// sampled edge (u, v) with u < v to `fn`, v-major with both
+/// coordinates ascending. O(rows + edges) expected; requires
+/// 0 < p < 1. Restarting at a row boundary is distribution-exact (the
+/// underlying per-pair Bernoulli process is memoryless), which is what
+/// lets the sharded builders give every vertex block its own stream.
+template <typename Fn>
+void for_each_gnp_edge_rows(VertexId row_begin, VertexId row_end, double p,
+                            Rng& rng, Fn&& fn) {
+  const double log1mp = std::log1p(-p);
+  std::int64_t v = row_begin < 1 ? 1 : static_cast<std::int64_t>(row_begin);
+  std::int64_t w = -1;
+  const auto vend = static_cast<std::int64_t>(row_end);
+  while (v < vend) {
+    const double r = rng.uniform();
+    w += 1 + static_cast<std::int64_t>(std::floor(std::log1p(-r) / log1mp));
+    while (w >= v && v < vend) {
+      w -= v;
+      ++v;
+    }
+    if (v < vend) fn(static_cast<VertexId>(w), static_cast<VertexId>(v));
+  }
+}
+
+/// K_n streamed straight into CSR (the p >= 1 degenerate case of the
+/// sharded builders).
+inline Graph complete_csr(VertexId n) {
+  // Fill-constructed (not resize): PodVector::resize skips
+  // initialization, and the n < 2 return below must hand from_csr
+  // all-zero offsets.
+  util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
+  if (n < 2) {
+    return Graph::from_csr(n, std::move(offsets), {});
+  }
+  checked_edge_count(std::uint64_t{n} * (n - 1) / 2, "complete_csr");
+  util::PodVector<VertexId> adjacency;
+  adjacency.resize(std::uint64_t{n} * (n - 1));
+  CsrOffset next = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    offsets[std::uint64_t{v} + 1] = offsets[v] + (std::uint64_t{n} - 1);
+    for (VertexId u = 0; u < n; ++u) {
+      if (u != v) adjacency[next++] = u;
+    }
+  }
+  return Graph::from_csr(n, std::move(offsets), std::move(adjacency));
+}
 
 /// Rows per counter-keyed stream. A constant so the edge set depends
 /// only on (n, p, seed): at n = 10^8 this yields ~24k blocks (ample
@@ -128,7 +176,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
     util::PodVector<CsrOffset> offsets(std::uint64_t{n} + 1, 0);
     return Graph::from_csr(n, std::move(offsets), {}, options.pool);
   }
-  if (p >= 1.0) return detail::complete_csr(n);
+  if (p >= 1.0) return complete_csr(n);
 
   util::ThreadPool* pool = options.pool;
   const std::uint64_t blocks = block_count(n);
@@ -160,15 +208,14 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
             1, std::memory_order_relaxed);
       };
       std::uint64_t count = 0;
-      detail::for_each_gnp_edge_rows(lo, hi, p, rng,
-                                     [&](VertexId u, VertexId v) {
-                                       // NOLINTNEXTLINE(slumber-d5): v is a row of this block, so block(v)==b is the single writer
-                                       ++down[v];
-                                       __builtin_prefetch(&up[u], 1);
-                                       VertexId due = 0;
-                                       if (bumps.push(u, &due)) bump(due);
-                                       ++count;
-                                     });
+      for_each_gnp_edge_rows(lo, hi, p, rng, [&](VertexId u, VertexId v) {
+        // NOLINTNEXTLINE(slumber-d5): v is a row of this block, so block(v)==b is the single writer
+        ++down[v];
+        __builtin_prefetch(&up[u], 1);
+        VertexId due = 0;
+        if (bumps.push(u, &due)) bump(due);
+        ++count;
+      });
       bumps.drain(bump);
       edge_total.fetch_add(count, std::memory_order_relaxed);
     });
@@ -240,7 +287,7 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
       };
       VertexId row = kInvalidVertex;
       CsrOffset row_cursor = 0;
-      detail::for_each_gnp_edge_rows(
+      for_each_gnp_edge_rows(
           lo, hi, p, rng, [&](VertexId u, VertexId v) {
             if (v != row) {
               row = v;

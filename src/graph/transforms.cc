@@ -11,7 +11,7 @@ Graph power(const Graph& g, std::uint32_t k) {
   if (k == 0) return Graph(n, {});
   if (k == 1) return g;
 
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
   // BFS to depth k from every vertex; distances are reset lazily via a
   // visit stamp so the scratch arrays are allocated once.
   std::vector<std::uint32_t> dist(n, 0);
@@ -30,26 +30,26 @@ Graph power(const Graph& g, std::uint32_t k) {
         stamp[w] = s;
         dist[w] = dist[u] + 1;
         frontier.push(w);
-        if (w > s) builder.add_edge(s, w);  // each pair once
+        if (w > s) edges.push_back({s, w});  // each pair once
       }
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph complement(const Graph& g) {
   const VertexId n = g.num_vertices();
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
   for (VertexId u = 0; u < n; ++u) {
     auto nbrs = g.neighbors(u);  // sorted ascending
     std::size_t i = 0;
     for (VertexId v = u + 1; v < n; ++v) {
       while (i < nbrs.size() && nbrs[i] < v) ++i;
       if (i < nbrs.size() && nbrs[i] == v) continue;
-      builder.add_edge(u, v);
+      edges.push_back({u, v});
     }
   }
-  return std::move(builder).build();
+  return Graph(n, std::move(edges));
 }
 
 Graph disjoint_union(std::span<const Graph> parts) {
@@ -58,41 +58,41 @@ Graph disjoint_union(std::span<const Graph> parts) {
   if (total > static_cast<std::uint64_t>(kInvalidVertex)) {
     throw std::invalid_argument("disjoint_union: too many vertices");
   }
-  GraphBuilder builder(static_cast<VertexId>(total));
+  std::vector<Edge> edges;
   VertexId offset = 0;
   for (const Graph& part : parts) {
     part.for_each_edge([&](VertexId u, VertexId v) {
-      builder.add_edge(u + offset, v + offset);
+      edges.push_back({u + offset, v + offset});
     });
     offset += part.num_vertices();
   }
-  return std::move(builder).build();
+  return Graph(static_cast<VertexId>(total), std::move(edges));
 }
 
 Graph subdivision(const Graph& g) {
   const VertexId n = g.num_vertices();
   const auto m = static_cast<VertexId>(g.num_edges());
-  GraphBuilder builder(n + m);
+  std::vector<Edge> edges;
   VertexId x = n;  // the vertex subdividing edge e is n + e
   g.for_each_edge([&](VertexId u, VertexId v) {
-    builder.add_edge(u, x);
-    builder.add_edge(x, v);
+    edges.push_back({u, x});
+    edges.push_back({x, v});
     ++x;
   });
-  return std::move(builder).build();
+  return Graph(n + m, std::move(edges));
 }
 
 Graph mycielski(const Graph& g) {
   const VertexId n = g.num_vertices();
   const VertexId apex = 2 * n;
-  GraphBuilder builder(2 * n + 1);
+  std::vector<Edge> edges;
   g.for_each_edge([&](VertexId u, VertexId v) {
-    builder.add_edge(u, v);      // original edge
-    builder.add_edge(n + u, v);  // shadow(u) - v
-    builder.add_edge(u, n + v);  // u - shadow(v)
+    edges.push_back({u, v});      // original edge
+    edges.push_back({n + u, v});  // shadow(u) - v
+    edges.push_back({u, n + v});  // u - shadow(v)
   });
-  for (VertexId v = 0; v < n; ++v) builder.add_edge(n + v, apex);
-  return std::move(builder).build();
+  for (VertexId v = 0; v < n; ++v) edges.push_back({n + v, apex});
+  return Graph(2 * n + 1, std::move(edges));
 }
 
 }  // namespace slumber

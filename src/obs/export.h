@@ -31,7 +31,7 @@ struct Event {
 struct Dump {
   /// All events, sorted by (ts_ns, tid) at merge time.
   std::vector<Event> events;
-  /// Events discarded because a thread hit max_events_per_thread.
+  /// Events discarded because a thread hit its event cap.
   std::uint64_t dropped = 0;
   /// Recorder lifetime.
   std::uint64_t wall_ns = 0;

@@ -30,6 +30,13 @@ namespace {
 // never runs pools anywhere near this wide.
 constexpr std::uint32_t kMaxLanes = 1024;
 
+// Per-thread event cap; events beyond it are counted as dropped in the
+// footer instead of growing without bound.
+constexpr std::size_t kMaxEventsPerThread = std::size_t{1} << 20;
+
+// Sampler cadence for the heartbeat and the RSS timeline.
+constexpr std::chrono::milliseconds kHeartbeat{500};
+
 /// One thread's append-only event log. Registered once per thread per
 /// recorder (under the recorder mutex), then written lock-free by its
 /// owning thread only.
@@ -166,7 +173,7 @@ class Recorder {
   void record(Event event) {
     event.lane = t_state.lane;
     ThreadBuffer* buffer = thread_buffer();
-    if (buffer->events.size() >= options_.max_events_per_thread) {
+    if (buffer->events.size() >= kMaxEventsPerThread) {
       ++buffer->dropped;
       return;
     }
@@ -214,9 +221,7 @@ class Recorder {
     while (true) {
       {
         std::unique_lock<std::mutex> lock(sampler_mutex_);
-        sampler_cv_.wait_for(lock,
-                             std::chrono::milliseconds(options_.heartbeat_ms),
-                             [this] { return stop_; });
+        sampler_cv_.wait_for(lock, kHeartbeat, [this] { return stop_; });
         if (stop_) return;
       }
       sample();

@@ -51,11 +51,6 @@ struct Options {
   std::string trace_path;
   /// Live stderr heartbeat.
   bool progress = false;
-  /// Per-thread event cap; events beyond it are counted as dropped in
-  /// the footer instead of growing without bound.
-  std::size_t max_events_per_thread = std::size_t{1} << 20;
-  /// Sampler cadence for the heartbeat and the RSS timeline.
-  unsigned heartbeat_ms = 500;
 
   bool any() const {
     return progress || !jsonl_path.empty() || !trace_path.empty();

@@ -68,8 +68,7 @@ TEST(BaselinesTest, CompleteGraphSingleton) {
 TEST(BaselinesTest, BaselinesNeverSleep) {
   // Traditional-model algorithms: awake every round until termination,
   // so awake_rounds == finish_round for every node.
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(60, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(60, 6.0, 5);
   for (auto& engine : engines()) {
     auto [metrics, outputs] = run_on(g, 9, engine.protocol);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -81,8 +80,7 @@ TEST(BaselinesTest, BaselinesNeverSleep) {
 
 TEST(BaselinesTest, LubyARoundsLogarithmic) {
   // O(log n) w.h.p.: generous cap check at moderate n.
-  Rng rng(6);
-  const Graph g = gen::gnp_avg_degree(400, 10.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 10.0, 6);
   auto [metrics, outputs] = run_on(g, 11, luby_a());
   EXPECT_LE(metrics.makespan, 60u);
   EXPECT_TRUE(analysis::check_mis(g, outputs).ok());
@@ -90,8 +88,7 @@ TEST(BaselinesTest, LubyARoundsLogarithmic) {
 
 TEST(BaselinesTest, GreedyMatchesSequentialOnSameRanks) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(80, 6.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(80, 6.0, seed);
     std::vector<std::uint64_t> ranks;
     GreedyOptions options;
     options.ranks_out = &ranks;
@@ -106,8 +103,7 @@ TEST(BaselinesTest, GreedyMatchesSequentialOnSameRanks) {
 
 TEST(BaselinesTest, GreedyDecidedInRankOrderWaves) {
   // The highest-(rank, id) node must decide in the first iteration.
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(50, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(50, 5.0, 7);
   std::vector<std::uint64_t> ranks;
   GreedyOptions options;
   options.ranks_out = &ranks;
@@ -131,8 +127,7 @@ TEST(BaselinesTest, SequentialGreedyHandlesTies) {
 }
 
 TEST(BaselinesTest, DeterministicGivenSeed) {
-  Rng rng(8);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 8);
   for (auto& engine : engines()) {
     auto a = run_on(g, 5, engine.protocol);
     auto b = run_on(g, 5, engine.protocol);
@@ -141,8 +136,7 @@ TEST(BaselinesTest, DeterministicGivenSeed) {
 }
 
 TEST(BaselinesTest, CongestBudgetsRespected) {
-  Rng rng(9);
-  const Graph g = gen::gnp_avg_degree(128, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(128, 8.0, 9);
   for (auto& engine : engines()) {
     auto [metrics, outputs] = run_on(g, 6, engine.protocol);
     EXPECT_EQ(metrics.congest_violations, 0u) << engine.name;

@@ -56,8 +56,7 @@ TEST(BeepingMisTest, AllNodesStayAwakeUntilDecided) {
 }
 
 TEST(BeepingMisTest, DeterministicInSeed) {
-  Rng rng(6);
-  Graph g = gen::gnp(50, 0.1, rng);
+  Graph g = gen::gnp_sharded_csr(50, 0.1, 6);
   auto first = sim::run_protocol(g, 123, beeping_mis());
   auto second = sim::run_protocol(g, 123, beeping_mis());
   EXPECT_EQ(first.outputs, second.outputs);
@@ -68,8 +67,8 @@ struct BeepingSweep
 
 TEST_P(BeepingSweep, ValidMisOnRandomGraphs) {
   const auto [n, seed] = GetParam();
-  Rng rng(seed);
-  Graph g = gen::gnp_avg_degree(static_cast<VertexId>(n), 6.0, rng);
+  Graph g =
+      gen::gnp_avg_degree_sharded_csr(static_cast<VertexId>(n), 6.0, seed);
   auto [metrics, outputs] = sim::run_protocol(g, seed * 13 + 7, beeping_mis());
   EXPECT_TRUE(analysis::check_mis(g, outputs).ok()) << g.summary();
 }
@@ -101,8 +100,7 @@ TEST_P(BeepingFamilies, ValidMisOnStructuredFamilies) {
 INSTANTIATE_TEST_SUITE_P(Families, BeepingFamilies, ::testing::Range(0, 7));
 
 TEST(BeepingMisTest, CandidateProbAblationStillCorrect) {
-  Rng rng(9);
-  Graph g = gen::gnp(80, 0.08, rng);
+  Graph g = gen::gnp_sharded_csr(80, 0.08, 9);
   for (double p : {0.1, 0.25, 0.75, 0.9}) {
     BeepingMisOptions options;
     options.candidate_prob = p;

@@ -83,8 +83,7 @@ INSTANTIATE_TEST_SUITE_P(Generators, BulkCrossValidation,
 TEST(BulkSleepingMis, CoinBiasAblationAgrees) {
   for (const double bias : {0.25, 0.5, 0.75}) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      Rng rng(seed);
-      const Graph g = gen::gnp_avg_degree(400, 6.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(400, 6.0, seed);
       core::SleepingMisOptions options;
       options.coin_bias = bias;
       sim::NetworkOptions net;
@@ -103,8 +102,7 @@ TEST(BulkSleepingMis, CoinBiasAblationAgrees) {
 
 TEST(BulkSleepingMis, ForcedLevelsAgree) {
   for (const std::uint32_t levels : {1u, 2u, 6u}) {
-    Rng rng(42);
-    const Graph g = gen::gnp_avg_degree(128, 4.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(128, 4.0, 42);
     core::SleepingMisOptions options;
     options.levels = levels;
     const auto coro = sim::run_protocol(g, 42, core::sleeping_mis(options));
@@ -117,8 +115,7 @@ TEST(BulkSleepingMis, ForcedLevelsAgree) {
 // --- instrumentation: the recursion traces must match exactly -------
 
 TEST(BulkSleepingMis, RecursionTraceMatches) {
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(300, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(300, 8.0, 7);
   core::RecursionTrace coro_trace;
   core::RecursionTrace bulk_trace;
   const auto coro =
@@ -148,8 +145,7 @@ TEST(BulkSleepingMis, RecursionTraceMatches) {
 
 TEST(BulkBaselines, IsraeliItaiMatchingAgrees) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(200, 5.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(200, 5.0, seed);
     sim::NetworkOptions net;
     net.max_message_bits = sim::congest_bits_for(g.num_vertices());
     const auto coro =
@@ -168,8 +164,7 @@ TEST(BulkBaselines, IsraeliItaiMatchingAgrees) {
 
 TEST(BulkBaselines, BeepingMisAgrees) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(100, 4.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(100, 4.0, seed);
     sim::NetworkOptions net;
     net.max_message_bits = 1;
     const auto coro = sim::run_protocol(g, seed, algos::beeping_mis(), net);
@@ -235,8 +230,7 @@ TEST(BulkBaselines, BeepingMisValidPastSixtyFiveThousand) {
   // would flag a reintroduced overlong shift). Bulk-only: the coroutine
   // engine is too slow at this n for a unit test, and the two engines
   // share the capping code path bit for bit.
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(70000, 4.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(70000, 4.0, 3);
   bulk::BulkOptions bopts;
   bopts.max_message_bits = 1;
   bulk::BulkBeepingMis protocol;
@@ -259,8 +253,7 @@ TEST(BulkEngine, EdgeCaseGraphsAgree) {
 }
 
 TEST(BulkEngine, DeterministicAcrossRuns) {
-  Rng rng(11);
-  const Graph g = gen::gnp_avg_degree(500, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(500, 8.0, 11);
   const auto first = analysis::run_mis(MisEngine::kSleeping, g, 11,
                                        {.exec = ExecEngine::kBulk});
   const auto second = analysis::run_mis(MisEngine::kSleeping, g, 11,
@@ -296,8 +289,7 @@ TEST(BulkEngine, CongestViolationThrows) {
 
 TEST(BulkEngine, RunTrialsBulkMatchesCoroutine) {
   const auto factory = [](std::uint64_t seed) {
-    Rng rng(seed);
-    return gen::gnp_avg_degree(200, 6.0, rng);
+    return gen::gnp_avg_degree_sharded_csr(200, 6.0, seed);
   };
   const auto coro = analysis::run_trials(
       MisEngine::kSleeping, factory, 77, 4,

@@ -111,8 +111,7 @@ INSTANTIATE_TEST_SUITE_P(Generators, BulkParallelCrossValidation,
 // --- recursion traces shard-invariantly ------------------------------
 
 TEST(BulkParallelTrace, RecursionTraceMatchesAtEveryLaneCount) {
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 7);
   core::RecursionTrace serial_trace;
   const auto serial =
       run_bulk_mis(MisEngine::kSleeping, g, 7, nullptr, &serial_trace);
@@ -145,8 +144,7 @@ TEST(BulkParallelTrace, RecursionTraceMatchesAtEveryLaneCount) {
 
 TEST(BulkParallelBaselines, IsraeliItaiAgreesAcrossLaneCounts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(200, 5.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(200, 5.0, seed);
     bulk::BulkIsraeliItai serial_protocol;
     const auto serial =
         bulk::run_bulk(g, seed, serial_protocol, parallel_options(g, nullptr));
@@ -164,8 +162,7 @@ TEST(BulkParallelBaselines, IsraeliItaiAgreesAcrossLaneCounts) {
 
 TEST(BulkParallelBaselines, BeepingMisAgreesAcrossLaneCounts) {
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(120, 4.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(120, 4.0, seed);
     bulk::BulkOptions base;
     base.max_message_bits = 1;
     base.parallel_cutoff = 1;
@@ -288,8 +285,7 @@ TEST(BulkParallelRunMis, PoolParameterIsBitwiseInvariant) {
   // n = 10,000 exceeds the default parallel_cutoff, so the big frames
   // genuinely shard while the deep tiny frames take the serial path —
   // both paths must agree with the pool-less run.
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(10000, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(10000, 8.0, 5);
   const auto serial =
       analysis::run_mis(MisEngine::kSleeping, g, 5, {.exec = ExecEngine::kBulk});
   util::ThreadPool pool(4);
@@ -304,8 +300,7 @@ TEST(BulkParallelRunMis, PoolParameterIsBitwiseInvariant) {
 // --- memory diet: dropped per-node metrics ---------------------------
 
 TEST(BulkMemoryDiet, NodeMetricsOffKeepsOutputsAndAggregates) {
-  Rng rng(11);
-  const Graph g = gen::gnp_avg_degree(2000, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(2000, 8.0, 11);
   const auto full = run_bulk_mis(MisEngine::kSleeping, g, 11, nullptr);
   for (const unsigned lanes : {1u, 4u}) {
     util::ThreadPool pool(lanes);
@@ -386,8 +381,8 @@ Graph from_copy(Csr csr, util::ThreadPool* pool) {
 }
 
 TEST(BulkMemoryDiet, CsrGraphRunsIdenticallyToEdgeListGraph) {
-  Rng rng(3);
-  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
+  // Built from an edge list, so the twin below is the only from_csr one.
+  const Graph a(1500, gen::gnp_avg_degree_sharded_csr(1500, 8.0, 3).edges());
   // The from_csr twin: a's own arrays.
   const Graph b = from_copy(copy_csr(a), nullptr);
   ASSERT_TRUE(b.same_csr(a));

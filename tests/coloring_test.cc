@@ -59,8 +59,7 @@ TEST(ColoringTest, NodeAveragedRoundsSmall) {
   // The O(1) node-averaged property: the mean decision round stays small
   // and essentially flat in n (each iteration finishes >= 1/4 of nodes).
   for (const VertexId n : {64u, 256u, 1024u}) {
-    Rng rng(n);
-    const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n);
     auto [metrics, outputs] = run_on(g, 3);
     EXPECT_TRUE(analysis::check_coloring(g, outputs));
     EXPECT_LE(metrics.node_avg_decided(), 12.0) << n;
@@ -68,8 +67,7 @@ TEST(ColoringTest, NodeAveragedRoundsSmall) {
 }
 
 TEST(ColoringTest, DeterministicGivenSeed) {
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 5);
   auto a = run_on(g, 9);
   auto b = run_on(g, 9);
   EXPECT_EQ(a.outputs, b.outputs);

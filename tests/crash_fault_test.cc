@@ -17,7 +17,6 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "util/rng.h"
 
 namespace slumber::sim {
 namespace {
@@ -114,8 +113,7 @@ TEST(CrashFaultTest, CrashRateMatchesConfiguredProbability) {
 }
 
 TEST(CrashFaultTest, DeterministicInSeed) {
-  Rng rng(6);
-  const Graph g = gen::gnp(60, 0.1, rng);
+  const Graph g = gen::gnp_sharded_csr(60, 0.1, 6);
   fault::FaultPlan plan;
   plan.crash_prob = 0.01;
   NetworkOptions options;
@@ -138,8 +136,7 @@ struct CrashDegradation
 
 TEST_P(CrashDegradation, IndependenceSurvivesAndDamageIsLocal) {
   const auto [crash_prob, seed] = GetParam();
-  Rng rng(seed);
-  const Graph g = gen::gnp_avg_degree(150, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(150, 5.0, seed);
   fault::FaultPlan plan;
   plan.crash_prob = crash_prob;
   NetworkOptions options;

@@ -15,7 +15,6 @@
 #include "algos/edge_coloring.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
-#include "util/rng.h"
 
 namespace slumber {
 namespace {
@@ -84,8 +83,7 @@ std::vector<VertexId> every_other_vertex(const Graph& g) {
 
 TEST(DeterminismContainerTest, InducedMatchesHashMapReferenceOnSeededGnp) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(200, 6.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(200, 6.0, seed);
     const auto keep = every_other_vertex(g);
     auto [sub, mapping] = g.induced(keep);
     auto [ref_sub, ref_mapping] = induced_reference(g, keep);
@@ -98,8 +96,7 @@ TEST(DeterminismContainerTest, InducedMatchesHashMapReferenceOnSeededGnp) {
 TEST(DeterminismContainerTest, InducedMatchesReferenceOnUnsortedSubset) {
   // The subset order defines the relabeling; feed a deliberately
   // shuffled subset so mapping-by-position is actually exercised.
-  Rng rng(77);
-  Graph g = gen::gnp_avg_degree(128, 8.0, rng);
+  Graph g = gen::gnp_avg_degree_sharded_csr(128, 8.0, 77);
   std::vector<VertexId> keep = {90, 3, 17, 64, 2, 127, 55, 4, 31, 8};
   auto [sub, mapping] = g.induced(keep);
   auto [ref_sub, ref_mapping] = induced_reference(g, keep);
@@ -115,8 +112,7 @@ TEST(DeterminismContainerTest, InducedStillRejectsDuplicates) {
 
 TEST(DeterminismContainerTest, ColorsUsedMatchesHashSetReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(60, 4.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(60, 4.0, seed);
     auto result = algos::edge_coloring_via_line_graph(g, seed);
     EXPECT_EQ(result.colors_used, colors_used_reference(result.colors))
         << "seed " << seed;
@@ -125,8 +121,7 @@ TEST(DeterminismContainerTest, ColorsUsedMatchesHashSetReference) {
 
 TEST(DeterminismContainerTest, CheckEdgeColoringMatchesReference) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    Graph g = gen::gnp_avg_degree(60, 4.0, rng);
+    Graph g = gen::gnp_avg_degree_sharded_csr(60, 4.0, seed);
     auto result = algos::edge_coloring_via_line_graph(g, seed);
     // Valid coloring: both agree it checks out.
     EXPECT_TRUE(algos::check_edge_coloring(g, result.colors));

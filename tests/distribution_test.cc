@@ -26,8 +26,7 @@ TEST(DistributionTest, GreedyRoundsLogarithmicWhp) {
   for (const VertexId n : {64u, 256u, 1024u}) {
     std::uint64_t worst = 0;
     for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-      Rng rng(n + seed);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n + seed);
       auto run = analysis::run_mis(analysis::MisEngine::kGreedy, g, seed);
       ASSERT_TRUE(run.valid);
       worst = std::max(worst, run.worst_rounds);
@@ -45,8 +44,7 @@ TEST(DistributionTest, AwakeTimeTailDecaysGeometrically) {
   const VertexId n = 512;
   std::vector<double> awake;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
     sim::Network net(g, seed * 3);
     const sim::Metrics& metrics = net.run(core::sleeping_mis());
     for (const auto& m : metrics.node) {
@@ -71,8 +69,7 @@ TEST(DistributionTest, AverageAwakeConcentrates) {
   auto stddev_at = [](VertexId n) {
     std::vector<double> averages;
     for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-      Rng rng(n * 13 + seed);
-      const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, n * 13 + seed);
       sim::Network net(g, n + seed);
       averages.push_back(net.run(core::sleeping_mis()).node_avg_awake());
     }
@@ -118,8 +115,7 @@ TEST(DistributionTest, SleepingMisSizeMatchesGreedySizeDistribution) {
   // Corollary 1 implies Algorithm 1's MIS is distributed exactly like
   // random-order greedy's (both are lex-first over a uniformly random
   // order). Their mean sizes on the same graph must agree closely.
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(300, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(300, 8.0, 5);
   std::vector<double> sleeping_sizes;
   std::vector<double> greedy_sizes;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {

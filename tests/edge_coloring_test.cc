@@ -5,7 +5,6 @@
 
 #include "algos/edge_coloring.h"
 #include "graph/generators.h"
-#include "util/rng.h"
 
 namespace slumber::algos {
 namespace {
@@ -56,8 +55,8 @@ struct EdgeColoringSweep
 
 TEST_P(EdgeColoringSweep, ProperOnRandomGraphs) {
   const auto [n, seed] = GetParam();
-  Rng rng(seed);
-  Graph g = gen::gnp_avg_degree(static_cast<VertexId>(n), 6.0, rng);
+  Graph g =
+      gen::gnp_avg_degree_sharded_csr(static_cast<VertexId>(n), 6.0, seed);
   auto result = edge_coloring_via_line_graph(g, seed * 7 + 1);
   EXPECT_TRUE(check_edge_coloring(g, result.colors)) << g.summary();
 }

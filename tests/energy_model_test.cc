@@ -14,7 +14,6 @@
 #include "energy/energy.h"
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "util/rng.h"
 
 namespace slumber::energy {
 namespace {
@@ -35,8 +34,7 @@ sim::Metrics run_sleeping(const Graph& g, std::uint64_t seed) {
 }
 
 TEST(EnergyModelTest, MarginalDecomposition) {
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 3);
   const sim::Metrics metrics = run_sleeping(g, 11);
 
   const EnergyModel base;
@@ -95,8 +93,7 @@ TEST(EnergyModelTest, AwakeTimeDominatesForIdleListeners) {
 }
 
 TEST(EnergyModelTest, ReportAggregatesMatchPerNode) {
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(48, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(48, 5.0, 5);
   const sim::Metrics metrics = run_sleeping(g, 21);
   const EnergyModel model;
   const EnergyReport report = evaluate(model, metrics);
@@ -115,8 +112,7 @@ TEST(EnergyModelTest, ReportAggregatesMatchPerNode) {
 // The headline energy ordering on a fixed run: idealized <= marginal
 // <= default, because each step adds sleep-draw charges.
 TEST(EnergyModelTest, ModelOrderingOnRealRuns) {
-  Rng rng(9);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 9);
   const sim::Metrics metrics = run_sleeping(g, 31);
   const EnergyModel base;
   const auto ideal_report = evaluate(EnergyModel::idealized(), metrics);

@@ -61,8 +61,7 @@ TEST(EnergyTest, ReportAggregates) {
 TEST(EnergyTest, SleepingMisBeatsLubyPerNodeUnderIdealModel) {
   // The paper's headline in energy terms: with sleeping free, the
   // sleeping algorithm's mean energy stays flat while Luby's grows.
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(300, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(300, 8.0, 3);
   const auto sleeping =
       analysis::run_mis(analysis::MisEngine::kSleeping, g, 7);
   const auto luby = analysis::run_mis(analysis::MisEngine::kLubyA, g, 7);

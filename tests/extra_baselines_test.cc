@@ -36,8 +36,7 @@ TEST(DeterministicGreedyTest, ValidOnCoreFamilies) {
 }
 
 TEST(DeterministicGreedyTest, OutputIsSeedIndependent) {
-  Rng rng(2);
-  const Graph g = gen::gnp_avg_degree(50, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(50, 5.0, 2);
   auto a = run_on(g, 1, deterministic_greedy_mis());
   auto b = run_on(g, 999, deterministic_greedy_mis());
   EXPECT_EQ(a.outputs, b.outputs);  // no randomness anywhere
@@ -81,8 +80,7 @@ TEST(ArboricityMisTest, ValidOnCoreFamilies) {
 }
 
 TEST(ArboricityMisTest, DeterministicOutput) {
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(50, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(50, 5.0, 7);
   const auto options = arboricity_options_for(g);
   auto a = run_on(g, 1, arboricity_mis(options));
   auto b = run_on(g, 42, arboricity_mis(options));
@@ -122,8 +120,7 @@ TEST(ArboricityMisTest, CliqueCostScalesWithArboricity) {
 TEST(ArboricityMisTest, LooseBoundStillCorrect) {
   // An over-estimate of the arboricity only makes peeling faster
   // (higher threshold); correctness is unaffected.
-  Rng rng(11);
-  const Graph g = gen::gnp_avg_degree(60, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(60, 6.0, 11);
   ArboricityMisOptions options;
   options.arboricity_bound = 50;
   auto [metrics, outputs] = run_on(g, 4, arboricity_mis(options));

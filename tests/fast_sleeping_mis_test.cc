@@ -40,8 +40,7 @@ TEST(FastSleepingMisTest, MakespanMatchesTruncatedSchedule) {
   // Theorem 2 / Lemma 13: all nodes finish at exactly T2(K2) where
   // T2(0) = R (the fixed greedy budget).
   for (const VertexId n : {16u, 64u, 256u}) {
-    Rng rng(n);
-    const Graph g = gen::gnp_avg_degree(n, 6.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 6.0, n);
     auto [metrics, outputs] = run_on(g, 5);
     const std::uint64_t expected =
         schedule_duration(fast_recursion_depth(n), greedy_base_rounds(n));
@@ -54,8 +53,7 @@ TEST(FastSleepingMisTest, MakespanMatchesTruncatedSchedule) {
 
 TEST(FastSleepingMisTest, MakespanIsPolylogNotCubic) {
   const VertexId n = 256;
-  Rng rng(1);
-  const Graph g = gen::gnp_avg_degree(n, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(n, 6.0, 1);
   auto [metrics, outputs] = run_on(g, 9);
   // Algorithm 1 would take ~3 n^3 = 5e7 rounds; Algorithm 2 stays tiny.
   EXPECT_LT(metrics.makespan, 100'000u);
@@ -84,8 +82,7 @@ TEST(FastSleepingMisTest, MatchesSequentialGreedyOnBitsAndRanks) {
 }
 
 TEST(FastSleepingMisTest, BaseBudgetOverrideChangesMakespan) {
-  Rng rng(2);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 2);
   FastSleepingMisOptions options;
   options.base_rounds = 20;
   auto [metrics, outputs] = run_on(g, 3, nullptr, options);
@@ -102,8 +99,7 @@ TEST(FastSleepingMisTest, OneRoundBaseBudgetRejected) {
 }
 
 TEST(FastSleepingMisTest, OddBaseBudgetSleepsItsLastRound) {
-  Rng rng(1);
-  const Graph g = gen::gnp_avg_degree(2000, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(2000, 8.0, 1);
   FastSleepingMisOptions options;
   options.base_rounds = 3;
   auto [metrics, outputs] = run_on(g, 1, nullptr, options);
@@ -113,8 +109,7 @@ TEST(FastSleepingMisTest, OddBaseBudgetSleepsItsLastRound) {
 }
 
 TEST(FastSleepingMisTest, LevelsOverrideUsesDeeperTree) {
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 3);
   FastSleepingMisOptions options;
   options.levels = 7;
   RecursionTrace trace;
@@ -143,8 +138,7 @@ TEST(FastSleepingMisTest, WorstAwakeIsLogarithmicNotLinear) {
   // Lemma 15: worst-case awake O(log n): depth O(log log n) frames plus
   // one O(log n) base case.
   const VertexId n = 512;
-  Rng rng(4);
-  const Graph g = gen::gnp_avg_degree(n, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(n, 8.0, 4);
   auto [metrics, outputs] = run_on(g, 6);
   EXPECT_LE(metrics.worst_awake(), 120u);  // ~ c log n, far below n
 }
@@ -164,23 +158,20 @@ TEST(FastSleepingMisTest, TwoNodesOneWins) {
 }
 
 TEST(FastSleepingMisTest, DeterministicGivenSeed) {
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 5);
   auto a = run_on(g, 88);
   auto b = run_on(g, 88);
   EXPECT_EQ(a.outputs, b.outputs);
 }
 
 TEST(FastSleepingMisTest, CongestBudgetRespected) {
-  Rng rng(6);
-  const Graph g = gen::gnp_avg_degree(128, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(128, 8.0, 6);
   auto [metrics, outputs] = run_on(g, 2);
   EXPECT_EQ(metrics.congest_violations, 0u);
 }
 
 TEST(FastSleepingMisTest, BaseRanksRecorded) {
-  Rng rng(7);
-  const Graph g = gen::gnp_avg_degree(32, 4.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(32, 4.0, 7);
   RecursionTrace trace;
   run_on(g, 3, &trace);
   ASSERT_EQ(trace.base_rank.size(), 32u);
@@ -192,8 +183,7 @@ TEST(FastSleepingMisTest, BaseRanksRecorded) {
 TEST(FastSleepingMisTest, RunMisTraceMatchesProtocolTrace) {
   // analysis::run_mis builds its protocol through algos::mis_protocol,
   // which must hand the trace to Algorithm 2 as the factory does.
-  Rng rng(8);
-  const Graph g = gen::gnp_avg_degree(300, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(300, 8.0, 8);
   RecursionTrace via_run_mis;
   RecursionTrace via_factory;
   const auto run = analysis::run_mis(algos::MisEngine::kFastSleeping, g, 7,

@@ -27,7 +27,6 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "metrics_test_util.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -120,8 +119,7 @@ std::vector<NamedPlan> fault_plans() {
 // beeping variant) under every plan: lane counts 2, 3, and 8 must
 // reproduce the serial run bit for bit, even with one-node chunks.
 TEST(FaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
-  Rng rng(19);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 19);
   struct Entry {
     std::string name;
     std::unique_ptr<bulk::BulkProtocol> protocol;
@@ -167,8 +165,7 @@ TEST(FaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
 // The coroutine scheduler and the bulk engine share every fault draw:
 // same crashed nodes, same lost messages, same outputs, same metrics.
 TEST(CrossEngineFault, EnginesAgreeBitwiseUnderSharedPlans) {
-  Rng rng(23);
-  const Graph g = gen::gnp_avg_degree(600, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(600, 6.0, 23);
   for (const NamedPlan& np : fault_plans()) {
     for (const MisEngine engine :
          {MisEngine::kSleeping, MisEngine::kLubyA, MisEngine::kLubyB,
@@ -189,8 +186,7 @@ TEST(CrossEngineFault, EnginesAgreeBitwiseUnderSharedPlans) {
 // --- churn ----------------------------------------------------------
 
 TEST(Churn, RepairedOutputIsValidMisOfAliveSubgraph) {
-  Rng rng(29);
-  const Graph g = gen::gnp_avg_degree(500, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(500, 8.0, 29);
   fault::FaultPlan plan;
   plan.churn.leave_prob = 0.3;
   plan.churn.join_prob = 0.5;
@@ -217,8 +213,7 @@ TEST(Churn, RepairedOutputIsValidMisOfAliveSubgraph) {
 }
 
 TEST(Churn, TrajectoryIsLaneCountIndependent) {
-  Rng rng(31);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 31);
   fault::FaultPlan plan;
   plan.churn.leave_prob = 0.25;
   plan.churn.join_prob = 0.4;
@@ -263,8 +258,7 @@ TEST(FaultTrials, TrialBatchesAreThreadCountIndependent) {
   plan.crash_prob = 0.002;
   plan.loss_prob = 0.03;
   const auto factory = [](std::uint64_t seed) {
-    Rng rng(seed);
-    return gen::gnp_avg_degree(200, 6.0, rng);
+    return gen::gnp_avg_degree_sharded_csr(200, 6.0, seed);
   };
   const auto serial =
       analysis::run_trials(MisEngine::kGreedy, factory, 900, 8,

@@ -87,24 +87,21 @@ TEST(GeneratorsTest, CliqueChain) {
 }
 
 TEST(GeneratorsTest, GnpEdgeCountNearExpectation) {
-  Rng rng(42);
   const VertexId n = 400;
   const double p = 0.05;
-  const Graph g = gnp(n, p, rng);
+  const Graph g = gnp_sharded_csr(n, p, 42);
   const double expected = p * n * (n - 1) / 2.0;
   EXPECT_GT(static_cast<double>(g.num_edges()), 0.8 * expected);
   EXPECT_LT(static_cast<double>(g.num_edges()), 1.2 * expected);
 }
 
 TEST(GeneratorsTest, GnpExtremes) {
-  Rng rng(1);
-  EXPECT_EQ(gnp(50, 0.0, rng).num_edges(), 0u);
-  EXPECT_EQ(gnp(10, 1.0, rng).num_edges(), 45u);
+  EXPECT_EQ(gnp_sharded_csr(50, 0.0, 1).num_edges(), 0u);
+  EXPECT_EQ(gnp_sharded_csr(10, 1.0, 1).num_edges(), 45u);
 }
 
 TEST(GeneratorsTest, GnpAvgDegree) {
-  Rng rng(7);
-  const Graph g = gnp_avg_degree(500, 8.0, rng);
+  const Graph g = gnp_avg_degree_sharded_csr(500, 8.0, 7);
   EXPECT_NEAR(average_degree(g), 8.0, 1.5);
 }
 

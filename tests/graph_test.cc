@@ -25,6 +25,16 @@ TEST(GraphTest, EmptyGraph) {
   EXPECT_EQ(g.max_degree(), 0u);
 }
 
+// Every way to build the 0-vertex graph holds the one offset {0}.
+TEST(GraphTest, DefaultGraphIsTheEmptyCsr) {
+  const Graph g;
+  EXPECT_TRUE(g.same_csr(Graph(0, {})));
+  EXPECT_TRUE(g.same_csr(Graph::from_csr(0, {0}, {})));
+  EXPECT_TRUE(Graph(0, {}).same_csr(g));
+  EXPECT_EQ(g.adjacency_offset(0), 0u);
+  EXPECT_EQ(g.degree_sum(), 0u);
+}
+
 TEST(GraphTest, TriangleBasics) {
   Graph g(3, {{0, 1}, {1, 2}, {0, 2}});
   EXPECT_EQ(g.num_vertices(), 3u);
@@ -130,16 +140,6 @@ TEST(GraphTest, LineGraphOfPath) {
   EXPECT_EQ(line.num_edges(), 2u);
 }
 
-TEST(GraphTest, BuilderAcceptsBothOrientations) {
-  GraphBuilder builder(4);
-  builder.add_edge(3, 1);
-  builder.add_edge(1, 3);
-  builder.add_edge(0, 2);
-  EXPECT_EQ(builder.num_added_edges(), 3u);
-  Graph g = std::move(builder).build();
-  EXPECT_EQ(g.num_edges(), 2u);
-}
-
 TEST(GraphTest, SummaryString) {
   Graph g(3, {{0, 1}, {1, 2}});
   EXPECT_EQ(g.summary(), "n=3 m=2 maxdeg=2");
@@ -149,8 +149,7 @@ TEST(GraphTest, SummaryString) {
 // edge-built graph derives the same edge list, transforms and
 // reductions from it.
 TEST(GraphTest, FromCsrTwinMatchesEdgeBuiltGraph) {
-  Rng rng(3);
-  const Graph a = gen::gnp_avg_degree(1500, 8.0, rng);
+  const Graph a(1500, gen::gnp_avg_degree_sharded_csr(1500, 8.0, 3).edges());
   util::PodVector<CsrOffset> offsets{0};
   util::PodVector<VertexId> adjacency;
   for (VertexId v = 0; v < a.num_vertices(); ++v) {

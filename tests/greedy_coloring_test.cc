@@ -10,7 +10,6 @@
 #include "analysis/verify.h"
 #include "graph/generators.h"
 #include "graph/transforms.h"
-#include "util/rng.h"
 
 namespace slumber::algos {
 namespace {
@@ -45,8 +44,7 @@ TEST(GreedyColoringTest, CompleteGraphUsesAllColors) {
 }
 
 TEST(GreedyColoringTest, MatchesSequentialGreedyOnRankOrder) {
-  Rng rng(4);
-  Graph g = gen::gnp_avg_degree(60, 5.0, rng);
+  Graph g = gen::gnp_avg_degree_sharded_csr(60, 5.0, 4);
   std::vector<std::uint64_t> ranks(g.num_vertices(), 0);
   GreedyColoringOptions options;
   options.ranks_out = &ranks;
@@ -73,8 +71,7 @@ TEST(GreedyColoringTest, DecidedRoundTracksRankChainDepth) {
 }
 
 TEST(GreedyColoringTest, DeterministicInSeed) {
-  Rng rng(6);
-  Graph g = gen::gnp(40, 0.15, rng);
+  Graph g = gen::gnp_sharded_csr(40, 0.15, 6);
   auto first = run_coloring(g, 23);
   auto second = run_coloring(g, 23);
   EXPECT_EQ(first.outputs, second.outputs);
@@ -95,8 +92,8 @@ struct GreedyColoringSweep
 
 TEST_P(GreedyColoringSweep, ProperOnRandomAndTransformed) {
   const auto [n, seed] = GetParam();
-  Rng rng(seed);
-  const Graph base = gen::gnp_avg_degree(static_cast<VertexId>(n), 6.0, rng);
+  const Graph base =
+      gen::gnp_avg_degree_sharded_csr(static_cast<VertexId>(n), 6.0, seed);
   for (const Graph& g :
        {base, mycielski(gen::cycle(9)), subdivision(gen::complete(6))}) {
     auto [metrics, outputs] = run_coloring(g, seed * 31 + 7);

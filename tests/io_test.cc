@@ -12,8 +12,7 @@ namespace slumber::io {
 namespace {
 
 TEST(IoTest, EdgeListRoundTrip) {
-  Rng rng(11);
-  const Graph g = gen::gnp(40, 0.2, rng);
+  const Graph g = gen::gnp_sharded_csr(40, 0.2, 11);
   const Graph back = from_string(to_string(g));
   EXPECT_EQ(back.num_vertices(), g.num_vertices());
   EXPECT_EQ(back.edges(), g.edges());
@@ -37,8 +36,7 @@ TEST(IoTest, EdgeListRejectsTruncated) {
 }
 
 TEST(IoTest, DimacsRoundTrip) {
-  Rng rng(13);
-  const Graph g = gen::gnp(30, 0.3, rng);
+  const Graph g = gen::gnp_sharded_csr(30, 0.3, 13);
   std::ostringstream out;
   write_dimacs(out, g);
   std::istringstream in(out.str());

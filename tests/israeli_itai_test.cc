@@ -56,8 +56,7 @@ TEST(IsraeliItaiTest, CompleteBipartitePerfect) {
 }
 
 TEST(IsraeliItaiTest, DeterministicInSeed) {
-  Rng rng(5);
-  const Graph g = gen::gnp(60, 0.1, rng);
+  const Graph g = gen::gnp_sharded_csr(60, 0.1, 5);
   sim::NetworkOptions options;
   auto first = sim::run_protocol(g, 99, israeli_itai_matching(), options);
   auto second = sim::run_protocol(g, 99, israeli_itai_matching(), options);
@@ -65,8 +64,7 @@ TEST(IsraeliItaiTest, DeterministicInSeed) {
 }
 
 TEST(IsraeliItaiTest, MessagesAreConstantWidth) {
-  Rng rng(6);
-  const Graph g = gen::gnp_avg_degree(80, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(80, 5.0, 6);
   sim::NetworkOptions options;
   options.max_message_bits = 10;  // O(1)-bit messages, not even log n
   auto [metrics, outputs] =
@@ -99,7 +97,7 @@ TEST_P(IsraeliItaiSweep, MaximalOnManyShapes) {
   Rng rng(seed);
   Graph g;
   switch (shape) {
-    case 0: g = gen::gnp_avg_degree(120, 6.0, rng); break;
+    case 0: g = gen::gnp_avg_degree_sharded_csr(120, 6.0, seed); break;
     case 1: g = gen::cycle(101); break;
     case 2: g = gen::star(64); break;
     case 3: g = gen::grid(9, 11); break;

@@ -7,7 +7,6 @@
 #include "algos/leader_election.h"
 #include "graph/generators.h"
 #include "graph/properties.h"
-#include "util/rng.h"
 
 namespace slumber::algos {
 namespace {
@@ -78,10 +77,15 @@ struct LeaderSweep
 
 TEST_P(LeaderSweep, UniqueLeaderOnConnectedRandomGraphs) {
   const auto [n, seed] = GetParam();
-  Rng rng(seed);
-  // Dense enough to be connected w.h.p.; skip the rare disconnected draw.
-  Graph g = gen::gnp(static_cast<VertexId>(n), 0.2, rng);
-  if (!is_connected(g)) GTEST_SKIP();
+  // Dense enough to be connected w.h.p. at n >= 32. At n = 8 most
+  // draws are not, so take the first connected one of a fixed sequence
+  // of seeds instead of skipping the case.
+  std::uint64_t graph_seed = seed;
+  Graph g = gen::gnp_sharded_csr(static_cast<VertexId>(n), 0.2, graph_seed);
+  while (!is_connected(g)) {
+    graph_seed += 1000;
+    g = gen::gnp_sharded_csr(static_cast<VertexId>(n), 0.2, graph_seed);
+  }
   auto [metrics, outputs] =
       sim::run_protocol(g, seed * 31 + 1, flood_max_leader_election());
   EXPECT_EQ(count_leaders(outputs), 1u);

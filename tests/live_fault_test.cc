@@ -33,7 +33,6 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "metrics_test_util.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -110,8 +109,7 @@ TEST(BurstLoss, BadEpochsPersist) {
 }
 
 TEST(BurstLoss, EnginesAgreeBitwise) {
-  Rng rng(23);
-  const Graph g = gen::gnp_avg_degree(500, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(500, 6.0, 23);
   fault::FaultPlan plan;
   plan.burst = {.p_on = 0.05, .p_off = 0.25, .epoch_len = 4};
   plan.loss_prob = 0.01;  // compose with memoryless loss
@@ -177,8 +175,7 @@ std::vector<NamedPlan> live_plans() {
 // the three combined: lane counts 2, 3, and 8 must reproduce the serial
 // run bit for bit, even with one-node chunks.
 TEST(LiveFaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
-  Rng rng(19);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 19);
   struct Entry {
     std::string name;
     std::unique_ptr<bulk::BulkProtocol> protocol;
@@ -223,8 +220,7 @@ TEST(LiveFaultLaneMatrix, BulkRunsAreLaneCountIndependent) {
 // --- end-to-end live-dynamics runs ----------------------------------
 
 TEST(LiveChurn, LeaversRejoinAndFinalMisIsRepairedValid) {
-  Rng rng(29);
-  const Graph g = gen::gnp_avg_degree(500, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(500, 8.0, 29);
   fault::FaultPlan plan;
   plan.live_churn = {.leave_prob = 0.005, .join_prob = 0.2};
   const auto run = analysis::run_mis(MisEngine::kSleeping, g, 55,
@@ -245,8 +241,7 @@ TEST(LiveChurn, LeaversRejoinAndFinalMisIsRepairedValid) {
 }
 
 TEST(Recovery, CrashedNodesComeBackAndFinalMisIsValid) {
-  Rng rng(37);
-  const Graph g = gen::gnp_avg_degree(500, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(500, 8.0, 37);
   fault::FaultPlan plan;
   plan.crash_prob = 0.004;
   plan.recover.mean_down = 5;
@@ -265,8 +260,7 @@ TEST(Recovery, CrashedNodesComeBackAndFinalMisIsValid) {
 }
 
 TEST(LiveChurn, AllThreeDynamicsComposeOnEveryBulkProtocol) {
-  Rng rng(41);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 41);
   fault::FaultPlan plan;
   plan.burst = {.p_on = 0.05, .p_off = 0.2, .epoch_len = 4};
   plan.live_churn = {.leave_prob = 0.003, .join_prob = 0.25};

@@ -19,8 +19,7 @@ TEST(MatchingTest, AllEnginesProduceMaximalMatchings) {
        {MisEngine::kSleeping, MisEngine::kFastSleeping, MisEngine::kLubyA,
         MisEngine::kLubyB, MisEngine::kGreedy, MisEngine::kGhaffari}) {
     for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-      Rng rng(seed);
-      const Graph g = gen::gnp_avg_degree(40, 4.0, rng);
+      const Graph g = gen::gnp_avg_degree_sharded_csr(40, 4.0, seed);
       const auto result = maximal_matching_via_mis(g, seed * 11, engine);
       EXPECT_TRUE(is_maximal_matching(g, result.matched_edges))
           << static_cast<int>(engine) << " seed " << seed;
@@ -62,8 +61,7 @@ TEST(MatchingTest, VerifierRejectsNonMaximal) {
 }
 
 TEST(MatchingTest, LineGraphMetricsPlausible) {
-  Rng rng(4);
-  const Graph g = gen::gnp_avg_degree(30, 4.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(30, 4.0, 4);
   const auto result = maximal_matching_via_mis(g, 8, MisEngine::kFastSleeping);
   EXPECT_EQ(result.line_graph_metrics.node.size(), g.num_edges());
   EXPECT_TRUE(is_maximal_matching(g, result.matched_edges));

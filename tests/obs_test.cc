@@ -26,7 +26,6 @@
 #include "graph/generators.h"
 #include "metrics_test_util.h"
 #include "obs/obs.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace slumber {
@@ -96,8 +95,7 @@ analysis::MisRun run_one(const Graph& g, ExecEngine exec, unsigned lanes,
 // src/obs/ may read the wall clock precisely because this test pins
 // that nothing downstream of a clock read reaches a decided output.
 TEST(ObsDeterminism, TrialOutputBitwiseIdenticalObsOnVsOff) {
-  Rng rng(31);
-  const Graph g = gen::gnp_avg_degree(400, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(400, 8.0, 31);
   int session_id = 0;
   for (const ExecEngine exec : {ExecEngine::kBulk, ExecEngine::kCoroutine}) {
     for (const Scenario& sc : scenarios()) {
@@ -127,8 +125,7 @@ TEST(ObsDeterminism, TrialOutputBitwiseIdenticalObsOnVsOff) {
 // uninstrumented serial run bit for bit. The "Parallel" name keeps
 // this in the TSan sweep alongside the other pool suites.
 TEST(ObsParallelScan, InstrumentedChunkSpansAreBitwiseNeutral) {
-  Rng rng(37);
-  const Graph g = gen::gnp_avg_degree(800, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(800, 8.0, 37);
   const auto protocol = bulk::bulk_mis_protocol(MisEngine::kSleeping, nullptr);
   bulk::BulkOptions base;
   base.max_message_bits = 0;
@@ -166,8 +163,7 @@ TEST(ObsExport, JsonlIsManifestFirstFooterLastWithInfoRoundtrip) {
     ASSERT_TRUE(session.active());
     session.set_info("tool", "obs_test");
     session.set_info("note", "schema \"anchor\"");  // exercises escaping
-    Rng rng(41);
-    const Graph g = gen::gnp_avg_degree(600, 8.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(600, 8.0, 41);
     util::ThreadPool pool(2);
     const auto protocol =
         bulk::bulk_mis_protocol(MisEngine::kSleeping, nullptr);

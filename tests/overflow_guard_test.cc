@@ -147,31 +147,5 @@ TEST(OverflowGuards, BulkSleepingMisRejectsDepthPastTheClock) {
   EXPECT_EQ(run.metrics.makespan, ~std::uint64_t{0});  // saturated
 }
 
-TEST(GraphBuilder, AddEdgesSpanMatchesAddEdge) {
-  const std::vector<Edge> edges = {{3, 1}, {0, 2}, {2, 3}, {1, 0}, {0, 2}};
-  GraphBuilder chunked(4);
-  chunked.reserve(edges.size());
-  chunked.add_edges(std::span<const Edge>(edges).subspan(0, 2));
-  chunked.add_edges(std::span<const Edge>(edges).subspan(2));
-  GraphBuilder single(4);
-  for (const Edge& e : edges) single.add_edge(e.u, e.v);
-  const Graph a = std::move(chunked).build();
-  const Graph b = std::move(single).build();
-  EXPECT_EQ(a.edges(), b.edges());
-  EXPECT_EQ(a.num_vertices(), b.num_vertices());
-  // Orientation-normalized and deduplicated like add_edge.
-  EXPECT_EQ(a.num_edges(), 4u);
-}
-
-TEST(GraphBuilder, ReserveAheadAvoidsReallocation) {
-  GraphBuilder builder(1000);
-  builder.reserve(999);
-  for (VertexId v = 0; v + 1 < 1000; ++v) builder.add_edge(v, v + 1);
-  EXPECT_EQ(builder.num_added_edges(), 999u);
-  const Graph g = std::move(builder).build();
-  EXPECT_EQ(g.num_edges(), 999u);
-  EXPECT_EQ(g.degree_sum(), 2u * 999);
-}
-
 }  // namespace
 }  // namespace slumber

@@ -22,8 +22,7 @@ namespace slumber::analysis {
 namespace {
 
 Graph sparse_gnp(VertexId n, std::uint64_t seed) {
-  Rng rng(seed);
-  return gen::gnp_avg_degree(n, 8.0, rng);
+  return gen::gnp_avg_degree_sharded_csr(n, 8.0, seed);
 }
 
 // Field-by-field bitwise equality of two runs, including the per-node

@@ -65,8 +65,7 @@ TEST(PropertiesTest, DegeneracyOfCycleIsTwo) {
 }
 
 TEST(PropertiesTest, DegeneracyOrderIsPermutation) {
-  Rng rng(4);
-  const Graph g = gen::gnp(50, 0.2, rng);
+  const Graph g = gen::gnp_sharded_csr(50, 0.2, 4);
   const auto result = degeneracy_order(g);
   std::vector<bool> seen(50, false);
   for (VertexId v : result.order) {

@@ -126,8 +126,7 @@ INSTANTIATE_TEST_SUITE_P(
 // sleeping engines agree with their lex-first characterization (tested
 // elsewhere). Here: same graph, all engines, one table of sizes.
 TEST(MisCrossEngineTest, AllEnginesSolveSameGraph) {
-  Rng rng(17);
-  const Graph g = gen::gnp_avg_degree(150, 10.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(150, 10.0, 17);
   for (const MisEngine engine : all_engines()) {
     const MisRun run = run_mis(engine, g, 31);
     EXPECT_TRUE(run.valid) << engine_name(engine);

@@ -77,7 +77,7 @@ TEST(RankTest, LexFirstMisOnPathDependsOnOrder) {
 
 TEST(RankTest, LexFirstMisIsAlwaysMaximalIndependent) {
   Rng rng(31);
-  const Graph g = gen::gnp(60, 0.1, rng);
+  const Graph g = gen::gnp_sharded_csr(60, 0.1, 31);
   std::vector<VertexId> order(60);
   for (VertexId v = 0; v < 60; ++v) order[v] = v;
   rng.shuffle(order);

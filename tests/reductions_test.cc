@@ -15,7 +15,6 @@
 #include "analysis/verify.h"
 #include "graph/generators.h"
 #include "graph/transforms.h"
-#include "util/rng.h"
 
 namespace slumber::algos {
 namespace {
@@ -24,8 +23,7 @@ namespace {
 // 2*Delta - 2 other edges plus itself in the line graph.
 TEST(ReductionBoundsTest, MatchingSizeLowerBound) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    Rng rng(seed);
-    const Graph g = gen::gnp_avg_degree(80, 6.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(80, 6.0, seed);
     if (g.num_edges() == 0) continue;
     const auto result =
         maximal_matching_via_mis(g, seed * 3 + 1, MisEngine::kSleeping);
@@ -49,8 +47,7 @@ TEST(ReductionBoundsTest, CompleteBipartiteMatchingIsPerfect) {
 // Edge coloring induces a partition into matchings: each color class is
 // itself a (not necessarily maximal) matching.
 TEST(ReductionBoundsTest, ColorClassesAreMatchings) {
-  Rng rng(4);
-  const Graph g = gen::gnp_avg_degree(60, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(60, 6.0, 4);
   const auto result = edge_coloring_via_line_graph(g, 21);
   ASSERT_TRUE(check_edge_coloring(g, result.colors));
   const std::int64_t max_color =
@@ -82,8 +79,7 @@ TEST(ReductionBoundsTest, ColorClassesAreMatchings) {
 // valid (j+1, k)-ruling set for every j <= k (weaker independence),
 // and never larger than the MIS from k = 1 on the same seed.
 TEST(ReductionBoundsTest, RulingSetHierarchy) {
-  Rng rng(8);
-  const Graph g = gen::gnp_avg_degree(70, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(70, 5.0, 8);
   const auto mis = ruling_set_via_mis(g, 1, 33, MisEngine::kGreedy);
   const auto rs2 = ruling_set_via_mis(g, 2, 33, MisEngine::kGreedy);
   const auto rs3 = ruling_set_via_mis(g, 3, 33, MisEngine::kGreedy);

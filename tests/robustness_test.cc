@@ -81,8 +81,7 @@ TEST(RobustnessTest, SleepingMisTerminatesUnderLoss) {
   // The schedule is fixed (sleep durations are computed, not awaited),
   // so even heavy loss cannot deadlock Algorithm 1: every node still
   // finishes at exactly T(K).
-  Rng rng(4);
-  const Graph g = gen::gnp_avg_degree(48, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(48, 6.0, 4);
   fault::FaultPlan plan;
   plan.loss_prob = 0.5;
   NetworkOptions options;
@@ -100,8 +99,7 @@ TEST(RobustnessTest, SleepingMisCorruptsUnderHeavyLossAndVerifierCatchesIt) {
   // it should be eliminated: with 30% loss on a dense-ish graph the
   // output is invalid for most seeds. This test documents (a) the
   // sensitivity and (b) that our verifier detects it.
-  Rng rng(6);
-  const Graph g = gen::gnp_avg_degree(64, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 8.0, 6);
   int invalid = 0;
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     fault::FaultPlan plan;
@@ -118,8 +116,7 @@ TEST(RobustnessTest, SleepingMisCorruptsUnderHeavyLossAndVerifierCatchesIt) {
 TEST(RobustnessTest, LightLossOftenSurvivable) {
   // At 1% loss on a sparse graph many runs still verify: corruption
   // requires losing one of the few decisive messages.
-  Rng rng(8);
-  const Graph g = gen::gnp_avg_degree(48, 4.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(48, 4.0, 8);
   int valid = 0;
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     fault::FaultPlan plan;
@@ -138,8 +135,7 @@ TEST(RobustnessTest, GreedyIndependenceCanBreakButTerminates) {
   // later win vacuously -- adjacency in the MIS. Termination is still
   // guaranteed by the iteration cap. We require only termination +
   // verifier detection here.
-  Rng rng(10);
-  const Graph g = gen::gnp_avg_degree(40, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(40, 6.0, 10);
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     fault::FaultPlan plan;
     plan.loss_prob = 0.2;

@@ -5,14 +5,12 @@
 
 #include "algos/ruling_set.h"
 #include "graph/generators.h"
-#include "util/rng.h"
 
 namespace slumber::algos {
 namespace {
 
 TEST(RulingSetTest, KOneIsPlainMis) {
-  Rng rng(17);
-  Graph g = gen::gnp(60, 0.1, rng);
+  Graph g = gen::gnp_sharded_csr(60, 0.1, 17);
   auto result = ruling_set_via_mis(g, 1, 5, MisEngine::kGreedy);
   auto check = check_ruling_set(g, result.rulers, 2, 1);
   EXPECT_TRUE(check.ok()) << "independent=" << check.independent
@@ -63,8 +61,7 @@ struct RulingSetSweep
 
 TEST_P(RulingSetSweep, ValidOnRandomGraphs) {
   const auto [k, seed, engine] = GetParam();
-  Rng rng(seed);
-  Graph g = gen::gnp_avg_degree(80, 5.0, rng);
+  Graph g = gen::gnp_avg_degree_sharded_csr(80, 5.0, seed);
   auto result = ruling_set_via_mis(g, k, seed + 100, engine);
   auto check = check_ruling_set(g, result.rulers, k + 1, k);
   EXPECT_TRUE(check.ok()) << "k=" << k << " seed=" << seed;

@@ -13,14 +13,12 @@
 #include "core/sleeping_mis.h"
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "util/rng.h"
 
 namespace slumber {
 namespace {
 
 TEST(ScaleTest, SleepingMisAt16k) {
-  Rng rng(1);
-  const Graph g = gen::gnp_avg_degree(16384, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(16384, 8.0, 1);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   auto [metrics, outputs] =
@@ -42,8 +40,7 @@ TEST(ScaleTest, SleepingMisAt16k) {
 }
 
 TEST(ScaleTest, FastSleepingMisAt16k) {
-  Rng rng(2);
-  const Graph g = gen::gnp_avg_degree(16384, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(16384, 8.0, 2);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   auto [metrics, outputs] =
@@ -57,8 +54,7 @@ TEST(ScaleTest, FastSleepingMisAt16k) {
 TEST(ScaleTest, DistinctActiveRoundsTracksAwakeWorkNotVirtualTime) {
   // The scheduler touches only rounds where somebody is awake; assert
   // that count is millions of times smaller than the virtual makespan.
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(4096, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(4096, 8.0, 3);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
   auto [metrics, outputs] =

@@ -8,10 +8,9 @@
 // lane matrix here runs under the tsan CI job, so every cross-block
 // atomic path is also a ThreadSanitizer workload.
 //
-// The two seed schedules (legacy single-stream vs counter-based
-// per-block) never agree bitwise; the distribution suite holds their
-// degree distributions together with a chi-square-style statistic
-// against the exact Binomial(n-1, p) law.
+// The distribution suite holds the degree distribution to the exact
+// Binomial(n-1, p) law with a chi-square-style statistic, and the edge
+// count to its Binomial(C(n,2), p) mean.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -164,7 +163,7 @@ TEST(StreamRng, AdjacentCountersDecorrelate) {
   EXPECT_EQ(agree_ac, 0);
 }
 
-// --- distribution equivalence with the legacy schedule ---------------
+// --- distribution against the exact G(n, p) law ---------------------
 
 // Chi-square-style statistic of an empirical degree histogram against
 // the exact Binomial(n-1, p) law, pooling bins with expected count
@@ -203,7 +202,7 @@ double DegreeChiSquare(const Graph& g, double p) {
   return statistic;
 }
 
-TEST(ShardedGen, DegreeDistributionMatchesLegacySchedule) {
+TEST(ShardedGen, DegreeDistributionMatchesBinomial) {
   constexpr VertexId kN = 20000;
   const double p = gen::gnp_probability_for_avg_degree(kN, 8.0);
   // ~30 effective bins; chi-square critical value at p=0.001 is ~60.
@@ -211,66 +210,45 @@ TEST(ShardedGen, DegreeDistributionMatchesLegacySchedule) {
   // an unlucky (but committed) draw while still catching a broken
   // schedule, whose statistic explodes by orders of magnitude.
   constexpr double kThreshold = 80.0;
-  for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
-    const Graph sharded = gen::gnp_avg_degree_sharded_csr(kN, 8.0, seed);
-    Rng rng(seed);
-    const Graph legacy = gen::gnp_avg_degree(kN, 8.0, rng);
-    const double sharded_stat = DegreeChiSquare(sharded, p);
-    const double legacy_stat = DegreeChiSquare(legacy, p);
-    EXPECT_LT(sharded_stat, kThreshold) << "seed=" << seed;
-    EXPECT_LT(legacy_stat, kThreshold) << "seed=" << seed;
-    // Edge totals are Binomial(C(n,2), p): mean 80k, sigma ~283. Both
-    // schedules must land within 5 sigma.
+  for (const std::uint64_t seed : {11ull, 12ull, 13ull, 14ull, 15ull, 16ull}) {
+    const Graph g = gen::gnp_avg_degree_sharded_csr(kN, 8.0, seed);
+    EXPECT_LT(DegreeChiSquare(g, p), kThreshold) << "seed=" << seed;
+    // Edge totals are Binomial(C(n,2), p): mean 80k, sigma ~283. Each
+    // graph must land within 5 sigma.
     const double mean =
         p * 0.5 * static_cast<double>(kN) * static_cast<double>(kN - 1);
     const double sigma = std::sqrt(mean * (1.0 - p));
-    EXPECT_NEAR(static_cast<double>(sharded.num_edges()), mean, 5 * sigma);
-    EXPECT_NEAR(static_cast<double>(legacy.num_edges()), mean, 5 * sigma);
+    EXPECT_NEAR(static_cast<double>(g.num_edges()), mean, 5 * sigma)
+        << "seed=" << seed;
   }
 }
 
-// --- make() schedule plumbing ----------------------------------------
+// --- make() plumbing --------------------------------------------------
 
 TEST(ShardedGen, MakeRoutesGnpFamiliesThroughShardedSchedule) {
-  gen::MakeOptions options;
-  options.schedule = gen::Schedule::kSharded;
-  const Graph via_make =
-      gen::make(gen::Family::kGnpSparse, 3000, 17, options);
-  const Graph direct = gen::gnp_avg_degree_sharded_csr(3000, 8.0, 17);
-  ExpectSameCsr(via_make, direct);
-  // Non-gnp families have one schedule; both spellings agree.
-  const Graph cycle_sharded =
-      gen::make(gen::Family::kCycle, 100, 1, options);
-  const Graph cycle_legacy = gen::make(gen::Family::kCycle, 100, 1);
-  ExpectSameCsr(cycle_sharded, cycle_legacy);
-}
-
-TEST(ShardedGen, ScheduleNamesRoundTrip) {
-  for (const gen::Schedule schedule : gen::all_schedules()) {
-    gen::Schedule parsed;
-    ASSERT_TRUE(gen::schedule_from_name(gen::schedule_name(schedule),
-                                        &parsed));
-    EXPECT_EQ(parsed, schedule);
+  const Graph sparse = gen::gnp_avg_degree_sharded_csr(3000, 8.0, 17);
+  const Graph dense = gen::gnp_sharded_csr(600, 0.5, 17);
+  EXPECT_TRUE(gen::make(gen::Family::kGnpSparse, 3000, 17).same_csr(sparse));
+  EXPECT_TRUE(gen::make(gen::Family::kGnpDense, 600, 17).same_csr(dense));
+  for (const unsigned lanes : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "lanes=" << lanes);
+    util::ThreadPool pool(lanes);
+    EXPECT_TRUE(
+        gen::make(gen::Family::kGnpSparse, 3000, 17, &pool).same_csr(sparse));
+    EXPECT_TRUE(
+        gen::make(gen::Family::kGnpDense, 600, 17, &pool).same_csr(dense));
+    // A pool changes nothing for the other families either.
+    EXPECT_TRUE(gen::make(gen::Family::kCycle, 100, 1, &pool)
+                    .same_csr(gen::make(gen::Family::kCycle, 100, 1)));
   }
-  gen::Schedule out;
-  EXPECT_FALSE(gen::schedule_from_name("zigzag", &out));
 }
 
-// --- shared gnp helpers (deduplicated across the gnp* variants) ------
+// --- gnp helpers -----------------------------------------------------
 
 TEST(GnpHelpers, ProbabilityForAvgDegree) {
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(101, 8.0), 0.08);
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(2, 5.0), 1.0);
   EXPECT_DOUBLE_EQ(gen::gnp_probability_for_avg_degree(11, 0.0), 0.0);
-}
-
-TEST(GnpHelpers, ReserveHintCoversMeanPlusSlack) {
-  const std::size_t hint = gen::gnp_reserve_hint(1000, 8.0 / 999.0);
-  const double mean = (8.0 / 999.0) * 0.5 * 1000.0 * 999.0;
-  EXPECT_GE(hint, static_cast<std::size_t>(mean));
-  EXPECT_LE(hint, static_cast<std::size_t>(mean + 4 * std::sqrt(mean) + 17));
-  // Degenerate inputs stay sane.
-  EXPECT_GE(gen::gnp_reserve_hint(2, 0.5), 0u);
 }
 
 // --- first-touch in the bulk engine ----------------------------------

@@ -14,7 +14,6 @@
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "sim/network.h"
-#include "util/rng.h"
 
 namespace slumber::sim {
 namespace {
@@ -55,8 +54,7 @@ class SimInvariantsTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SimInvariantsTest, ConservationAndConsistency) {
   const std::uint64_t seed = GetParam();
-  Rng graph_rng(seed);
-  const Graph g = gen::gnp_avg_degree(40, 6.0, graph_rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(40, 6.0, seed);
 
   for (const double loss : {0.0, 0.15}) {
     fault::FaultPlan plan;
@@ -97,8 +95,7 @@ TEST_P(SimInvariantsTest, ConservationAndConsistency) {
 
 TEST_P(SimInvariantsTest, Determinism) {
   const std::uint64_t seed = GetParam();
-  Rng graph_rng(seed);
-  const Graph g = gen::gnp_avg_degree(30, 5.0, graph_rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(30, 5.0, seed);
   fault::FaultPlan plan;
   plan.loss_prob = 0.05;
   NetworkOptions options;

@@ -109,8 +109,7 @@ TEST(SleepingMisTest, StarHubOrAllLeaves) {
 TEST(SleepingMisTest, AllNodesFinishInSameRound) {
   // Lemma 1, Condition 1: every node returns from SleepingMIS in the
   // same round. With trailing sleeps accounted, finish == T(K) exactly.
-  Rng rng(2);
-  const Graph g = gen::gnp_avg_degree(48, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(48, 6.0, 2);
   auto [metrics, outputs] = run_on(g, 11);
   const std::uint64_t expected = schedule_duration(recursion_depth(48));
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -121,8 +120,7 @@ TEST(SleepingMisTest, AllNodesFinishInSameRound) {
 TEST(SleepingMisTest, WorstCaseRoundsMatchLemma10) {
   // makespan == T(ceil(3 log2 n)) = 3(2^K - 1) ~ 3 n^3.
   for (const VertexId n : {8u, 32u}) {
-    Rng rng(n);
-    const Graph g = gen::gnp_avg_degree(n, 4.0, rng);
+    const Graph g = gen::gnp_avg_degree_sharded_csr(n, 4.0, n);
     auto [metrics, outputs] = run_on(g, 77);
     EXPECT_EQ(metrics.makespan, schedule_duration(recursion_depth(n)));
   }
@@ -149,8 +147,7 @@ TEST(SleepingMisTest, MatchesLexicographicallyFirstMis) {
 }
 
 TEST(SleepingMisTest, TraceCountsRootCall) {
-  Rng rng(3);
-  const Graph g = gen::gnp_avg_degree(40, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(40, 5.0, 3);
   RecursionTrace trace;
   run_on(g, 5, &trace);
   const auto& root = trace.calls.at({trace.levels, 0});
@@ -161,8 +158,7 @@ TEST(SleepingMisTest, TraceCountsRootCall) {
 }
 
 TEST(SleepingMisTest, TraceLevelSumsDecrease) {
-  Rng rng(4);
-  const Graph g = gen::gnp_avg_degree(120, 8.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(120, 8.0, 4);
   RecursionTrace trace;
   run_on(g, 19, &trace);
   const auto z = trace.z_by_level();
@@ -194,8 +190,7 @@ TEST(SleepingMisTest, ModerateCoinBiasStillCorrect) {
   // negligible (collision rate per pair (p^2 + q^2)^K); the extreme
   // ones are explored by bench_ablation_coin_bias, which counts
   // invalid runs instead of assuming none.
-  Rng rng(6);
-  const Graph g = gen::gnp_avg_degree(40, 5.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(40, 5.0, 6);
   for (double bias : {0.3, 0.5, 0.7}) {
     SleepingMisOptions options;
     options.coin_bias = bias;
@@ -205,8 +200,7 @@ TEST(SleepingMisTest, ModerateCoinBiasStillCorrect) {
 }
 
 TEST(SleepingMisTest, DeterministicGivenSeed) {
-  Rng rng(8);
-  const Graph g = gen::gnp_avg_degree(64, 6.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(64, 6.0, 8);
   auto a = run_on(g, 1234);
   auto b = run_on(g, 1234);
   EXPECT_EQ(a.outputs, b.outputs);
@@ -214,8 +208,7 @@ TEST(SleepingMisTest, DeterministicGivenSeed) {
 }
 
 TEST(SleepingMisTest, CongestBudgetRespected) {
-  Rng rng(10);
-  const Graph g = gen::gnp_avg_degree(100, 10.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(100, 10.0, 10);
   auto [metrics, outputs] = run_on(g, 3);  // run_on enforces the budget
   EXPECT_EQ(metrics.congest_violations, 0u);
   EXPECT_LE(metrics.max_message_bits_seen, sim::congest_bits_for(100));

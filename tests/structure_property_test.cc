@@ -16,7 +16,7 @@ class StructureFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(StructureFuzzTest, InducedSubgraphMatchesDefinition) {
   Rng rng(GetParam());
-  const Graph g = gen::gnp(30, 0.2, rng);
+  const Graph g = gen::gnp_sharded_csr(30, 0.2, GetParam());
   // Random vertex subset.
   std::vector<VertexId> keep;
   for (VertexId v = 0; v < 30; ++v) {
@@ -33,8 +33,7 @@ TEST_P(StructureFuzzTest, InducedSubgraphMatchesDefinition) {
 }
 
 TEST_P(StructureFuzzTest, LineGraphMatchesDefinition) {
-  Rng rng(GetParam() + 1000);
-  const Graph g = gen::gnp(16, 0.3, rng);
+  const Graph g = gen::gnp_sharded_csr(16, 0.3, GetParam() + 1000);
   const Graph line = g.line_graph();
   ASSERT_EQ(line.num_vertices(), g.num_edges());
   const std::vector<Edge> edges = g.edges();
@@ -50,8 +49,7 @@ TEST_P(StructureFuzzTest, LineGraphMatchesDefinition) {
 }
 
 TEST_P(StructureFuzzTest, PortsBijectiveWithNeighbors) {
-  Rng rng(GetParam() + 2000);
-  const Graph g = gen::gnp(25, 0.25, rng);
+  const Graph g = gen::gnp_sharded_csr(25, 0.25, GetParam() + 2000);
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     std::set<VertexId> seen;
     for (std::uint32_t p = 0; p < g.degree(v); ++p) {
@@ -68,8 +66,7 @@ TEST_P(StructureFuzzTest, DegeneracyOrderWitnessesItsValue) {
   // Definition: removing vertices in the order, each vertex has at most
   // `degeneracy` not-yet-removed neighbors at its removal time -- and
   // at least one vertex attains it.
-  Rng rng(GetParam() + 3000);
-  const Graph g = gen::gnp(40, 0.15, rng);
+  const Graph g = gen::gnp_sharded_csr(40, 0.15, GetParam() + 3000);
   const auto result = degeneracy_order(g);
   std::vector<bool> removed(g.num_vertices(), false);
   std::uint32_t max_seen = 0;
@@ -86,8 +83,8 @@ TEST_P(StructureFuzzTest, DegeneracyOrderWitnessesItsValue) {
 }
 
 TEST_P(StructureFuzzTest, ComponentsPartitionAndRespectEdges) {
-  Rng rng(GetParam() + 4000);
-  const Graph g = gen::gnp(40, 0.04, rng);  // sparse: multiple components
+  // Sparse: multiple components.
+  const Graph g = gen::gnp_sharded_csr(40, 0.04, GetParam() + 4000);
   const Components c = connected_components(g);
   for (const Edge& e : g.edges()) {
     EXPECT_EQ(c.component_of[e.u], c.component_of[e.v]);

@@ -75,8 +75,7 @@ TEST(TraceTest, KindNamesDistinct) {
 }
 
 TEST(TraceTest, WakeCountMatchesAwakeMetric) {
-  Rng rng(5);
-  const Graph g = gen::gnp_avg_degree(32, 4.0, rng);
+  const Graph g = gen::gnp_avg_degree_sharded_csr(32, 4.0, 5);
   RingTrace trace(1u << 20);
   NetworkOptions options;
   options.trace = &trace;

@@ -14,7 +14,6 @@
 #include "analysis/verify.h"
 #include "graph/generators.h"
 #include "graph/transforms.h"
-#include "util/rng.h"
 
 namespace slumber::analysis {
 namespace {
@@ -31,19 +30,18 @@ enum class Shape {
 };
 
 Graph make_shape(Shape shape, std::uint64_t seed) {
-  Rng rng(seed);
   switch (shape) {
     case Shape::kMycielskiCycle: return mycielski(gen::cycle(21));
     case Shape::kMycielskiGnp:
-      return mycielski(gen::gnp_avg_degree(40, 4.0, rng));
+      return mycielski(gen::gnp_avg_degree_sharded_csr(40, 4.0, seed));
     case Shape::kSubdivisionComplete: return subdivision(gen::complete(10));
     case Shape::kSubdivisionGnp:
-      return subdivision(gen::gnp_avg_degree(40, 5.0, rng));
+      return subdivision(gen::gnp_avg_degree_sharded_csr(40, 5.0, seed));
     case Shape::kCycleSquared: return power(gen::cycle(30), 2);
     case Shape::kGnpSquared:
-      return power(gen::gnp_avg_degree(50, 3.0, rng), 2);
+      return power(gen::gnp_avg_degree_sharded_csr(50, 3.0, seed), 2);
     case Shape::kComplementSparse:
-      return complement(gen::gnp_avg_degree(40, 4.0, rng));
+      return complement(gen::gnp_avg_degree_sharded_csr(40, 4.0, seed));
     case Shape::kUnionWithIsolates: {
       std::array<Graph, 3> parts = {gen::complete(8), gen::empty(6),
                                     gen::cycle(11)};

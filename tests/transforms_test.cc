@@ -26,8 +26,7 @@ TEST(PowerTest, PowerZeroIsEdgeless) {
 }
 
 TEST(PowerTest, PowerOneIsIdentity) {
-  Rng rng(7);
-  Graph g = gen::gnp(40, 0.1, rng);
+  Graph g = gen::gnp_sharded_csr(40, 0.1, 7);
   Graph p1 = power(g, 1);
   EXPECT_EQ(p1.edges(), g.edges());
 }
@@ -68,8 +67,7 @@ TEST(PowerTest, StarIsDiameterTwo) {
 // Property: edges of G^k connect vertices at BFS distance <= k, and
 // every pair at distance <= k is an edge.
 TEST(PowerTest, MatchesBfsDistances) {
-  Rng rng(99);
-  Graph g = gen::gnp(30, 0.08, rng);
+  Graph g = gen::gnp_sharded_csr(30, 0.08, 99);
   for (std::uint32_t k : {2u, 3u}) {
     Graph p = power(g, k);
     auto dist = bfs_distances(g, 0);
@@ -96,15 +94,13 @@ TEST(ComplementTest, EmptyToComplete) {
 }
 
 TEST(ComplementTest, Involution) {
-  Rng rng(5);
-  Graph g = gen::gnp(25, 0.3, rng);
+  Graph g = gen::gnp_sharded_csr(25, 0.3, 5);
   Graph cc = complement(complement(g));
   EXPECT_EQ(cc.edges(), g.edges());
 }
 
 TEST(ComplementTest, EdgeCountsSumToChoose2) {
-  Rng rng(6);
-  Graph g = gen::gnp(31, 0.2, rng);
+  Graph g = gen::gnp_sharded_csr(31, 0.2, 6);
   Graph c = complement(g);
   EXPECT_EQ(g.num_edges() + c.num_edges(), 31u * 30u / 2);
 }
@@ -158,8 +154,7 @@ TEST(SubdivisionTest, TriangleBecomesHexagon) {
 }
 
 TEST(SubdivisionTest, PreservesDegreesOfOriginals) {
-  Rng rng(11);
-  Graph g = gen::gnp(20, 0.2, rng);
+  Graph g = gen::gnp_sharded_csr(20, 0.2, 11);
   Graph s = subdivision(g);
   EXPECT_EQ(s.num_vertices(), g.num_vertices() + g.num_edges());
   EXPECT_EQ(s.num_edges(), 2 * g.num_edges());

@@ -14,11 +14,10 @@
 // bitwise interchangeable where they overlap. `faults` always runs
 // bulk; every other command rejects --engine bulk with exit 2.
 //
-// A global `--gen <legacy|sharded>` flag selects the G(n, p) seed
-// schedule for the gnp families (see graph/generators.h) in every
-// command that builds a graph: legacy is the single-stream generator,
-// sharded the counter-based per-block one, whose CSR build
-// parallelizes over the --threads lanes under --engine bulk.
+// The gnp families are built by the counter-based per-block G(n, p)
+// generator (see graph/generators.h); under --engine bulk its CSR
+// build parallelizes over the --threads lanes. An unknown `--` flag is
+// an error (exit 2), wherever it appears.
 //
 // Fault-injection flags (run / sweep / beep; see fault/fault.h) ride
 // the same global grammar: `--crash V@R` fail-stops node V at round R
@@ -37,8 +36,8 @@
 // alive subgraph. Every other command rejects fault flags with exit 2.
 //
 // `--mem-diet` (run, with --engine bulk) drops the bulk engine's
-// per-node metrics, 56 B/node: with --gen sharded's parallel CSR build
-// it is the 10^8-node memory envelope. Node-averaged awake and worst-case
+// per-node metrics, 56 B/node: with the parallel CSR build it is the
+// 10^8-node memory envelope. Node-averaged awake and worst-case
 // rounds stay exact (from the aggregate counters); worst-case awake,
 // node-averaged rounds and the energy estimate need per-node data and
 // are not printed.
@@ -68,7 +67,7 @@
 //       losses, MIS damage on the alive subgraph and repair effort;
 //       exits 1 when a fault-free, churn or live-dynamics cell ends in
 //       an invalid MIS. The 10^7 recipe:
-//       `slumber --threads 8 --gen sharded faults gnp_sparse 10000000`.
+//       `slumber --threads 8 faults gnp_sparse 10000000`.
 //   slumber tree <levels>
 //       Print the recursion tree with the paper's Figure-1 labels.
 //   slumber graph <family> <n> <seed> [dot]
@@ -123,20 +122,9 @@ namespace {
 
 using namespace slumber;
 
-// Shared flags (--engine / --gen / --threads / fault injection),
+// Shared flags (--engine / --threads / fault injection / telemetry),
 // parsed once by analysis::parse_trial_flags.
 analysis::TrialSpec g_spec;
-
-/// Builds a graph under the global --gen schedule. `pool`, when
-/// non-null, shards a sharded-schedule build over its lanes.
-Graph make_cli_graph(const gen::Family family, const VertexId n,
-                     const std::uint64_t seed,
-                     util::ThreadPool* pool = nullptr) {
-  gen::MakeOptions options;
-  options.schedule = g_spec.schedule;
-  options.pool = pool;
-  return gen::make(family, n, seed, options);
-}
 
 using util::parse_uint;  // full-token std::from_chars validation
 
@@ -155,7 +143,7 @@ bool parse_vertex_count(std::string_view token, const char* what,
 int usage() {
   std::cerr <<
       "usage: slumber [--threads N] [--engine coroutine|bulk] "
-      "[--gen legacy|sharded] [--crash V@R] [--loss P] "
+      "[--crash V@R] [--loss P] "
       "[--loss-burst P_ON P_OFF LEN] [--churn P [--churn-batches K]] "
       "[--churn-live LEAVE JOIN] [--recover MEAN_DOWN] [--mem-diet] "
       "[--obs-out FILE.jsonl] [--obs-trace FILE.json] [--progress] "
@@ -224,13 +212,13 @@ std::string alive_verdict(bool valid) {
 int cmd_run(const analysis::MisEngine engine, const gen::Family family,
             const VertexId n, const std::uint64_t seed) {
   if (!check_bulk_support(engine)) return 2;
-  // --engine bulk shards this single trial's node scans — and, with
-  // --gen sharded, the graph build itself — over --threads lanes
-  // (default: all hardware threads); bitwise identical for any N.
+  // --engine bulk shards this single trial's node scans and the graph
+  // build over --threads lanes (default: all hardware threads); bitwise
+  // identical for any N.
   util::ThreadPool pool(g_spec.exec == analysis::ExecEngine::kBulk
                             ? analysis::default_trial_threads()
                             : 1);
-  const Graph g = make_cli_graph(family, n, seed, &pool);
+  const Graph g = gen::make(family, n, seed, &pool);
   std::cout << "graph: " << g.summary() << " (" << gen::family_name(family)
             << ")\n";
   const auto run = analysis::run_mis(engine, g, seed, g_spec.run_options(&pool));
@@ -310,10 +298,8 @@ int cmd_sweep(const analysis::MisEngine engine, const gen::Family family,
   std::vector<double> ns;
   std::vector<double> awake;
   for (VertexId n = 64; n <= max_n; n *= 4) {
-    gen::MakeOptions options;
-    options.schedule = g_spec.schedule;
     const auto agg = analysis::aggregate_mis(
-        engine, analysis::graph_factory(family, n, options), 7 * n, seeds,
+        engine, analysis::graph_factory(family, n), 7 * n, seeds,
         {.exec = g_spec.exec, .fault = g_spec.fault_or_null()});
     ns.push_back(n);
     awake.push_back(agg.node_avg_awake_mean);
@@ -381,10 +367,10 @@ int cmd_faults(const gen::Family family, const VertexId n,
                const std::uint64_t seed) {
   util::ThreadPool pool(analysis::default_trial_threads());
   const auto build_start = std::chrono::steady_clock::now();
-  const Graph g = make_cli_graph(family, n, seed, &pool);
+  const Graph g = gen::make(family, n, seed, &pool);
   std::cout << "graph: " << g.summary() << " (" << pool.num_threads()
-            << " lanes, " << gen::schedule_name(g_spec.schedule)
-            << " gen, build " << analysis::Table::num(ms_since(build_start), 0)
+            << " lanes, build "
+            << analysis::Table::num(ms_since(build_start), 0)
             << " ms; bulk execution, no per-node metrics)\n\n";
 
   analysis::Table table({"protocol", "scenario", "crashed", "recovered",
@@ -459,7 +445,7 @@ int cmd_tree(const std::uint32_t levels) {
 
 int cmd_graph(const gen::Family family, const VertexId n,
               const std::uint64_t seed, const bool dot) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   if (dot) {
     io::write_dot(std::cout, g);
   } else {
@@ -474,7 +460,7 @@ int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
     std::cerr << "trace: only the sleeping engines are supported\n";
     return 2;
   }
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   sim::RingTrace trace(60);
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
@@ -489,7 +475,7 @@ int cmd_trace(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
                  const VertexId n, const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   std::cout << "graph: " << g.summary() << ", line graph n = "
             << g.num_edges() << "\n";
   const auto result = algos::maximal_matching_via_mis(g, seed, engine);
@@ -506,7 +492,7 @@ int cmd_matching(const analysis::MisEngine engine, const gen::Family family,
 
 int cmd_edge_color(const gen::Family family, const VertexId n,
                    const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   const auto result = algos::edge_coloring_via_line_graph(g, seed);
   const bool valid = algos::check_edge_coloring(g, result.colors);
   std::cout << "graph: " << g.summary() << "\n"
@@ -520,7 +506,7 @@ int cmd_edge_color(const gen::Family family, const VertexId n,
 int cmd_ruling_set(const analysis::MisEngine engine, const gen::Family family,
                    const VertexId n, const std::uint32_t k,
                    const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   const auto result = algos::ruling_set_via_mis(g, k, seed, engine);
   const auto check = algos::check_ruling_set(g, result.rulers, k + 1, k);
   std::cout << "graph: " << g.summary() << ", power G^" << k << "\n"
@@ -543,7 +529,7 @@ int cmd_beep(const gen::Family family, const VertexId n,
                  "defined for the MIS engines; use run/sweep)\n";
     return 2;
   }
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   const bool bulk = g_spec.exec == analysis::ExecEngine::kBulk;
   util::ThreadPool pool(bulk ? analysis::default_trial_threads() : 1);
   sim::Metrics metrics;
@@ -585,7 +571,7 @@ int cmd_beep(const gen::Family family, const VertexId n,
 
 int cmd_leader(const gen::Family family, const VertexId n,
                const std::uint64_t seed) {
-  const Graph g = make_cli_graph(family, n, seed);
+  const Graph g = gen::make(family, n, seed);
   if (!is_connected(g)) {
     std::cerr << "leader: graph is disconnected; one leader per component\n";
   }
@@ -608,9 +594,9 @@ int cmd_leader(const gen::Family family, const VertexId n,
 }
 
 int run_command(int argc, char** argv) {
-  // Shared flags (--threads / --engine / --gen / --crash / --loss /
-  // --churn) are valid anywhere; parse_trial_flags strips them and
-  // leaves the positional arguments.
+  // Shared flags (--threads / --engine / --crash / --loss / --churn)
+  // are valid anywhere; parse_trial_flags strips them, rejects any
+  // other `--` token, and leaves the positional arguments.
   std::vector<std::string> args(argv, argv + argc);
   if (!analysis::parse_trial_flags(&args, &g_spec)) return 2;
   if (g_spec.threads != 0) {
@@ -658,7 +644,6 @@ int run_command(int argc, char** argv) {
     obs_session.set_info("command", command);
     obs_session.set_info("cmdline", cmdline);
     obs_session.set_info("engine", analysis::exec_engine_name(g_spec.exec));
-    obs_session.set_info("gen", gen::schedule_name(g_spec.schedule));
     obs_session.set_info("threads",
                          std::to_string(analysis::default_trial_threads()));
   }
