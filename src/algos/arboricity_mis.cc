@@ -1,5 +1,6 @@
 #include "algos/arboricity_mis.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "algos/common.h"
@@ -57,29 +58,14 @@ sim::Task arboricity_node(sim::Context& ctx, ArboricityMisOptions options) {
     announce.payload_a = partition;  // O(log log n)-bit payload
     announce.bits = 24;
     sim::Inbox inbox = co_await ctx.broadcast(announce);
-    bool first = true;
-    for (const sim::Received& r : inbox) {
-      if (r.msg.kind != sim::MsgKind::kMark) continue;
-      const bool they_precede =
-          r.msg.payload_a != partition ? r.msg.payload_a < partition
-                                       : r.from < ctx.id();
-      if (they_precede) {
-        first = false;
-        break;
-      }
-    }
-    if (first) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    const bool first = std::none_of(
+        inbox.begin(), inbox.end(), [&](const sim::Received& r) {
+          return r.msg.kind == sim::MsgKind::kMark &&
+                 (r.msg.payload_a != partition ? r.msg.payload_a < partition
+                                               : r.from < ctx.id());
+        });
+    co_await join_round(ctx, first);
+    if (ctx.decided()) co_return;
   }
 }
 

@@ -7,17 +7,8 @@
 namespace slumber::algos {
 namespace {
 
-bool heard_beep(const sim::Inbox& inbox) {
-  for (const sim::Received& r : inbox) {
-    if (r.msg.kind == sim::MsgKind::kBeep) return true;
-  }
-  return false;
-}
-
 sim::Task beeping_node(sim::Context& ctx, BeepingMisOptions options) {
-  const std::uint64_t phase_cap = options.max_phases != 0
-                                      ? options.max_phases
-                                      : default_iteration_cap(ctx.n());
+  const std::uint64_t phase_cap = iteration_cap(options.max_phases, ctx.n());
   const std::uint32_t id_bits = static_cast<std::uint32_t>(
       std::bit_width(std::max<std::uint64_t>(ctx.n(), 2) - 1));
   // The composite rank (random bits above the id) lives in one 64-bit
@@ -48,22 +39,14 @@ sim::Task beeping_node(sim::Context& ctx, BeepingMisOptions options) {
         (void)co_await ctx.broadcast(sim::Message::beep());
       } else {
         sim::Inbox inbox = co_await ctx.listen();
-        if (contending && heard_beep(inbox)) contending = false;
+        contending = contending && !heard(inbox, sim::MsgKind::kBeep);
       }
     }
 
     // Join slot: survivors announce and exit; listeners that hear a
     // join beep are dominated.
-    if (contending) {
-      (void)co_await ctx.broadcast(sim::Message::beep());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox join = co_await ctx.listen();
-    if (heard_beep(join)) {
-      ctx.decide(0);
-      co_return;
-    }
+    co_await join_round(ctx, contending, sim::Message::beep());
+    if (ctx.decided()) co_return;
   }
 }
 

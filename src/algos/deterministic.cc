@@ -12,28 +12,12 @@ sim::Task deterministic_node(sim::Context& ctx,
                                 : 4 + ctx.n();
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     // Round 1: presence probe. The sender's ID rides on the envelope
-    // (Received::from), so an empty Hello suffices.
+    // (Received::from), so an empty Hello suffices: every payload is 0,
+    // and the priority test compares ids alone.
     sim::Inbox inbox = co_await ctx.broadcast(sim::Message::hello());
-    bool win = true;
-    for (const sim::Received& r : inbox) {
-      if (r.msg.kind == sim::MsgKind::kHello && r.from > ctx.id()) {
-        win = false;
-        break;
-      }
-    }
     // Round 2: local ID maxima join and announce; dominated nodes exit.
-    if (win) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    co_await join_round(ctx, !beaten(inbox, sim::MsgKind::kHello, 0, ctx.id()));
+    if (ctx.decided()) co_return;
   }
 }
 

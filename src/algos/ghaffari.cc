@@ -10,9 +10,7 @@ namespace slumber::algos {
 namespace {
 
 sim::Task ghaffari_node(sim::Context& ctx, GhaffariOptions options) {
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   // Desire level p = 2^-exponent; starts at 1/2 and stays a power of 2,
   // so the exponent alone travels over the wire (CONGEST-tight).
   std::uint64_t exponent = 1;
@@ -36,29 +34,11 @@ sim::Task ghaffari_node(sim::Context& ctx, GhaffariOptions options) {
     } else {
       marks = co_await ctx.listen();
     }
-    bool win = marked;
-    if (marked) {
-      for (const sim::Received& r : marks) {
-        if (r.msg.kind == sim::MsgKind::kMark) {
-          win = false;
-          break;
-        }
-      }
-    }
+    const bool win = marked && !heard(marks, sim::MsgKind::kMark);
 
     // Round 3: winners join, announce, terminate; dominated nodes exit.
-    if (win) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    co_await join_round(ctx, win);
+    if (ctx.decided()) co_return;
 
     // Desire-level update (Ghaffari'16): halve when crowded, double
     // (capped at 1/2) otherwise.

@@ -15,32 +15,13 @@ sim::Task greedy_node(sim::Context& ctx, GreedyOptions options) {
     if (options.ranks_out->size() != ctx.n()) options.ranks_out->resize(ctx.n());
     (*options.ranks_out)[ctx.id()] = rank;
   }
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     sim::Inbox inbox =
         co_await ctx.broadcast(sim::Message::rank(rank, rank_bits));
-    bool win = true;
-    for (const sim::Received& r : inbox) {
-      if (r.msg.kind == sim::MsgKind::kRank &&
-          priority_beats(r.msg.payload_a, r.from, rank, ctx.id())) {
-        win = false;
-        break;
-      }
-    }
-    if (win) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    co_await join_round(
+        ctx, !beaten(inbox, sim::MsgKind::kRank, rank, ctx.id()));
+    if (ctx.decided()) co_return;
   }
 }
 
@@ -57,14 +38,7 @@ std::vector<std::uint8_t> sequential_greedy_mis(
   std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
     return priority_beats(ranks[a], a, ranks[b], b);
   });
-  std::vector<std::uint8_t> in_mis(g.num_vertices(), 0);
-  std::vector<std::uint8_t> blocked(g.num_vertices(), 0);
-  for (VertexId v : order) {
-    if (blocked[v]) continue;
-    in_mis[v] = 1;
-    for (VertexId u : g.neighbors(v)) blocked[u] = 1;
-  }
-  return in_mis;
+  return core::lex_first_mis(g, order);
 }
 
 }  // namespace slumber::algos

@@ -19,9 +19,7 @@ sim::Message ii_message(std::uint64_t what) {
 }
 
 sim::Task israeli_itai_node(sim::Context& ctx, IsraeliItaiOptions options) {
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   // Ports whose neighbor is still unmatched (and hence matchable).
   std::vector<std::uint8_t> active(ctx.degree(), 1);
   std::uint32_t active_count = ctx.degree();

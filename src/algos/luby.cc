@@ -7,44 +7,22 @@ namespace {
 
 sim::Task luby_a_node(sim::Context& ctx, LubyOptions options) {
   const std::uint32_t rank_bits = rank_bits_for(ctx.n());
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     // Fresh priority each iteration (Luby'86 permutation variant).
     const std::uint64_t priority = ctx.rng().next() >> (64 - rank_bits);
     sim::Inbox inbox =
         co_await ctx.broadcast(sim::Message::rank(priority, rank_bits));
-    bool win = true;
-    for (const sim::Received& r : inbox) {
-      if (r.msg.kind == sim::MsgKind::kRank &&
-          priority_beats(r.msg.payload_a, r.from, priority, ctx.id())) {
-        win = false;
-        break;
-      }
-    }
-    if (win) {
-      // Local maximum: join the MIS, announce, terminate.
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        // An MIS neighbor dominates this node: eliminated, terminate.
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    // Local maxima join and announce; their neighbors are eliminated.
+    co_await join_round(
+        ctx, !beaten(inbox, sim::MsgKind::kRank, priority, ctx.id()));
+    if (ctx.decided()) co_return;
   }
   // Unreachable w.h.p.: leave undecided so verifiers flag it.
 }
 
 sim::Task luby_b_node(sim::Context& ctx, LubyOptions options) {
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   for (std::uint64_t iteration = 0; iteration < cap; ++iteration) {
     // Round 1: probe active degree.
     sim::Inbox inbox = co_await ctx.broadcast(sim::Message::hello());
@@ -65,31 +43,12 @@ sim::Task luby_b_node(sim::Context& ctx, LubyOptions options) {
     } else {
       marks = co_await ctx.listen();
     }
-    bool win = marked;
-    if (marked) {
-      for (const sim::Received& r : marks) {
-        if (r.msg.kind == sim::MsgKind::kMark &&
-            priority_beats(r.msg.payload_a, r.from, active_degree,
-                           ctx.id())) {
-          win = false;
-          break;
-        }
-      }
-    }
+    const bool win =
+        marked && !beaten(marks, sim::MsgKind::kMark, active_degree, ctx.id());
 
     // Round 3: winners announce; dominated nodes are eliminated.
-    if (win) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ctx.decide(1);
-      co_return;
-    }
-    sim::Inbox announcements = co_await ctx.listen();
-    for (const sim::Received& r : announcements) {
-      if (r.msg.kind == sim::MsgKind::kInMis) {
-        ctx.decide(0);
-        co_return;
-      }
-    }
+    co_await join_round(ctx, win);
+    if (ctx.decided()) co_return;
   }
 }
 

@@ -8,9 +8,7 @@ namespace slumber::algos {
 namespace {
 
 sim::Task coloring_node(sim::Context& ctx, ColoringOptions options) {
-  const std::uint64_t cap = options.max_iterations != 0
-                                ? options.max_iterations
-                                : default_iteration_cap(ctx.n());
+  const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());
   const std::uint32_t color_bits = rank_bits_for(ctx.n());
   // Palette {0, ..., deg(v)}: always non-empty by a counting argument
   // because each neighbor removes at most one color.

@@ -13,7 +13,7 @@
 namespace slumber::bulk {
 namespace {
 
-using algos::default_iteration_cap;
+using algos::iteration_cap;
 using algos::priority_beats;
 using algos::rank_bits_for;
 
@@ -124,9 +124,7 @@ void BulkLubyA::run(BulkEngine& eng) {
   const std::uint32_t rank_bits = rank_bits_for(n);
   const std::uint32_t rank_msg_bits = sim::Message::rank(0, rank_bits).bits;
   const std::uint32_t in_mis_bits = sim::Message::in_mis().bits;
-  const std::uint64_t cap = options_.max_iterations != 0
-                                ? options_.max_iterations
-                                : default_iteration_cap(n);
+  const std::uint64_t cap = iteration_cap(options_.max_iterations, n);
   std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> priority(n, 0);
@@ -167,9 +165,7 @@ void BulkLubyB::run(BulkEngine& eng) {
   const std::uint32_t hello_bits = sim::Message::hello().bits;
   const std::uint32_t mark_bits = 8 + rank_bits_for(n) / 3;
   const std::uint32_t in_mis_bits = sim::Message::in_mis().bits;
-  const std::uint64_t cap = options_.max_iterations != 0
-                                ? options_.max_iterations
-                                : default_iteration_cap(n);
+  const std::uint64_t cap = iteration_cap(options_.max_iterations, n);
   std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   std::vector<std::uint64_t> active_deg(n, 0);
@@ -261,9 +257,7 @@ void BulkGreedy::run(BulkEngine& eng) {
   const std::uint32_t rank_bits = rank_bits_for(n);
   const std::uint32_t rank_msg_bits = sim::Message::rank(0, rank_bits).bits;
   const std::uint32_t in_mis_bits = sim::Message::in_mis().bits;
-  const std::uint64_t cap = options_.max_iterations != 0
-                                ? options_.max_iterations
-                                : default_iteration_cap(n);
+  const std::uint64_t cap = iteration_cap(options_.max_iterations, n);
   // One rank per node, drawn up front (round 0) by every node.
   std::vector<std::uint64_t> rank(n);
   if (options_.ranks_out != nullptr && options_.ranks_out->size() != n) {
@@ -302,9 +296,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
   const VertexId n = g.num_vertices();
   if (n == 0) return;
   constexpr std::uint32_t kIiBits = 10;  // tag + 2-bit discriminator
-  const std::uint64_t cap = options_.max_iterations != 0
-                                ? options_.max_iterations
-                                : default_iteration_cap(n);
+  const std::uint64_t cap = iteration_cap(options_.max_iterations, n);
   std::vector<Rng> rng = node_streams(eng);
   std::vector<VertexId> alive = all_vertices(n);
   // Per-port active flags, indexed by CSR adjacency slot.
@@ -498,9 +490,7 @@ void BulkBeepingMis::run(BulkEngine& eng) {
   const VertexId n = g.num_vertices();
   if (n == 0) return;
   const std::uint32_t beep_bits = sim::Message::beep().bits;
-  const std::uint64_t phase_cap = options_.max_phases != 0
-                                      ? options_.max_phases
-                                      : default_iteration_cap(n);
+  const std::uint64_t phase_cap = iteration_cap(options_.max_phases, n);
   const std::uint32_t id_bits = static_cast<std::uint32_t>(
       std::bit_width(std::max<std::uint64_t>(n, 2) - 1));
   // Capped like algos/beeping_mis.cc so the 64-bit composite rank never

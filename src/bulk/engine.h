@@ -325,15 +325,7 @@ class BulkEngine {
   /// True iff v is currently out of the network for any reason.
   bool down(VertexId v) const { return crashed(v) || departed(v); }
 
-  bool decided(VertexId v) const { return decided_[v] != 0; }
-  std::int64_t output(VertexId v) const { return outputs_[v]; }
-
   sim::Metrics& metrics() { return metrics_; }
-
-  /// True when per-node sim::Metrics are maintained (BulkOptions::
-  /// node_metrics); the memory-diet mode for the 10^8 regime disables
-  /// them.
-  bool node_metrics_enabled() const { return options_.node_metrics; }
 
   /// Finalizes makespan and moves the run's results out.
   BulkResult take_result();

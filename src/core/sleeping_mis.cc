@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "core/fast_sleeping_mis.h"
+#include "core/join_round.h"
 #include "core/mis_state.h"
 #include "core/rank.h"
 #include "core/schedule.h"
@@ -49,30 +50,11 @@ sim::Task greedy_base(sim::Context& ctx, MisState& st, const Recursion& rec) {
   while (used + 2 <= budget && st.value == MisValue::kUnknown) {
     sim::Inbox inbox = co_await ctx.broadcast(
         sim::Message::rank(st.base_rank, rec.rank_bits));
-    ++used;
-    bool win = true;
-    for (const sim::Received& r : inbox) {
-      if (r.msg.kind == sim::MsgKind::kRank &&
-          priority_beats(r.msg.payload_a, r.from, st.base_rank, ctx.id())) {
-        win = false;
-        break;
-      }
-    }
-    if (win) {
-      co_await ctx.broadcast(sim::Message::in_mis());
-      ++used;
-      st.value = MisValue::kTrue;
-      ctx.decide(1);
-    } else {
-      sim::Inbox announcements = co_await ctx.listen();
-      ++used;
-      for (const sim::Received& r : announcements) {
-        if (r.msg.kind == sim::MsgKind::kInMis) {
-          st.value = MisValue::kFalse;
-          ctx.decide(0);
-          break;
-        }
-      }
+    co_await join_round(
+        ctx, !beaten(inbox, sim::MsgKind::kRank, st.base_rank, ctx.id()));
+    used += 2;
+    if (ctx.decided()) {
+      st.value = ctx.output() == 1 ? MisValue::kTrue : MisValue::kFalse;
     }
   }
   // Fixed-duration synchronization: the base case always consumes

@@ -21,7 +21,6 @@ enum class MsgKind : std::uint8_t {
   kStatus = 1,      // MIS status: payload_a in {0=false, 1=true, 2=unknown}
   kRank = 2,        // a random priority/rank in payload_a
   kInMis = 3,       // "I joined the MIS"
-  kEliminated = 4,  // "my status became false"
   kProb = 5,        // Ghaffari desire level (fixed point) in payload_a
   kMark = 6,        // Ghaffari mark
   kColor = 7,       // tentative or final color in payload_a
@@ -51,7 +50,6 @@ struct Message {
   }
 
   static Message in_mis() { return {MsgKind::kInMis, 0, 0, 8}; }
-  static Message eliminated() { return {MsgKind::kEliminated, 0, 0, 8}; }
 
   /// Desire level for Ghaffari's algorithm. Desire levels are always
   /// exact powers of two (start at 1/2, halve or double), so only the

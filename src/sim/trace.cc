@@ -25,7 +25,6 @@ std::string msg_kind_name(MsgKind kind) {
     case MsgKind::kStatus: return "Status";
     case MsgKind::kRank: return "Rank";
     case MsgKind::kInMis: return "InMis";
-    case MsgKind::kEliminated: return "Eliminated";
     case MsgKind::kProb: return "Prob";
     case MsgKind::kMark: return "Mark";
     case MsgKind::kColor: return "Color";

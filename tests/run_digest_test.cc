@@ -29,6 +29,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algos/arboricity_mis.h"
+#include "algos/beeping_mis.h"
+#include "algos/deterministic.h"
+#include "algos/ghaffari.h"
+#include "algos/greedy.h"
+#include "algos/luby.h"
 #include "analysis/experiment.h"
 #include "bulk/baselines.h"
 #include "bulk/engine.h"
@@ -151,9 +157,12 @@ std::uint64_t bulk_digest(bulk::BulkProtocol& protocol,
   return d.value();
 }
 
-std::uint64_t coroutine_digest(const sim::Protocol& protocol) {
+/// `protocol` on the coroutine engine, under `fault` when it is set.
+std::uint64_t coroutine_digest(const sim::Protocol& protocol,
+                               const fault::FaultPlan* fault = nullptr) {
   sim::NetworkOptions net;
   net.max_message_bits = sim::congest_bits_for(kN);
+  net.fault = fault;
   const auto [metrics, outputs] =
       sim::run_protocol(digest_graph(), kRunSeed, protocol, net);
   Digest d;
@@ -340,6 +349,59 @@ TEST(RunDigest, CoroutineRecursionTraces) {
       << "SleepingMIS: 0x" << std::hex << sleeping;
   EXPECT_EQ(fast, 0x165465743974D1A5ULL)
       << "Fast-SleepingMIS: 0x" << std::hex << fast;
+}
+
+// The coroutine baselines, one digest per protocol under each scenario
+// the coroutine back end accepts (the first four: none, loss 1%, burst
+// loss, crash). Ghaffari, the deterministic greedy and the arboricity
+// MIS have no bulk port, so no other digest covers them; the other four
+// meet their bulk ports only on other graphs and plans (bulk_engine_test,
+// fault_test). These pin the shared join round across commits.
+TEST(RunDigest, CoroutineBaselines) {
+  const struct {
+    const char* name;
+    sim::Protocol protocol;
+    std::uint64_t digests[4];
+  } cases[] = {
+      {"Luby-A",
+       algos::luby_a(),
+       {0x5EA5AD697EBC120AULL, 0xB2D4DD6B0D51D56DULL,
+        0x8983DD4ABA51BD9DULL, 0xD5C59CBA960B96C0ULL}},
+      {"Luby-B",
+       algos::luby_b(),
+       {0xB801ACE7019B7842ULL, 0xEA36CE7849400D0EULL,
+        0xA928A54E27AC0874ULL, 0x4846CD5D0369BC0FULL}},
+      {"CRT greedy",
+       algos::distributed_greedy_mis(),
+       {0x09EC059B71C0CF63ULL, 0x8A1EE0A50512ACB4ULL,
+        0xB0C8C6A9285B41C6ULL, 0xC0F937C66FAAA06FULL}},
+      {"Ghaffari",
+       algos::ghaffari_mis(),
+       {0xA13AF081B05677B1ULL, 0x40C3920325B88E2DULL,
+        0x3532E62B5507F9E7ULL, 0xE8D6A9B793307036ULL}},
+      {"deterministic",
+       algos::deterministic_greedy_mis(),
+       {0xD4ECADC6EB9B051CULL, 0xE980D422D0555CA9ULL,
+        0x503E482CF74A6192ULL, 0x0E8895C2413D2F3AULL}},
+      {"arboricity",
+       algos::arboricity_mis({.arboricity_bound = 4}),
+       {0xC9FB0FD38A62F2C7ULL, 0x431F53EF0245C34BULL,
+        0x7B49E04F4FEE337CULL, 0xABEDC9C39C3931A9ULL}},
+      {"beeping",
+       algos::beeping_mis(),
+       {0x9C8582F90FCAF6FAULL, 0x0CADB7EEC993CEE9ULL,
+        0x3A014A22D2789CCBULL, 0xD2B02E8A70CA4BC7ULL}},
+  };
+  const std::vector<fault::Scenario> plans = scenarios();
+  for (const auto& c : cases) {
+    for (std::size_t s = 0; s < std::size(c.digests); ++s) {
+      SCOPED_TRACE(testing::Message() << c.name << ", " << plans[s].name);
+      const fault::FaultPlan& plan = plans[s].plan;
+      const std::uint64_t digest =
+          coroutine_digest(c.protocol, plan.empty() ? nullptr : &plan);
+      EXPECT_EQ(digest, c.digests[s]) << "0x" << std::hex << digest;
+    }
+  }
 }
 
 // run_mis's verdicts: one character per (engine, scenario) cell, '1'

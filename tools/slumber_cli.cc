@@ -84,9 +84,11 @@
 //       Beeping-model MIS (1-bit messages, everyone awake).
 //   slumber leader <family> <n> [seed]
 //       Flood-max leader election with decision-instant accounting.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -228,12 +230,17 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
                                           ? " lane)\n"
                                           : " lanes)\n")
             << "verify: ";
-  // Dead nodes make the full-graph check vacuous; report the
-  // survivors' invariant instead (computed by run_mis).
-  std::cout << (run.alive.empty()
-                    ? analysis::check_mis(g, run.outputs, &pool).describe()
-                    : alive_verdict(run.valid))
-            << "\n"
+  // run_mis verified the output. Dead nodes make the full-graph check
+  // vacuous, so a run that lost some reports the survivors' invariant;
+  // an invalid full run is checked again only to name what broke.
+  if (!run.alive.empty()) {
+    std::cout << alive_verdict(run.valid);
+  } else if (run.valid) {
+    std::cout << "valid MIS";
+  } else {
+    std::cout << analysis::check_mis(g, run.outputs, &pool).describe();
+  }
+  std::cout << "\n"
             << "MIS size: " << run.mis_size << "\n";
   if (g_spec.fault_or_null() != nullptr) {
     std::cout << "faults: crashed " << run.metrics.crashed_nodes
@@ -627,6 +634,37 @@ int run_command(int argc, char** argv) {
                  "faults only\n";
     return 2;
   }
+  // The fewest and most positional arguments each command takes after
+  // its name: too few prints the usage, and a token past the last is an
+  // error rather than silently ignored.
+  static constexpr struct {
+    std::string_view command;
+    int min_args;
+    int max_args;
+  } kArity[] = {{"families", 0, 0},   {"engines", 0, 0},    {"run", 3, 4},
+                {"sweep", 3, 4},      {"faults", 2, 3},     {"tree", 1, 1},
+                {"graph", 3, 4},      {"trace", 3, 4},      {"matching", 3, 4},
+                {"edge-color", 2, 3}, {"ruling-set", 3, 5}, {"beep", 2, 3},
+                {"leader", 2, 3}};
+  const auto* arity =
+      std::find_if(std::begin(kArity), std::end(kArity),
+                   [&](const auto& a) { return a.command == command; });
+  if (arity == std::end(kArity) || nargs < 2 + arity->min_args) {
+    return usage();
+  }
+  if (const int max = arity->max_args; nargs > 2 + max) {
+    std::cerr << "error: unexpected argument '" << args[2 + max] << "' ("
+              << command
+              << (max == 0 ? " takes none"
+                           : " takes at most " + std::to_string(max))
+              << ")\n";
+    return 2;
+  }
+  if (command == "graph" && nargs > 5 && args[5] != "dot") {
+    std::cerr << "error: unknown graph format '" << args[5]
+              << "' (the only one is dot)\n";
+    return 2;
+  }
   // faults runs on the bulk back end whatever --engine says; the
   // telemetry manifest below records that.
   if (command == "faults") g_spec.exec = analysis::ExecEngine::kBulk;
@@ -650,13 +688,11 @@ int run_command(int argc, char** argv) {
   if (command == "families") return cmd_families();
   if (command == "engines") return cmd_engines();
   if (command == "tree") {
-    if (nargs < 3) return usage();
     std::uint64_t levels = 0;
     if (!parse_uint(args[2], "tree <levels>", &levels, 0, 62)) return 2;
     return cmd_tree(static_cast<std::uint32_t>(levels));
   }
   if (command == "graph") {
-    if (nargs < 5) return usage();
     gen::Family family;
     if (!parse_family(args[2], &family)) return usage();
     VertexId n = 0;
@@ -665,12 +701,10 @@ int run_command(int argc, char** argv) {
         !parse_uint(args[4], "graph <seed>", &seed)) {
       return 2;
     }
-    return cmd_graph(family, n, seed,
-                     nargs > 5 && std::string(args[5]) == "dot");
+    return cmd_graph(family, n, seed, nargs > 5);
   }
   if (command == "edge-color" || command == "beep" || command == "leader" ||
       command == "faults") {
-    if (nargs < 4) return usage();
     gen::Family family;
     if (!parse_family(args[2], &family)) return usage();
     VertexId n = 0;
@@ -685,7 +719,6 @@ int run_command(int argc, char** argv) {
     return cmd_leader(family, n, seed);
   }
   // Remaining commands share <engine> <family> <n> [arg4].
-  if (nargs < 5) return usage();
   analysis::MisEngine engine;
   gen::Family family;
   if (!analysis::engine_from_name(args[2], &engine) ||
@@ -717,13 +750,11 @@ int run_command(int argc, char** argv) {
   }
   if (command == "trace") return cmd_trace(engine, family, n, arg5);
   if (command == "matching") return cmd_matching(engine, family, n, arg5);
-  if (command == "ruling-set") {
-    std::uint64_t seed = 1;
-    if (nargs > 6 && !parse_uint(args[6], "<seed>", &seed)) return 2;
-    return cmd_ruling_set(engine, family, n,
-                          static_cast<std::uint32_t>(arg5), seed);
-  }
-  return usage();
+  // ruling-set, the one command left, takes a seed after <k>.
+  std::uint64_t seed = 1;
+  if (nargs > 6 && !parse_uint(args[6], "<seed>", &seed)) return 2;
+  return cmd_ruling_set(engine, family, n, static_cast<std::uint32_t>(arg5),
+                        seed);
 }
 
 }  // namespace
