@@ -43,7 +43,8 @@ int main() {
     for (const VertexId n : {128u, 256u, 512u, 1024u, 2048u}) {
       std::vector<std::string> row = {analysis::Table::num(std::uint64_t{n})};
       for (const MisEngine engine : engines) {
-        row.push_back(analysis::Table::num(mean_energy(engine, n, 17 * n, model), 3));
+        row.push_back(analysis::Table::num(
+            mean_energy(engine, n, 17 * n, model), 3));
       }
       table.add_row(row);
     }
@@ -66,7 +67,8 @@ int main() {
     for (const VertexId n : {128u, 256u, 512u}) {
       std::vector<std::string> row = {analysis::Table::num(std::uint64_t{n})};
       for (const MisEngine engine : engines) {
-        row.push_back(analysis::Table::num(mean_energy(engine, n, 17 * n, model), 1));
+        row.push_back(analysis::Table::num(
+            mean_energy(engine, n, 17 * n, model), 1));
       }
       table.add_row(row);
     }

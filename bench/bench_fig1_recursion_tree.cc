@@ -36,11 +36,13 @@ int main() {
   core::RecursionTrace trace;
   sim::NetworkOptions options;
   options.max_message_bits = sim::congest_bits_for(g.num_vertices());
-  auto result = sim::run_protocol(g, 7, core::sleeping_mis({}, &trace), options);
+  auto result =
+      sim::run_protocol(g, 7, core::sleeping_mis({}, &trace), options);
 
   const auto analytic = core::execution_tree(trace.levels);
-  analysis::Table table({"depth", "path", "k", "analytic reach", "measured reach",
-                         "|U|", "|L|", "|R|", "isolated joins"});
+  analysis::Table table({"depth", "path", "k", "analytic reach",
+                         "measured reach", "|U|", "|L|", "|R|",
+                         "isolated joins"});
   std::uint32_t printed = 0;
   for (const core::TreeNode& node : analytic) {
     const auto it = trace.calls.find({node.k, node.path});
@@ -51,7 +53,8 @@ int main() {
         call.first_round != std::numeric_limits<std::uint64_t>::max();
     table.add_row(
         {analysis::Table::num(std::uint64_t{node.depth}),
-         analysis::Table::num(node.path), analysis::Table::num(std::uint64_t{node.k}),
+         analysis::Table::num(node.path),
+         analysis::Table::num(std::uint64_t{node.k}),
          analysis::Table::num(node.reach),
          has_round ? analysis::Table::num(call.first_round) : "-",
          analysis::Table::num(call.participants),
@@ -59,9 +62,9 @@ int main() {
          analysis::Table::num(call.isolated_joins)});
   }
   std::cout << table.render();
-  std::cout << "\nmakespan = " << result.metrics.makespan << " (analytic T(K) = "
-            << core::schedule_duration(trace.levels) << ", K = " << trace.levels
-            << ")\n";
+  std::cout << "\nmakespan = " << result.metrics.makespan
+            << " (analytic T(K) = " << core::schedule_duration(trace.levels)
+            << ", K = " << trace.levels << ")\n";
   std::cout << "Check: 'measured reach' equals 'analytic reach' for every "
                "non-empty call -- the depth-first, left-to-right schedule of "
                "Figure 1.\n";

@@ -50,7 +50,8 @@ int main() {
       bool match1 = true;
       double count1 = 0;
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        match1 = match1 && run1.outputs[v] == static_cast<std::int64_t>(lex1[v]);
+        match1 = match1 &&
+                 run1.outputs[v] == static_cast<std::int64_t>(lex1[v]);
         count1 += run1.outputs[v] == 1;
       }
       alg1_match += match1;
@@ -65,7 +66,8 @@ int main() {
       const auto lex2 = core::lex_first_mis(g, order2);
       bool match2 = true;
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        match2 = match2 && run2.outputs[v] == static_cast<std::int64_t>(lex2[v]);
+        match2 = match2 &&
+                 run2.outputs[v] == static_cast<std::int64_t>(lex2[v]);
       }
       alg2_match += match2;
 
@@ -79,7 +81,8 @@ int main() {
       bool match3 = true;
       double count3 = 0;
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        match3 = match3 && run3.outputs[v] == static_cast<std::int64_t>(lex3[v]);
+        match3 = match3 &&
+                 run3.outputs[v] == static_cast<std::int64_t>(lex3[v]);
         count3 += run3.outputs[v] == 1;
       }
       crt_match += match3;
@@ -90,7 +93,8 @@ int main() {
                    std::to_string(alg2_match) + "/" + std::to_string(kSeeds),
                    std::to_string(crt_match) + "/" + std::to_string(kSeeds),
                    analysis::Table::num(analysis::summarize(size1).mean, 1),
-                   analysis::Table::num(analysis::summarize(size_crt).mean, 1)});
+                   analysis::Table::num(
+                       analysis::summarize(size_crt).mean, 1)});
   }
   std::cout << table.render();
   std::cout << "\nPaper: Corollary 1 -- both sleeping algorithms produce "

@@ -41,7 +41,8 @@ int main() {
     table.add_row(
         {analysis::Table::num(std::uint64_t{n}),
          analysis::Table::num(run1.worst_rounds),
-         analysis::Table::num(core::schedule_duration(core::recursion_depth(n))),
+         analysis::Table::num(
+             core::schedule_duration(core::recursion_depth(n))),
          analysis::Table::num(static_cast<double>(run1.worst_rounds) / cube, 2),
          analysis::Table::num(run2.worst_rounds),
          analysis::Table::num(core::schedule_duration(

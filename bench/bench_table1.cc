@@ -3,11 +3,12 @@
 // Ghaffari) versus Algorithm 1 (SleepingMIS) and Algorithm 2
 // (Fast-SleepingMIS).
 //
-// Paper claims (Table 1):
-//                      node-avg awake | worst awake | worst rounds   | node-avg rounds
-//   prior algorithms   n/a (always awake)            O(log n)        O(log n)
-//   SleepingMIS        O(1)           | O(log n)    | O(n^3)         | O(n^3)
-//   Fast-SleepingMIS   O(1)           | O(log n)    | O(log^3.41 n)  | O(log^3.41 n)
+// Paper claims (Table 1), by node-averaged and worst-case awake
+// complexity and worst-case and node-averaged round complexity:
+//                    avg awake | worst awake | worst rounds  | avg rounds
+//   prior algorithms n/a (always awake)        O(log n)        O(log n)
+//   SleepingMIS      O(1)      | O(log n)    | O(n^3)        | O(n^3)
+//   Fast-SleepingMIS O(1)      | O(log n)    | O(log^3.41 n) | O(log^3.41 n)
 //
 // We print measured values per n on G(n, 8/n) plus growth-rate fits:
 // the awake average should be flat for the sleeping algorithms, the

@@ -41,10 +41,14 @@ int main() {
                      analysis::Table::num(log_n, 1),
                      analysis::Table::num(worst, 1),
                      analysis::Table::num(worst / log_n, 2),
-                     analysis::Table::num(analysis::percentile(all_awake, 50), 1),
-                     analysis::Table::num(analysis::percentile(all_awake, 95), 1)});
+                     analysis::Table::num(
+                         analysis::percentile(all_awake, 50), 1),
+                     analysis::Table::num(
+                         analysis::percentile(all_awake, 95), 1)});
     }
-    std::cout << "\n" << analysis::engine_name(engine) << "\n" << table.render();
+    std::cout << "\n"
+              << analysis::engine_name(engine) << "\n"
+              << table.render();
   }
   std::cout << "\nReading: worst/log2(n) stays bounded (O(log n), Lemmas "
                "9/15) while the median node is awake only a handful of "

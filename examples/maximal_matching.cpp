@@ -46,8 +46,8 @@ int main() {
   std::cout << table.render();
 
   // Show one concrete schedule.
-  const auto result =
-      algos::maximal_matching_via_mis(requests, 11, algos::MisEngine::kSleeping);
+  const auto result = algos::maximal_matching_via_mis(
+      requests, 11, algos::MisEngine::kSleeping);
   std::cout << "\ngranted circuits (SleepingMIS): ";
   const std::vector<Edge> circuits = requests.edges();
   for (EdgeId e : result.matched_edges) {

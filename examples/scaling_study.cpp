@@ -122,7 +122,9 @@ int main(int argc, char** argv) {
                      analysis::Table::num(agg.messages_mean, 0)});
     }
     const auto fit = analysis::log_fit(ns, awake);
-    std::cout << "\n" << analysis::engine_name(engine) << " (awake-avg slope vs log2 n: "
+    std::cout << "\n"
+              << analysis::engine_name(engine)
+              << " (awake-avg slope vs log2 n: "
               << analysis::Table::num(fit.slope, 3) << ")\n"
               << table.render();
   }

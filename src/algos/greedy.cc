@@ -12,7 +12,9 @@ sim::Task greedy_node(sim::Context& ctx, GreedyOptions options) {
   const std::uint32_t rank_bits = rank_bits_for(ctx.n());
   const std::uint64_t rank = ctx.rng().next() >> (64 - rank_bits);
   if (options.ranks_out != nullptr) {
-    if (options.ranks_out->size() != ctx.n()) options.ranks_out->resize(ctx.n());
+    if (options.ranks_out->size() != ctx.n()) {
+      options.ranks_out->resize(ctx.n());
+    }
     (*options.ranks_out)[ctx.id()] = rank;
   }
   const std::uint64_t cap = iteration_cap(options.max_iterations, ctx.n());

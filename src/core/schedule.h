@@ -55,7 +55,7 @@ std::uint64_t greedy_base_rounds(std::uint64_t n, double c = 6.0);
 struct TreeNode {
   std::uint32_t k = 0;        // frame parameter (depth from leaves)
   std::uint32_t depth = 0;    // depth from the root
-  std::uint64_t path = 0;     // left/right choices from the root (bit per level)
+  std::uint64_t path = 0;     // left/right turns from the root, 1 bit each
   std::uint64_t reach = 0;    // first time the vertex is reached
   std::uint64_t finish = 0;   // time computation finishes at the vertex
 };

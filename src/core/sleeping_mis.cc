@@ -112,7 +112,8 @@ sim::Task frame(sim::Context& ctx, MisState& st, const Recursion& rec,
     const bool all_false = std::all_of(
         inbox.begin(), inbox.end(), [](const sim::Received& r) {
           return r.msg.kind == sim::MsgKind::kStatus &&
-                 r.msg.payload_a == static_cast<std::uint64_t>(MisValue::kFalse);
+                 r.msg.payload_a ==
+                     static_cast<std::uint64_t>(MisValue::kFalse);
         });
     if (all_false) {
       st.value = MisValue::kTrue;

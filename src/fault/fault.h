@@ -235,7 +235,9 @@ class FaultState {
     // (small) schedule instead of paying an O(n) array at 10^8 nodes.
     crash_at_.erase(
         std::unique(crash_at_.begin(), crash_at_.end(),
-                    [](const auto& a, const auto& b) { return a.first == b.first; }),
+                    [](const auto& a, const auto& b) {
+                      return a.first == b.first;
+                    }),
         crash_at_.end());
   }
 
@@ -358,9 +360,10 @@ class FaultState {
     const Wide round = (Wide{round_hi} << 64) | round_lo;
     Wide epoch = round / burst.epoch_len;
     for (;;) {
-      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
+      // The lo/hi split is lossless: both halves key the stream.
+      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split of the epoch
       const std::uint64_t lo = static_cast<std::uint64_t>(epoch);
-      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split; both halves key the stream
+      // NOLINTNEXTLINE(slumber-d7): lossless lo/hi split of the epoch
       const std::uint64_t hi = static_cast<std::uint64_t>(epoch >> 64);
       const std::uint64_t burst_stream = detail::mix(
           detail::mix(util::stream_tags::kBurstTag ^ edge, lo), hi);

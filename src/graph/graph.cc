@@ -233,8 +233,9 @@ std::pair<Graph, std::vector<VertexId>> Graph::induced(
     sub_edges.push_back(
         {static_cast<VertexId>(iu), static_cast<VertexId>(iv)});
   });
-  return {Graph(static_cast<VertexId>(to_original.size()), std::move(sub_edges)),
-          std::move(to_original)};
+  return {
+      Graph(static_cast<VertexId>(to_original.size()), std::move(sub_edges)),
+      std::move(to_original)};
 }
 
 Graph Graph::line_graph() const {

@@ -209,7 +209,8 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
       };
       std::uint64_t count = 0;
       for_each_gnp_edge_rows(lo, hi, p, rng, [&](VertexId u, VertexId v) {
-        // NOLINTNEXTLINE(slumber-d5): v is a row of this block, so block(v)==b is the single writer
+        // v is a row of this block, so block(v) == b is its only writer.
+        // NOLINTNEXTLINE(slumber-d5): v is a row of this block
         ++down[v];
         __builtin_prefetch(&up[u], 1);
         VertexId due = 0;
@@ -274,7 +275,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
       util::Lookahead<Edge, kClaimDepth> claims;
       util::Lookahead<UpSlot, kStoreDepth> stores;
       const auto store = [&adjacency](const UpSlot& up_slot) {
-        // NOLINTNEXTLINE(slumber-d5): slot was uniquely claimed by the fetch_add in claim; the sort pass canonicalizes order
+        // The fetch_add in claim gave this slot to one edge; the sort
+        // pass canonicalizes the order.
+        // NOLINTNEXTLINE(slumber-d5): slot uniquely claimed by fetch_add
         adjacency[up_slot.slot] = up_slot.v;
       };
       const auto claim = [&](const Edge& e) {
@@ -293,7 +296,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
               row = v;
               row_cursor = offsets[v];
             }
-            // NOLINTNEXTLINE(slumber-d5): row_cursor walks offsets[v]..offsets[v]+down[v], a range owned by this block since block(v)==b
+            // row_cursor walks offsets[v]..offsets[v]+down[v], a range
+            // this block owns since block(v) == b.
+            // NOLINTNEXTLINE(slumber-d5): row range owned by this block
             adjacency[row_cursor++] = u;  // down half, ascending in row
             __builtin_prefetch(&cursor[u], 1);
             Edge due;

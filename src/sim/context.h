@@ -19,6 +19,9 @@
 #include <coroutine>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -30,8 +33,11 @@ namespace slumber::sim {
 
 class Network;
 
-/// Everything a node receives in one awake round.
-using Inbox = std::vector<Received>;
+/// Everything a node receives in one awake round: a view of the node's
+/// own receive buffer, which the network reuses every round. It stays
+/// valid until the node's next awake round, so copy it into a vector
+/// before a later co_await if you need it after.
+using Inbox = std::span<const Received>;
 
 /// What a node emits in one awake round.
 struct OutBundle {
@@ -39,8 +45,6 @@ struct OutBundle {
   std::optional<Message> broadcast;
   /// Otherwise/additionally, explicit (port, message) pairs.
   std::vector<std::pair<std::uint32_t, Message>> per_port;
-
-  bool empty() const { return !broadcast.has_value() && per_port.empty(); }
 };
 
 class Context {
@@ -58,23 +62,34 @@ class Context {
   /// costs zero awake rounds.
   void sleep(std::uint64_t rounds) { pending_sleep_ += rounds; }
 
+  // The three awaitables below queue their messages when called; the
+  // network sends them in the node's next awake round. Await each one
+  // at once.
+
   /// Awaitable: one awake round sending `m` on every port.
   auto broadcast(Message m) {
-    OutBundle out;
-    out.broadcast = m;
-    return ExchangeAwaiter{this, std::move(out)};
+    pending_out_.broadcast = m;
+    return ExchangeAwaiter{this};
   }
 
-  /// Awaitable: one awake round with explicit per-port messages.
+  /// Awaitable: one awake round with explicit per-port messages. Throws
+  /// std::out_of_range if a port is not below degree().
   auto exchange(std::vector<std::pair<std::uint32_t, Message>> msgs) {
-    OutBundle out;
-    out.per_port = std::move(msgs);
-    return ExchangeAwaiter{this, std::move(out)};
+    for (const auto& [port, msg] : msgs) {
+      if (port >= degree_) {
+        throw std::out_of_range(
+            "node " + std::to_string(id_) + " sends on port " +
+            std::to_string(port) + " but has degree " +
+            std::to_string(degree_));
+      }
+    }
+    pending_out_.per_port = std::move(msgs);
+    return ExchangeAwaiter{this};
   }
 
   /// Awaitable: one awake round sending nothing (idle listening — the
   /// expensive state the paper's motivation is about).
-  auto listen() { return ExchangeAwaiter{this, OutBundle{}}; }
+  auto listen() { return ExchangeAwaiter{this}; }
 
   /// Records this node's output value and the decision instant.
   /// Idempotent: only the first call sticks.
@@ -86,22 +101,17 @@ class Context {
  private:
   friend class Network;
 
+  // Pointer-sized, so a suspended frame holds one word per co_await.
   struct ExchangeAwaiter {
     Context* ctx;
-    OutBundle out;
 
     bool await_ready() const noexcept { return false; }
-    void await_suspend(std::coroutine_handle<> h) {
+    void await_suspend(std::coroutine_handle<> h) noexcept {
       ctx->resume_point_ = h;
-      ctx->pending_out_ = std::move(out);
       ctx->requested_sleep_ = ctx->pending_sleep_;
       ctx->pending_sleep_ = 0;
-      ctx->waiting_for_round_ = true;
     }
-    Inbox await_resume() {
-      ctx->waiting_for_round_ = false;
-      return std::move(ctx->inbox_);
-    }
+    Inbox await_resume() const noexcept { return ctx->inbox_; }
   };
 
   Context(Network* net, VertexId id, std::uint32_t degree, std::uint64_t n,
@@ -117,10 +127,9 @@ class Context {
   // --- scheduler interface ---
   std::coroutine_handle<> resume_point_;  // innermost suspended coroutine
   OutBundle pending_out_;                 // what to send at next awake round
-  Inbox inbox_;                           // filled by the network pre-resume
+  std::vector<Received> inbox_;           // filled by the network pre-resume
   std::uint64_t pending_sleep_ = 0;       // accumulated ctx.sleep() calls
   std::uint64_t requested_sleep_ = 0;     // sleep captured at suspension
-  bool waiting_for_round_ = false;
 
   // --- outputs ---
   bool decided_ = false;

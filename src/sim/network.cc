@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
+#include <span>
+#include <string>
 
 namespace slumber::sim {
 
@@ -39,7 +40,6 @@ Network::Network(const Graph& g, std::uint64_t seed, NetworkOptions options)
       fault_(options.fault, seed, g.num_vertices()) {
   const VertexId n = g.num_vertices();
   metrics_.node.resize(n);
-  finished_.assign(n, false);
   last_awake_.assign(n, 0);
   contexts_.reserve(n);
   Rng master(seed);
@@ -47,70 +47,94 @@ Network::Network(const Graph& g, std::uint64_t seed, NetworkOptions options)
     contexts_.emplace_back(new Context(this, v, g.degree(v), n,
                                        master.split(v)));
   }
+  // Scanning u in ascending order meets each v's lower neighbors in
+  // ascending order, and they hold v's first ports: the k-th time v is
+  // met, u is on v's port k.
+  back_port_.resize(g.degree_sum());
+  std::vector<std::uint32_t> cursor(n, 0);
+  for (VertexId u = 0; u < n; ++u) {
+    const std::span<const VertexId> nbrs = g.neighbors(u);
+    const CsrOffset base = g.adjacency_offset(u);
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      const VertexId v = nbrs[p];
+      if (v < u) continue;
+      const std::uint32_t q = cursor[v]++;
+      back_port_[base + p] = q;
+      back_port_[g.adjacency_offset(v) + q] = p;
+    }
+  }
 }
 
 Network::~Network() = default;
 
-void Network::check_congest(const Message& m) {
+// Accounts `count` sends of `m`: a broadcast is checked once.
+void Network::check_congest(const Message& m, std::uint64_t count) {
   metrics_.max_message_bits_seen =
       std::max(metrics_.max_message_bits_seen, m.bits);
   if (options_.max_message_bits != 0 && m.bits > options_.max_message_bits) {
-    ++metrics_.congest_violations;
     if (options_.throw_on_congest_violation) {
+      ++metrics_.congest_violations;
       throw CongestViolation(
           "message of " + std::to_string(m.bits) + " bits exceeds CONGEST " +
           "budget of " + std::to_string(options_.max_message_bits));
     }
+    metrics_.congest_violations += count;
+  }
+}
+
+void Network::deliver(VertexId sender, VertexId receiver, std::uint32_t port,
+                      const Message& m) {
+  if (last_awake_[receiver] != current_round_) {
+    // Receiver is sleeping or terminated: the message is lost
+    // (paper Section 1.2: "messages sent to it ... are lost").
+    ++metrics_.dropped_messages;
+    if (options_.trace != nullptr) {
+      options_.trace->on_event({TraceEventKind::kDropSleep, current_round_,
+                                sender, receiver, m.kind, 0});
+    }
+    return;
+  }
+  // Loss only hits otherwise-deliverable messages, and the draw is
+  // keyed by (undirected link, round) — the identical decision the
+  // bulk engine computes for this edge in this round.
+  if (fault_.has_loss() &&
+      fault_.link_down(sender, receiver, current_round_, 0)) {
+    ++metrics_.injected_losses;
+    if (options_.trace != nullptr) {
+      options_.trace->on_event({TraceEventKind::kDropFault, current_round_,
+                                sender, receiver, m.kind, 0});
+    }
+    return;
+  }
+  contexts_[receiver]->inbox_.push_back({sender, port, m});
+  ++metrics_.total_messages;
+  if (options_.trace != nullptr) {
+    options_.trace->on_event({TraceEventKind::kDeliver, current_round_,
+                              sender, receiver, m.kind, 0});
   }
 }
 
 void Network::deliver_from(VertexId sender) {
-  Context& ctx = *contexts_[sender];
-  auto deliver = [&](std::uint32_t port, const Message& m) {
-    check_congest(m);
-    ++metrics_.node[sender].messages_sent;
-    const VertexId receiver = graph_.neighbor(sender, port);
-    if (!finished_[receiver] && last_awake_[receiver] == current_round_) {
-      // Loss only hits otherwise-deliverable messages, and the draw is
-      // keyed by (undirected link, round) — the identical decision the
-      // bulk engine computes for this edge in this round.
-      if (fault_.has_loss() &&
-          fault_.link_down(sender, receiver, current_round_, 0)) {
-        ++metrics_.injected_losses;
-        if (options_.trace != nullptr) {
-          options_.trace->on_event({TraceEventKind::kDropFault, current_round_,
-                                    sender, receiver, m.kind, 0});
-        }
-        return;
-      }
-      Context& rctx = *contexts_[receiver];
-      const auto back_port =
-          static_cast<std::uint32_t>(graph_.port_to(receiver, sender));
-      rctx.inbox_.push_back({sender, back_port, m});
-      ++metrics_.node[receiver].messages_received;
-      ++metrics_.total_messages;
-      if (options_.trace != nullptr) {
-        options_.trace->on_event({TraceEventKind::kDeliver, current_round_,
-                                  sender, receiver, m.kind, 0});
-      }
-    } else {
-      // Receiver is sleeping or terminated: the message is lost
-      // (paper Section 1.2: "messages sent to it ... are lost").
-      ++metrics_.dropped_messages;
-      if (options_.trace != nullptr) {
-        options_.trace->on_event({TraceEventKind::kDropSleep, current_round_,
-                                  sender, receiver, m.kind, 0});
-      }
-    }
-  };
-  if (ctx.pending_out_.broadcast.has_value()) {
-    for (std::uint32_t p = 0; p < ctx.degree_; ++p) {
-      deliver(p, *ctx.pending_out_.broadcast);
+  OutBundle& out = contexts_[sender]->pending_out_;
+  const std::span<const VertexId> nbrs = graph_.neighbors(sender);
+  const std::uint32_t* back = back_port_.data() +
+                              graph_.adjacency_offset(sender);
+  std::uint64_t& sent = metrics_.node[sender].messages_sent;
+  if (out.broadcast.has_value() && !nbrs.empty()) {
+    const Message& m = *out.broadcast;
+    check_congest(m, nbrs.size());
+    sent += nbrs.size();
+    for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
+      deliver(sender, nbrs[p], back[p], m);
     }
   }
-  for (const auto& [port, msg] : ctx.pending_out_.per_port) {
-    deliver(port, msg);
+  for (const auto& [port, m] : out.per_port) {
+    check_congest(m, 1);
+    ++sent;
+    deliver(sender, nbrs[port], back[port], m);
   }
+  out.broadcast.reset();
+  out.per_port.clear();
 }
 
 const Metrics& Network::run(const Protocol& protocol) {
@@ -129,7 +153,6 @@ const Metrics& Network::run(const Protocol& protocol) {
     ++resumes;
     if (tasks_[v].done()) {
       tasks_[v].rethrow_if_failed();
-      finished_[v] = true;
       // Trailing ctx.sleep() calls with no later exchange still advance
       // the node's local clock to its true return time.
       metrics_.node[v].finish_round = contexts_[v]->pending_sleep_;
@@ -155,7 +178,6 @@ const Metrics& Network::run(const Protocol& protocol) {
     if (fault_.has_crashes()) {
       std::erase_if(awake, [&](VertexId v) {
         if (!fault_.crashes_now(v, current_round_, 0)) return false;
-        finished_[v] = true;
         metrics_.node[v].crashed = true;
         metrics_.node[v].finish_round = current_round_;
         ++metrics_.crashed_nodes;
@@ -169,13 +191,17 @@ const Metrics& Network::run(const Protocol& protocol) {
 
     // Mark the awake set, then deliver, then resume: all sends in a round
     // complete before any node observes its inbox.
-    for (VertexId v : awake) last_awake_[v] = current_round_;
+    for (VertexId v : awake) {
+      last_awake_[v] = current_round_;
+      contexts_[v]->inbox_.clear();
+    }
     for (VertexId v : awake) deliver_from(v);
     for (VertexId v : awake) {
-      ++metrics_.node[v].awake_rounds;
-      ++metrics_.total_awake_node_rounds;
       Context& ctx = *contexts_[v];
-      ctx.pending_out_ = OutBundle{};
+      NodeMetrics& node = metrics_.node[v];
+      ++node.awake_rounds;
+      node.messages_received += ctx.inbox_.size();
+      ++metrics_.total_awake_node_rounds;
       if (options_.trace != nullptr) {
         options_.trace->on_event({TraceEventKind::kWake, current_round_, v,
                                   kInvalidVertex, MsgKind::kCustom, 0});
@@ -186,11 +212,9 @@ const Metrics& Network::run(const Protocol& protocol) {
       }
       if (tasks_[v].done()) {
         tasks_[v].rethrow_if_failed();
-        finished_[v] = true;
         // Include trailing sleeps so "all nodes return in the same
         // round" (Lemma 1, Condition 1) is observable in the metrics.
-        metrics_.node[v].finish_round =
-            current_round_ + ctx.pending_sleep_;
+        node.finish_round = current_round_ + ctx.pending_sleep_;
         if (options_.trace != nullptr) {
           options_.trace->on_event({TraceEventKind::kTerminate,
                                     current_round_, v, kInvalidVertex,

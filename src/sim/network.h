@@ -101,16 +101,21 @@ class Network {
   friend class Context;
 
   void deliver_from(VertexId sender);
-  void check_congest(const Message& m);
+  void deliver(VertexId sender, VertexId receiver, std::uint32_t port,
+               const Message& m);
+  void check_congest(const Message& m, std::uint64_t count);
 
   const Graph& graph_;
   NetworkOptions options_;
   Metrics metrics_;
   std::vector<std::unique_ptr<Context>> contexts_;
   std::vector<Task> tasks_;
-  std::vector<bool> finished_;
-  // last_awake_[v] == current_round_  <=>  v is awake this round.
+  // last_awake_[v] == current_round_  <=>  v is awake this round (so
+  // never for a finished or crashed node).
   std::vector<std::uint64_t> last_awake_;
+  // back_port_[adjacency_offset(v) + p] is the port of v at its port-p
+  // neighbor: the port a message from v arrives on.
+  std::vector<std::uint32_t> back_port_;
   std::map<std::uint64_t, std::vector<VertexId>> wake_buckets_;
   std::uint64_t current_round_ = 0;
   std::uint64_t seed_;

@@ -90,7 +90,8 @@ class Rng {
   /// Derives an independent child stream. Deterministic in (this stream's
   /// seed history, `stream_id`), and does not advance this generator.
   Rng split(std::uint64_t stream_id) const {
-    std::uint64_t sm = state_[0] ^ (state_[3] + 0x9e3779b97f4a7c15ULL * (stream_id + 1));
+    std::uint64_t sm =
+        state_[0] ^ (state_[3] + 0x9e3779b97f4a7c15ULL * (stream_id + 1));
     return Rng(splitmix64(sm));
   }
 

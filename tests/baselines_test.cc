@@ -92,7 +92,8 @@ TEST(BaselinesTest, GreedyMatchesSequentialOnSameRanks) {
     std::vector<std::uint64_t> ranks;
     GreedyOptions options;
     options.ranks_out = &ranks;
-    auto [metrics, outputs] = run_on(g, seed * 19, distributed_greedy_mis(options));
+    auto [metrics, outputs] =
+        run_on(g, seed * 19, distributed_greedy_mis(options));
     const auto expected = sequential_greedy_mis(g, ranks);
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
       EXPECT_EQ(outputs[v], static_cast<std::int64_t>(expected[v]))

@@ -286,8 +286,8 @@ TEST(BulkParallelRunMis, PoolParameterIsBitwiseInvariant) {
   // genuinely shard while the deep tiny frames take the serial path —
   // both paths must agree with the pool-less run.
   const Graph g = gen::gnp_avg_degree_sharded_csr(10000, 8.0, 5);
-  const auto serial =
-      analysis::run_mis(MisEngine::kSleeping, g, 5, {.exec = ExecEngine::kBulk});
+  const auto serial = analysis::run_mis(MisEngine::kSleeping, g, 5,
+                                        {.exec = ExecEngine::kBulk});
   util::ThreadPool pool(4);
   const auto sharded = analysis::run_mis(
       MisEngine::kSleeping, g, 5, {.exec = ExecEngine::kBulk, .pool = &pool});

@@ -73,7 +73,8 @@ TEST_P(PruningLemmaTest, LevelDecayGeometric) {
   // depths (deeper levels have tiny counts, noise dominates).
   const VertexId n = 96;
   const auto averages = measure(GetParam(), n, 40);
-  const double n_actual = averages.z_by_depth.empty() ? 0 : averages.z_by_depth[0];
+  const double n_actual =
+      averages.z_by_depth.empty() ? 0 : averages.z_by_depth[0];
   ASSERT_GT(n_actual, 0.0);
   double bound = n_actual;
   for (std::uint32_t depth = 1;

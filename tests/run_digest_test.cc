@@ -34,6 +34,8 @@
 #include "algos/deterministic.h"
 #include "algos/ghaffari.h"
 #include "algos/greedy.h"
+#include "algos/greedy_coloring.h"
+#include "algos/israeli_itai.h"
 #include "algos/luby.h"
 #include "analysis/experiment.h"
 #include "bulk/baselines.h"
@@ -351,6 +353,20 @@ TEST(RunDigest, CoroutineRecursionTraces) {
       << "Fast-SleepingMIS: 0x" << std::hex << fast;
 }
 
+/// `protocol`'s coroutine_digest under each scenario the coroutine back
+/// end accepts (the first four: none, loss 1%, burst loss, crash).
+void expect_coroutine_digests(const char* name, const sim::Protocol& protocol,
+                              const std::uint64_t (&expected)[4]) {
+  const std::vector<fault::Scenario> plans = scenarios();
+  for (std::size_t s = 0; s < std::size(expected); ++s) {
+    SCOPED_TRACE(testing::Message() << name << ", " << plans[s].name);
+    const fault::FaultPlan& plan = plans[s].plan;
+    const std::uint64_t digest =
+        coroutine_digest(protocol, plan.empty() ? nullptr : &plan);
+    EXPECT_EQ(digest, expected[s]) << "0x" << std::hex << digest;
+  }
+}
+
 // The coroutine baselines, one digest per protocol under each scenario
 // the coroutine back end accepts (the first four: none, loss 1%, burst
 // loss, crash). Ghaffari, the deterministic greedy and the arboricity
@@ -392,15 +408,76 @@ TEST(RunDigest, CoroutineBaselines) {
        {0x9C8582F90FCAF6FAULL, 0x0CADB7EEC993CEE9ULL,
         0x3A014A22D2789CCBULL, 0xD2B02E8A70CA4BC7ULL}},
   };
-  const std::vector<fault::Scenario> plans = scenarios();
   for (const auto& c : cases) {
-    for (std::size_t s = 0; s < std::size(c.digests); ++s) {
-      SCOPED_TRACE(testing::Message() << c.name << ", " << plans[s].name);
-      const fault::FaultPlan& plan = plans[s].plan;
-      const std::uint64_t digest =
-          coroutine_digest(c.protocol, plan.empty() ? nullptr : &plan);
-      EXPECT_EQ(digest, c.digests[s]) << "0x" << std::hex << digest;
+    expect_coroutine_digests(c.name, c.protocol, c.digests);
+  }
+}
+
+/// Each step sleeps, broadcasts, listens or sends on random valid
+/// ports, and every message received is folded into the node's output
+/// in inbox order: its index, sender, arrival port, kind and payload.
+/// The MIS protocols above decide the same way whatever their inbox
+/// order and never read a port, so their digests cannot see either.
+sim::Task delivery_stream_node(sim::Context& ctx) {
+  std::uint64_t fold = 0;
+  const std::uint64_t steps = 1 + ctx.rng().below(12);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    const std::uint64_t action = ctx.rng().below(4);
+    if (action == 0) ctx.sleep(ctx.rng().below(5));
+    sim::Inbox inbox;
+    if (action == 1 && ctx.degree() > 0) {
+      std::vector<std::pair<std::uint32_t, sim::Message>> out;
+      const std::uint64_t sends = ctx.rng().below(ctx.degree()) + 1;
+      for (std::uint64_t i = 0; i < sends; ++i) {
+        const auto port =
+            static_cast<std::uint32_t>(ctx.rng().below(ctx.degree()));
+        out.push_back({port, sim::Message::color(ctx.rng().below(256), 8)});
+      }
+      inbox = co_await ctx.exchange(std::move(out));
+    } else if (action == 2) {
+      inbox = co_await ctx.listen();
+    } else {
+      inbox = co_await ctx.broadcast(sim::Message::rank(step, 8));
     }
+    for (std::size_t i = 0; i < inbox.size(); ++i) {
+      const sim::Received& r = inbox[i];
+      for (const std::uint64_t field :
+           {std::uint64_t{i}, std::uint64_t{r.from}, std::uint64_t{r.port},
+            static_cast<std::uint64_t>(r.msg.kind), r.msg.payload_a}) {
+        std::uint64_t sm = fold ^ field;
+        fold = splitmix64(sm);
+      }
+    }
+  }
+  ctx.decide(static_cast<std::int64_t>(fold >> 1));
+}
+
+// What the coroutine engine delivers: which messages reach whom, in
+// which inbox order and on which port. The chaos protocol above folds
+// the raw stream into its outputs; Israeli-Itai and the greedy coloring
+// are the library protocols that act on r.port. One digest per
+// protocol under each scenario the coroutine back end accepts.
+TEST(RunDigest, CoroutineDeliveryStream) {
+  const struct {
+    const char* name;
+    sim::Protocol protocol;
+    std::uint64_t digests[4];
+  } cases[] = {
+      {"chaos",
+       delivery_stream_node,
+       {0xFA3367EF1707D6A6ULL, 0xBB514245460CD29CULL,
+        0x6630D229A6736A94ULL, 0x7F9D5BE88DE9BFFAULL}},
+      {"Israeli-Itai",
+       algos::israeli_itai_matching(),
+       {0x387D6EF6E636B730ULL, 0x23F04B79BBFE5A9FULL,
+        0xE697949636752DADULL, 0xF1C3B21D61F4869EULL}},
+      {"greedy coloring",
+       algos::greedy_coloring(),
+       {0x41AD457F6A8A3C58ULL, 0xA0EE192B79E5A72EULL,
+        0xCDB14612D9E51D74ULL, 0x6614C3B44116F376ULL}},
+  };
+  for (const auto& c : cases) {
+    expect_coroutine_digests(c.name, c.protocol, c.digests);
   }
 }
 

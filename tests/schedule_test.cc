@@ -72,8 +72,9 @@ TEST(ScheduleTest, GreedyBaseRoundsEvenAndLogarithmic) {
     const std::uint64_t r = greedy_base_rounds(n);
     EXPECT_EQ(r % 2, 0u);
     EXPECT_GE(r, 2u);
-    EXPECT_GE(static_cast<double>(r), 6.0 * std::log2(static_cast<double>(n)) - 2.0);
-    EXPECT_LE(static_cast<double>(r), 6.0 * std::log2(static_cast<double>(n)) + 2.0);
+    const double c_log_n = 6.0 * std::log2(static_cast<double>(n));
+    EXPECT_GE(static_cast<double>(r), c_log_n - 2.0);
+    EXPECT_LE(static_cast<double>(r), c_log_n + 2.0);
   }
 }
 

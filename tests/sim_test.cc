@@ -1,11 +1,17 @@
 // Tests for the synchronous sleeping-model simulator: round semantics,
 // sleeping message loss, event skipping, CONGEST enforcement, metrics.
+#include <algorithm>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "util/rng.h"
 
 namespace slumber::sim {
 namespace {
@@ -127,19 +133,60 @@ TEST(SimTest, PerPortSendsTargetSingleNeighbor) {
   EXPECT_EQ(outputs[2], 1);
 }
 
-TEST(SimTest, ReceivedPortIdentifiesSender) {
-  const Graph g = cycle(4);
-  auto protocol = [](Context& ctx) -> Task {
-    Inbox inbox = co_await ctx.broadcast(Message::hello());
-    // Reconstruct sender via the port: neighbor(port) must equal from.
-    for (const Received& r : inbox) {
-      if (r.msg.kind != MsgKind::kHello) continue;
-      EXPECT_LT(r.port, ctx.degree());
+TEST(SimTest, PerPortSendPastDegreeThrows) {
+  // Both ends of a path have degree 1, so port 1 does not exist there.
+  const Graph g = path(3);
+  for (const VertexId sender : {VertexId{0}, VertexId{2}}) {
+    auto protocol = [sender](Context& ctx) -> Task {
+      std::vector<std::pair<std::uint32_t, Message>> out;
+      if (ctx.id() == sender) out.push_back({1u, Message::hello()});
+      co_await ctx.exchange(std::move(out));
+      ctx.decide(0);
+    };
+    Network net(g, 1);
+    try {
+      net.run(protocol);
+      ADD_FAILURE() << "node " << sender << " sent past its degree";
+    } catch (const std::out_of_range& e) {
+      EXPECT_EQ(std::string(e.what()), "node " + std::to_string(sender) +
+                                           " sends on port 1 but has "
+                                           "degree 1");
     }
-    ctx.decide(static_cast<std::int64_t>(inbox.size()));
+  }
+}
+
+TEST(SimTest, ReceivedPortIdentifiesSender) {
+  // Unequal degrees, so a wrong arrival port rarely names the sender.
+  Rng rng(11);
+  const Graph g = gen::barabasi_albert(3000, 3, rng);
+  auto protocol = [&g](Context& ctx) -> Task {
+    // Round 1: broadcasts. neighbor(port) must equal from.
+    std::int64_t identified = 0;
+    Inbox inbox = co_await ctx.broadcast(Message::hello());
+    std::vector<std::pair<std::uint32_t, Message>> replies;
+    for (const Received& r : inbox) {
+      identified += g.neighbor(ctx.id(), r.port) == r.from ? 1 : 0;
+      replies.push_back({r.port, {MsgKind::kCustom, r.from, 0, 8}});
+    }
+    // Round 2: a reply on each arrival port must reach that sender,
+    // again on the port that leads back.
+    Inbox answers = co_await ctx.exchange(std::move(replies));
+    for (const Received& r : answers) {
+      const bool mine = r.msg.payload_a == ctx.id();
+      identified += mine && g.neighbor(ctx.id(), r.port) == r.from ? 1 : 0;
+    }
+    ctx.decide(identified);
   };
   auto [metrics, outputs] = run_protocol(g, 7, protocol);
-  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(outputs[v], 2);
+  EXPECT_EQ(metrics.total_messages, 2 * g.degree_sum());
+  VertexId wrong = 0;
+  std::uint32_t min_degree = g.max_degree();
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (outputs[v] != 2 * static_cast<std::int64_t>(g.degree(v))) ++wrong;
+    min_degree = std::min(min_degree, g.degree(v));
+  }
+  EXPECT_EQ(wrong, 0u);
+  EXPECT_LT(min_degree, g.max_degree());
 }
 
 TEST(SimTest, NestedCoroutineRecursionSuspendsWholeStack) {
@@ -181,20 +228,24 @@ TEST(SimTest, CongestViolationThrows) {
 }
 
 TEST(SimTest, CongestViolationCountedWhenNotThrowing) {
-  const Graph g = path(2);
+  // One violation per message, though a broadcast is checked once: a
+  // star's hub sends n - 1 of them, 2(n - 1) in all.
+  const Graph graphs[] = {path(2), star(6)};
   auto protocol = [](Context& ctx) -> Task {
     Message fat = Message::hello();
     fat.bits = 10'000;
     co_await ctx.broadcast(fat);
     ctx.decide(1);
   };
-  NetworkOptions options;
-  options.max_message_bits = congest_bits_for(2);
-  options.throw_on_congest_violation = false;
-  Network net(g, 1, options);
-  const Metrics& metrics = net.run(protocol);
-  EXPECT_EQ(metrics.congest_violations, 2u);
-  EXPECT_EQ(metrics.max_message_bits_seen, 10'000u);
+  for (const Graph& g : graphs) {
+    NetworkOptions options;
+    options.max_message_bits = congest_bits_for(g.num_vertices());
+    options.throw_on_congest_violation = false;
+    Network net(g, 1, options);
+    const Metrics& metrics = net.run(protocol);
+    EXPECT_EQ(metrics.congest_violations, g.degree_sum()) << g.summary();
+    EXPECT_EQ(metrics.max_message_bits_seen, 10'000u);
+  }
 }
 
 TEST(SimTest, DecideRecordsRoundAndAwakeTime) {

@@ -223,7 +223,8 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
   const Graph g = gen::make(family, n, seed, &pool);
   std::cout << "graph: " << g.summary() << " (" << gen::family_name(family)
             << ")\n";
-  const auto run = analysis::run_mis(engine, g, seed, g_spec.run_options(&pool));
+  const auto run =
+      analysis::run_mis(engine, g, seed, g_spec.run_options(&pool));
   std::cout << "engine: " << analysis::engine_name(engine) << " ("
             << analysis::exec_engine_name(g_spec.exec) << " execution, "
             << pool.num_threads() << (pool.num_threads() == 1
@@ -271,8 +272,8 @@ int cmd_run(const analysis::MisEngine engine, const gen::Family family,
     return per_node ? analysis::Table::num(value) : std::string("-");
   };
   analysis::Table table({"measure", "value", "paper bound (sleeping algs)"});
-  table.add_row({"node-averaged awake", analysis::Table::num(run.node_avg_awake),
-                 "O(1)"});
+  table.add_row({"node-averaged awake",
+                 analysis::Table::num(run.node_avg_awake), "O(1)"});
   table.add_row({"worst-case awake", per_node_num(run.worst_awake),
                  "O(log n)"});
   table.add_row({"worst-case rounds", analysis::Table::num(run.worst_rounds),
