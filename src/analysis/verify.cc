@@ -71,13 +71,8 @@ MisCheck check_mis(const Graph& g, const std::vector<std::int64_t>& outputs,
     }
     flags[b] |= bad;
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_index(blocks, pack_block);
-    pool->parallel_for_index(blocks, check_block);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) pack_block(b);
-    for (std::size_t b = 0; b < blocks; ++b) check_block(b);
-  }
+  util::for_each_index(pool, blocks, pack_block);
+  util::for_each_index(pool, blocks, check_block);
   std::uint8_t merged = 0;
   for (const std::uint8_t f : flags) merged |= f;
   return {.is_independent = (merged & kDependent) == 0,

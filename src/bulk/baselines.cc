@@ -44,22 +44,14 @@ void local_max_scan(BulkEngine& eng, const std::vector<VertexId>& alive,
                     VirtualRound round,
                     const std::vector<std::uint64_t>& priority,
                     std::uint32_t bits, std::vector<std::uint8_t>& win) {
-  const Graph& g = eng.graph();
-  const bool lossy = eng.lossy();
   eng.scan_awake(alive, [&](BulkChunk& chunk,
                             std::span<const VertexId> part) {
     for (const VertexId v : part) {
-      std::uint64_t awake_nbrs = 0;
-      std::uint64_t heard = 0;
       bool w = true;
-      for (const VertexId u : g.neighbors(v)) {
-        if (!eng.is_awake(u)) continue;
-        ++awake_nbrs;
-        if (lossy && !eng.link_up(v, u, round)) continue;
-        ++heard;
+      const Reach r = eng.reach(v, round, [&](VertexId u, std::uint32_t) {
         if (priority_beats(priority[u], u, priority[v], v)) w = false;
-      }
-      chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, bits);
+      });
+      chunk.charge_symmetric_broadcast(v, r.awake, r.heard, bits);
       win[v] = w ? 1 : 0;
     }
   });
@@ -74,23 +66,14 @@ std::vector<VertexId> join_scan(BulkEngine& eng,
                                 const std::vector<std::uint8_t>& joining,
                                 std::uint32_t bits) {
   const Graph& g = eng.graph();
-  const bool lossy = eng.lossy();
   const auto join = [&](BulkChunk& chunk, std::span<const VertexId> part) {
     for (const VertexId v : part) {
-      std::uint64_t awake_nbrs = 0;
-      std::uint64_t delivered_out = 0;
       std::uint64_t joins_heard = 0;
-      for (const VertexId u : g.neighbors(v)) {
-        if (!eng.is_awake(u)) continue;
-        ++awake_nbrs;
-        // One symmetric draw decides both directions.
-        if (lossy && !eng.link_up(v, u, round)) continue;
-        ++delivered_out;
+      const Reach r = eng.reach(v, round, [&](VertexId u, std::uint32_t) {
         joins_heard += joining[u];
-      }
+      });
       if (joining[v] != 0) {
-        chunk.charge_send(v, g.degree(v), delivered_out, bits,
-                          awake_nbrs - delivered_out);
+        chunk.charge_send(v, g.degree(v), r.heard, bits, r.awake - r.heard);
       }
       chunk.charge_received(v, joins_heard);
       if (joining[v] != 0) {
@@ -171,7 +154,6 @@ void BulkLubyB::run(BulkEngine& eng) {
   std::vector<std::uint64_t> active_deg(n, 0);
   std::vector<std::uint8_t> marked(n, 0);
   std::vector<std::uint8_t> win(n, 0);
-  const bool lossy = eng.lossy();
   // Re-entrants restart the iteration unmarked with no stale win or
   // degree estimate; both are recomputed from round 1's probe.
   const std::function<void(VertexId)> reenter = [&](VertexId v) {
@@ -191,15 +173,9 @@ void BulkLubyB::run(BulkEngine& eng) {
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t heard = 0;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (!lossy || eng.link_up(v, u, round)) ++heard;
-        }
-        active_deg[v] = heard;
-        chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, hello_bits);
+        const Reach r = eng.reach(v, round);
+        active_deg[v] = r.heard;
+        chunk.charge_symmetric_broadcast(v, r.awake, r.heard, hello_bits);
       }
     });
     eng.scan_awake(
@@ -219,24 +195,18 @@ void BulkLubyB::run(BulkEngine& eng) {
     eng.scan_awake(alive, [&](BulkChunk& chunk,
                               std::span<const VertexId> part) {
       for (const VertexId v : part) {
-        std::uint64_t awake_nbrs = 0;
-        std::uint64_t delivered_out = 0;
         std::uint64_t marked_adjacent = 0;
         bool w = marked[v] != 0;
-        for (const VertexId u : g.neighbors(v)) {
-          if (!eng.is_awake(u)) continue;
-          ++awake_nbrs;
-          if (lossy && !eng.link_up(v, u, round)) continue;
-          ++delivered_out;
-          if (marked[u] == 0) continue;
+        const Reach r = eng.reach(v, round, [&](VertexId u, std::uint32_t) {
+          if (marked[u] == 0) return;
           ++marked_adjacent;
           if (w && priority_beats(active_deg[u], u, active_deg[v], v)) {
             w = false;
           }
-        }
+        });
         if (marked[v] != 0) {
-          chunk.charge_send(v, g.degree(v), delivered_out, mark_bits,
-                            awake_nbrs - delivered_out);
+          chunk.charge_send(v, g.degree(v), r.heard, mark_bits,
+                            r.awake - r.heard);
         }
         chunk.charge_received(v, marked_adjacent);
         win[v] = w ? 1 : 0;
@@ -311,7 +281,6 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
   // target's awake status and the round-1 link draw) — the acceptor
   // consults this instead of re-deriving last round's delivery.
   std::vector<std::uint8_t> sent_ok(n, 0);
-  const bool lossy = eng.lossy();
   // A re-entrant resumes as an idle non-proposer with no pending match.
   // Its port view (port_active / active_count) survives the downtime:
   // matched neighbors it already struck stay struck, and any it missed
@@ -383,8 +352,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
         if (proposer[v] == 0) continue;
         const VertexId t = target[v];
         const bool awake_t = eng.is_awake(t);
-        const bool delivered =
-            awake_t && (!lossy || eng.link_up(v, t, round));
+        const bool delivered = awake_t && eng.link_up(v, t, round);
         sent_ok[v] = delivered ? 1 : 0;
         chunk.charge_send(v, 1, delivered ? 1 : 0, kIiBits,
                           (awake_t && !delivered) ? 1 : 0);
@@ -421,8 +389,7 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
             continue;
           }
           const bool awake_w = eng.is_awake(w);
-          const bool delivered =
-              awake_w && (!lossy || eng.link_up(u, w, round));
+          const bool delivered = awake_w && eng.link_up(u, w, round);
           chunk.charge_send(u, 1, delivered ? 1 : 0, kIiBits,
                             (awake_w && !delivered) ? 1 : 0);
           partner[u] = static_cast<std::int64_t>(w);
@@ -448,28 +415,20 @@ void BulkIsraeliItai::run(BulkEngine& eng) {
                alive,
                [&](BulkChunk& chunk, std::span<const VertexId> part) {
                  for (const VertexId v : part) {
-                   std::uint64_t awake_nbrs = 0;
-                   std::uint64_t delivered_out = 0;
                    std::uint64_t matched_adjacent = 0;
-                   const auto nbrs = g.neighbors(v);
                    const CsrOffset base = g.adjacency_offset(v);
-                   for (std::uint32_t p = 0; p < nbrs.size(); ++p) {
-                     const VertexId u = nbrs[p];
-                     if (!eng.is_awake(u)) continue;
-                     ++awake_nbrs;
-                     if (lossy && !eng.link_up(v, u, round)) continue;
-                     ++delivered_out;
-                     if (partner[u] >= 0) {
-                       ++matched_adjacent;
-                       if (partner[v] < 0 && port_active[base + p] != 0) {
-                         port_active[base + p] = 0;
-                         --active_count[v];
-                       }
-                     }
-                   }
+                   const Reach r = eng.reach(
+                       v, round, [&](VertexId u, std::uint32_t p) {
+                         if (partner[u] < 0) return;
+                         ++matched_adjacent;
+                         if (partner[v] < 0 && port_active[base + p] != 0) {
+                           port_active[base + p] = 0;
+                           --active_count[v];
+                         }
+                       });
                    if (partner[v] >= 0) {
-                     chunk.charge_send(v, g.degree(v), delivered_out, kIiBits,
-                                       awake_nbrs - delivered_out);
+                     chunk.charge_send(v, g.degree(v), r.heard, kIiBits,
+                                       r.awake - r.heard);
                    }
                    chunk.charge_received(v, matched_adjacent);
                    if (partner[v] >= 0) {
@@ -504,7 +463,6 @@ void BulkBeepingMis::run(BulkEngine& eng) {
   std::vector<std::uint64_t> rank(n, 0);
   std::vector<std::uint8_t> contending(n, 0);
   std::vector<std::uint8_t> beeper(n, 0);
-  const bool lossy = eng.lossy();
   // A re-entrant sits out the rest of the current auction (it missed
   // the phase's candidate draw) and contends from the next phase.
   const std::function<void(VertexId)> reenter = [&](VertexId v) {
@@ -544,19 +502,13 @@ void BulkBeepingMis::run(BulkEngine& eng) {
       eng.scan_awake(alive, [&](BulkChunk& chunk,
                                 std::span<const VertexId> part) {
         for (const VertexId v : part) {
-          std::uint64_t awake_nbrs = 0;
-          std::uint64_t delivered_out = 0;
           std::uint64_t beeps_heard = 0;
-          for (const VertexId u : g.neighbors(v)) {
-            if (!eng.is_awake(u)) continue;
-            ++awake_nbrs;
-            if (lossy && !eng.link_up(v, u, round)) continue;
-            ++delivered_out;
+          const Reach r = eng.reach(v, round, [&](VertexId u, std::uint32_t) {
             beeps_heard += beeper[u];
-          }
+          });
           if (beeper[v] != 0) {
-            chunk.charge_send(v, g.degree(v), delivered_out, beep_bits,
-                              awake_nbrs - delivered_out);
+            chunk.charge_send(v, g.degree(v), r.heard, beep_bits,
+                              r.awake - r.heard);
           }
           chunk.charge_received(v, beeps_heard);
           // A beeping node cannot listen; only silent contenders drop

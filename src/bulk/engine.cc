@@ -13,7 +13,8 @@ BulkEngine::BulkEngine(const Graph& g, std::uint64_t seed, BulkOptions options)
       options_(options),
       seed_(seed),
       master_(seed),
-      fault_(options.fault, seed, g.num_vertices()) {
+      fault_(options.fault, seed, g.num_vertices()),
+      lossy_(fault_.has_loss()) {
   const VertexId n = g.num_vertices();
   if (options_.node_metrics) metrics_.node.resize(n);
   if (fault_.has_crashes()) crashed_.assign(n, 0);
@@ -52,9 +53,8 @@ ScanResult BulkEngine::scan_range(
         fn) {
   ScanResult result;
   if (total == 0) return result;
-  const bool parallel = options_.pool != nullptr &&
-                        options_.pool->num_threads() > 1 && total > 1 &&
-                        total >= options_.parallel_cutoff;
+  util::ThreadPool* const pool = lanes(total);
+  const std::size_t chunks = util::chunk_count(pool, total);
   // Telemetry only: spans for cutoff-sized scans, with a scan id that
   // groups this scan's chunk spans in the export (imbalance stats).
   // Sub-cutoff scans stay span-free so 10^7-node runs emit thousands of
@@ -62,35 +62,33 @@ ScanResult BulkEngine::scan_range(
   const bool traced = obs::enabled() && total >= options_.parallel_cutoff;
   const std::uint64_t scan_id = traced ? ++obs_scan_seq_ : 0;
   obs::Span scan_span(traced ? "engine" : nullptr, "scan", scan_id);
-  if (!parallel) {
-    BulkChunk chunk(this);
-    fn(chunk, 0, total);
-    merge_chunk(chunk);
-    result.kept = std::move(chunk.kept_);
-    result.dropped = std::move(chunk.dropped_);
-    result.user = chunk.user_;
-    return result;
-  }
-  const std::size_t chunks = options_.pool->num_chunks(total);
-  std::vector<BulkChunk> parts(chunks, BulkChunk(this));
-  options_.pool->parallel_for_range(
-      total, [&](std::size_t c, std::size_t begin, std::size_t end) {
-        obs::Span chunk_span(traced ? "engine" : nullptr, "chunk", scan_id);
-        fn(parts[c], begin, end);
+  const char* const chunk_cat = traced && chunks > 1 ? "engine" : nullptr;
+  // Chunk 0 lives here, so a single-chunk scan allocates nothing.
+  BulkChunk first(this);
+  std::vector<BulkChunk> rest(chunks - 1, BulkChunk(this));
+  util::for_each_chunk(
+      pool, total, [&](std::size_t c, std::size_t begin, std::size_t end) {
+        obs::Span chunk_span(chunk_cat, "chunk", scan_id);
+        fn(c == 0 ? first : rest[c - 1], begin, end);
       });
   // Deterministic reduction in chunk index order. Every merged quantity
   // is an integer sum or max, and the keep()/drop() lists concatenate
   // in input order, so the result is bitwise independent of the lane
   // count.
-  std::size_t total_kept = 0;
-  std::size_t total_dropped = 0;
-  for (const BulkChunk& part : parts) {
+  merge_chunk(first);
+  result.user = first.user_;
+  result.kept = std::move(first.kept_);
+  result.dropped = std::move(first.dropped_);
+  if (rest.empty()) return result;
+  std::size_t total_kept = result.kept.size();
+  std::size_t total_dropped = result.dropped.size();
+  for (const BulkChunk& part : rest) {
     total_kept += part.kept_.size();
     total_dropped += part.dropped_.size();
   }
   result.kept.reserve(total_kept);
   result.dropped.reserve(total_dropped);
-  for (BulkChunk& part : parts) {
+  for (const BulkChunk& part : rest) {
     merge_chunk(part);
     result.user += part.user_;
     result.kept.insert(result.kept.end(), part.kept_.begin(),
@@ -120,10 +118,9 @@ void BulkEngine::mark_awake(std::span<const VertexId> awake) {
   } else {
     awake_copy_.assign(awake.begin(), awake.end());
   }
-  const bool parallel = options_.pool != nullptr &&
-                        options_.pool->num_threads() > 1 &&
-                        awake.size() >= options_.parallel_cutoff;
-  if (!parallel) {
+  // A lone chunk owns every word it touches and sets bits plainly.
+  util::ThreadPool* const pool = lanes(awake.size());
+  if (util::chunk_count(pool, awake.size()) <= 1) {
     for (const VertexId v : awake) {
       words[v >> 6] |= std::uint64_t{1} << (v & 63);
     }
@@ -134,8 +131,9 @@ void BulkEngine::mark_awake(std::span<const VertexId> awake) {
   // consecutive members that share a word into a register and flushes
   // the run with one atomic OR. Relaxed suffices: the pool's join
   // orders every flush before the scans that read the set.
-  options_.pool->parallel_for_range(
-      awake.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  util::for_each_chunk(
+      pool, awake.size(),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         std::size_t i = begin;
         while (i < end) {
           const std::size_t word = awake[i] >> 6;
@@ -183,15 +181,9 @@ void BulkEngine::charge_round(std::span<const VertexId> awake,
   metrics_.total_awake_node_rounds += awake.size();
   virtual_makespan_ = std::max(virtual_makespan_, round);
   if (!options_.node_metrics) return;
-  const bool parallel = options_.pool != nullptr &&
-                        options_.pool->num_threads() > 1 &&
-                        awake.size() >= options_.parallel_cutoff;
-  if (!parallel) {
-    for (const VertexId v : awake) ++metrics_.node[v].awake_rounds;
-    return;
-  }
-  options_.pool->parallel_for_range(
-      awake.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+  util::for_each_chunk(
+      lanes(awake.size()), awake.size(),
+      [&](std::size_t, std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           ++metrics_.node[awake[i]].awake_rounds;
         }

@@ -218,6 +218,13 @@ struct ScanResult {
   std::uint64_t user = 0;
 };
 
+/// What a node's port walk found in one round (BulkEngine::reach): its
+/// awake neighbors, and how many of them it heard.
+struct Reach {
+  std::uint64_t awake = 0;
+  std::uint64_t heard = 0;
+};
+
 /// What a round's awake set is, for BulkEngine::begin_round: a new set,
 /// or the set the previous round marked (a later round of one frame or
 /// iteration), which needs no re-marking unless live dynamics changed
@@ -293,9 +300,8 @@ class BulkEngine {
 
   // --- fault injection (fault/fault.h) ------------------------------
 
-  /// True iff the run's plan injects message loss. Protocols hoist this
-  /// so the fault-free hot loops stay branch-predictable.
-  bool lossy() const { return fault_.has_loss(); }
+  /// True iff the run's plan injects message loss.
+  bool lossy() const { return lossy_; }
 
   /// True iff the membership can change mid-run (crashes, mid-run
   /// churn, recovery re-entries), so begin_round filters every set.
@@ -307,8 +313,48 @@ class BulkEngine {
   /// both directions, every lane, and the coroutine scheduler compute
   /// the identical bit. Always true without a loss plan.
   bool link_up(VertexId a, VertexId b, VirtualRound round) const {
+    if (!lossy_) return true;
     const RoundHalves halves = round_halves(round);
     return !fault_.link_down(a, b, halves.lo, halves.hi);
+  }
+
+  // --- delivery (the model's one rule) -------------------------------
+
+  /// Walks v's ports in `round` and calls heard(u, port) for every
+  /// awake neighbor u whose link to v is up: a message crosses an edge
+  /// only when both ends are awake in the same round and the loss plan
+  /// spares the link, and one symmetric draw decides both directions,
+  /// so v hears exactly the neighbors its own broadcast reaches.
+  /// Returns the counts a round's send and receive accounting needs.
+  template <typename Heard>
+  Reach reach(VertexId v, VirtualRound round, Heard&& heard) const {
+    Reach r;
+    const std::span<const VertexId> nbrs = graph_.neighbors(v);
+    for (std::uint32_t port = 0; port < nbrs.size(); ++port) {
+      const VertexId u = nbrs[port];
+      if (!is_awake(u)) continue;
+      ++r.awake;
+      if (!link_up(v, u, round)) continue;
+      ++r.heard;
+      heard(u, port);
+    }
+    return r;
+  }
+
+  /// reach() for a round whose accounting needs only the counts.
+  Reach reach(VertexId v, VirtualRound round) const {
+    return reach(v, round, [](VertexId, std::uint32_t) {});
+  }
+
+  /// Does v hear, in `round`, a neighbor u with match(u)? `match` is
+  /// tested first (it rules out most neighbors) and the walk stops at
+  /// the first witness.
+  template <typename Match>
+  bool hears(VertexId v, VirtualRound round, Match&& match) const {
+    for (const VertexId u : graph_.neighbors(v)) {
+      if (match(u) && is_awake(u) && link_up(v, u, round)) return true;
+    }
+    return false;
   }
 
   /// True iff v is fail-stopped right now (crash recovery clears the
@@ -336,6 +382,13 @@ class BulkEngine {
   // Folds one chunk's aggregate partials into the metrics. Called in
   // chunk index order.
   void merge_chunk(const BulkChunk& chunk);
+
+  // The pool a pass over `size` items shards over: none below
+  // BulkOptions::parallel_cutoff, where fork-join costs more than the
+  // pass.
+  util::ThreadPool* lanes(std::size_t size) const {
+    return size >= options_.parallel_cutoff ? options_.pool : nullptr;
+  }
 
   // Charges one awake round at virtual round `round` to every node of
   // `awake` (the currently marked set).
@@ -403,6 +456,8 @@ class BulkEngine {
   // decision; starts at the wrap value so epoch 0 is marked too.
   VirtualRound obs_burst_epoch_ = static_cast<VirtualRound>(-1);
   fault::FaultState fault_;
+  // fault_.has_loss(), read on every link_up.
+  bool lossy_ = false;
   // crashed_[v] != 0 iff v is fail-stopped right now; allocated only
   // under a plan with crash faults (each slot is written by the lane
   // owning v; recovery re-entries clear it serially).

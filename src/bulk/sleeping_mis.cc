@@ -43,7 +43,7 @@ constexpr std::uint32_t kMaxLevels = 126;
 // regardless of lane interleaving.
 //
 // Message accounting of the two status rounds: without loss or live
-// dynamics (fold_status()), the sync and second-detection broadcasts
+// dynamics (fold_status), the sync and second-detection broadcasts
 // reach exactly the awake neighbors the first detection's hello
 // reached (no member leaves or joins, no link drops), so the first
 // detection scan charges all three rounds and the status scans only
@@ -63,19 +63,14 @@ struct Walker {
   util::PodVector<std::uint8_t> value;  // MisValue per node
   std::uint32_t hello_bits;
   std::uint32_t status_bits;
-  // Fault flags hoisted once per run; the fault-free hot loops pay one
-  // predictable branch.
-  bool dynamic = false;
-  bool lossy = false;
+  // No loss and no live dynamics: a frame's three rounds reach the same
+  // awake neighbors (see the comment above). Set once per run.
+  bool fold_status = false;
   // Live-dynamics re-entry hook: a node coming back (crash recovery or
   // churn rejoin) resumes undecided in whatever frame is current, so
   // its tri-state status must return to kUnknown (the engine already
   // cleared its decision state).
   std::function<void(VertexId)> reenter;
-
-  /// A frame's three rounds reach the same awake neighbors (see the
-  /// comment above).
-  bool fold_status() const { return !lossy && !dynamic; }
 
   std::span<std::uint64_t> coins(VertexId v) {
     return {bits.data() + std::uint64_t{v} * words_per_node, words_per_node};
@@ -91,34 +86,6 @@ struct Walker {
                                     std::memory_order_relaxed);
   }
 
-  /// v's awake neighbors in `round`, and how many of them v hears (all
-  /// of them unless the loss plan drops the link).
-  std::pair<std::uint64_t, std::uint64_t> awake_and_heard(
-      VertexId v, VirtualRound round) {
-    std::uint64_t awake_nbrs = 0;
-    std::uint64_t heard = 0;
-    for (const VertexId u : g.neighbors(v)) {
-      if (!eng.is_awake(u)) continue;
-      ++awake_nbrs;
-      if (!lossy || eng.link_up(v, u, round)) ++heard;
-    }
-    return {awake_nbrs, heard};
-  }
-
-  /// Does v hear an awake neighbor whose status satisfies `match`? The
-  /// status test comes first (it rules out most neighbors) and the scan
-  /// stops at the first witness.
-  template <typename Match>
-  bool hears(VertexId v, VirtualRound round, Match match) {
-    for (const VertexId u : g.neighbors(v)) {
-      if (match(value_of(u)) && eng.is_awake(u) &&
-          (!lossy || eng.link_up(v, u, round))) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   /// One of a frame's five scans, under its telemetry span (`span_cat`
   /// is null for sub-cutoff frames).
   ScanResult scan(
@@ -129,13 +96,13 @@ struct Walker {
     return eng.scan_awake(members, fn);
   }
 
-  /// A status round's own accounting, for rounds fold_status() does
-  /// not cover.
+  /// A status round's own accounting, for rounds fold_status does not
+  /// cover.
   void charge_status_round(BulkChunk& chunk, std::span<const VertexId> part,
                            VirtualRound round) {
     for (const VertexId v : part) {
-      const auto [awake_nbrs, heard] = awake_and_heard(v, round);
-      chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, status_bits);
+      const Reach r = eng.reach(v, round);
+      chunk.charge_symmetric_broadcast(v, r.awake, r.heard, status_bits);
     }
   }
 
@@ -179,23 +146,23 @@ struct Walker {
     // First isolated-node detection (lines 13-16), 1 round: only this
     // frame's members are awake, so hearing no hello means "isolated in
     // G[U]" (under loss: effectively isolated this round). Under
-    // fold_status() it also charges the sync and second-detection rounds.
+    // fold_status it also charges the sync and second-detection rounds.
     eng.begin_round(members, start, AwakeSet::kNew, reenter);
     const ScanResult detect1 = scan(
         span_cat, "detect1", k, members,
         [&](BulkChunk& chunk, std::span<const VertexId> part) {
           for (const VertexId v : part) {
-            const auto [awake_nbrs, heard] = awake_and_heard(v, start);
-            chunk.charge_symmetric_broadcast(v, awake_nbrs, heard, hello_bits);
-            if (fold_status()) {
+            const Reach r = eng.reach(v, start);
+            chunk.charge_symmetric_broadcast(v, r.awake, r.heard, hello_bits);
+            if (fold_status) {
               // The sync and second-detection status broadcasts: one
               // message per port per round, the same awake neighbors
               // reached, nothing lost.
-              chunk.charge_send(v, 2 * g.degree(v), 2 * awake_nbrs,
+              chunk.charge_send(v, 2 * g.degree(v), 2 * r.awake,
                                 status_bits);
-              chunk.charge_received(v, 2 * awake_nbrs);
+              chunk.charge_received(v, 2 * r.awake);
             }
-            if (heard == 0 && value_of(v) == MisValue::kUnknown) {
+            if (r.heard == 0 && value_of(v) == MisValue::kUnknown) {
               set_value(v, MisValue::kTrue);
               chunk.decide(v, 1, start);
               chunk.bump();
@@ -238,11 +205,13 @@ struct Walker {
     eng.begin_round(members, sync, AwakeSet::kNew, reenter);
     scan(span_cat, "sync", k, members,
          [&](BulkChunk& chunk, std::span<const VertexId> part) {
-           if (!fold_status()) charge_status_round(chunk, part, sync);
+           if (!fold_status) charge_status_round(chunk, part, sync);
            for (const VertexId v : part) {
              if (value_of(v) != MisValue::kUnknown) continue;
-             if (hears(v, sync,
-                       [](MisValue u) { return u == MisValue::kTrue; })) {
+             const bool mis_neighbor = eng.hears(v, sync, [&](VertexId u) {
+               return value_of(u) == MisValue::kTrue;
+             });
+             if (mis_neighbor) {
                set_value(v, MisValue::kFalse);
                chunk.decide(v, 0, sync);
              }
@@ -259,11 +228,13 @@ struct Walker {
     eng.begin_round(members, detect2, AwakeSet::kSame, reenter);
     scan(span_cat, "detect2", k, members,
          [&](BulkChunk& chunk, std::span<const VertexId> part) {
-           if (!fold_status()) charge_status_round(chunk, part, detect2);
+           if (!fold_status) charge_status_round(chunk, part, detect2);
            for (const VertexId v : part) {
              if (value_of(v) != MisValue::kUnknown) continue;
-             if (!hears(v, detect2,
-                        [](MisValue u) { return u != MisValue::kFalse; })) {
+             const bool blocked = eng.hears(v, detect2, [&](VertexId u) {
+               return value_of(u) != MisValue::kFalse;
+             });
+             if (!blocked) {
                set_value(v, MisValue::kTrue);
                chunk.decide(v, 1, detect2);
              }
@@ -315,8 +286,7 @@ void BulkSleepingMis::run(BulkEngine& engine) {
            {},
            sim::Message::hello().bits,
            sim::Message::status(0).bits,
-           engine.dynamic(),
-           engine.lossy(),
+           !engine.lossy() && !engine.dynamic(),
            {}};
   w.reenter = [&w](VertexId v) { w.set_value(v, core::MisValue::kUnknown); };
 

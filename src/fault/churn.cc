@@ -7,32 +7,12 @@
 namespace slumber::fault {
 namespace {
 
-// Below this many nodes a sharded pass costs more in fork-join than it
-// saves; matches the bulk engine's default parallel_cutoff.
-constexpr std::size_t kParallelCutoff = 4096;
-
-/// Runs fn(chunk, begin, end) over [0, n), sharded over `pool` when it
-/// pays off. `chunks` must be chunk_count(pool, n) — per-chunk partial
-/// arrays are indexed by the chunk argument and reduced in chunk index
-/// order by the caller (integer sums, so order-free anyway).
-std::size_t chunk_count(util::ThreadPool* pool, std::size_t n) {
-  const bool parallel =
-      pool != nullptr && pool->num_threads() > 1 && n >= kParallelCutoff;
-  return parallel ? pool->num_chunks(n) : 1;
-}
-
-template <typename Fn>
-void for_range(util::ThreadPool* pool, std::size_t n, const Fn& fn) {
-  if (n == 0) return;
-  if (chunk_count(pool, n) == 1) {
-    fn(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-  pool->parallel_for_range(
-      n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-        fn(c, begin, end);
-      });
-}
+// Every pass below runs fn(chunk, lo, hi) over util::for_each_chunk's
+// chunks of [0, n). Per-chunk partial arrays are sized
+// chunk_count(pool, n), indexed by the chunk argument and reduced in
+// chunk index order (integer sums, so order-free anyway).
+using util::chunk_count;
+using util::for_each_chunk;
 
 std::uint64_t sum(const std::vector<std::uint64_t>& parts) {
   std::uint64_t total = 0;
@@ -59,11 +39,10 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
                          std::uint64_t fault_seed, util::ThreadPool* pool,
                          std::uint64_t* demotions, std::uint64_t* promotions) {
   const std::size_t n = g.num_vertices();
-  obs::Span span(obs::enabled() && n >= kParallelCutoff ? "fault" : nullptr,
-                 "repair_mis", n);
+  obs::Span span("fault", "repair_mis", n);
   std::vector<std::uint8_t> in_mis(n, 0);
-  for_range(pool, n, [&](std::size_t, std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
+  for_each_chunk(pool, n, [&](std::size_t, std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
       if (alive[v] == 0) {
         outputs[v] = -1;
       } else {
@@ -81,8 +60,8 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
   // of the two beats the other — so one pass suffices.
   const std::vector<std::uint8_t> snap = in_mis;
   std::vector<std::uint64_t> demoted_parts(chunk_count(pool, n), 0);
-  for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
+  for_each_chunk(pool, n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
       if (alive[v] == 0 || snap[v] == 0) continue;
       for (const VertexId u : g.neighbors(v)) {
         if (alive[u] != 0 && snap[u] != 0 &&
@@ -105,8 +84,8 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
   std::vector<std::uint8_t> candidate(n, 0);
   for (;;) {
     std::vector<std::uint64_t> cand_parts(chunk_count(pool, n), 0);
-    for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
+    for_each_chunk(pool, n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
         candidate[v] = 0;
         if (alive[v] == 0 || in_mis[v] != 0) continue;
         bool mis_neighbor = false;
@@ -125,8 +104,8 @@ std::uint64_t repair_mis(const Graph& g, const std::vector<std::uint8_t>& alive,
     if (sum(cand_parts) == 0) break;
 
     std::vector<std::uint64_t> promoted_parts(chunk_count(pool, n), 0);
-    for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
+    for_each_chunk(pool, n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
         if (candidate[v] == 0) continue;
         bool wins = true;
         for (const VertexId u : g.neighbors(v)) {
@@ -173,8 +152,8 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
     // RNG consumer in the run.
     std::vector<std::uint64_t> leave_parts(chunk_count(pool, n), 0);
     std::vector<std::uint64_t> join_parts(chunk_count(pool, n), 0);
-    for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-      for (std::size_t v = begin; v < end; ++v) {
+    for_each_chunk(pool, n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
         const std::uint64_t stream = detail::mix(
             util::stream_tags::kChurnTag ^ static_cast<VertexId>(v), batch);
         if (alive[v] != 0) {
@@ -204,8 +183,8 @@ ChurnReport run_churn(const Graph& g, const ChurnSpec& spec,
   }
 
   std::vector<std::uint64_t> alive_parts(chunk_count(pool, n), 0);
-  for_range(pool, n, [&](std::size_t c, std::size_t begin, std::size_t end) {
-    for (std::size_t v = begin; v < end; ++v) {
+  for_each_chunk(pool, n, [&](std::size_t c, std::size_t lo, std::size_t hi) {
+    for (std::size_t v = lo; v < hi; ++v) {
       alive_parts[c] += alive[v] != 0 ? 1 : 0;
     }
   });

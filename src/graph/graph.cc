@@ -176,11 +176,7 @@ Graph Graph::from_csr(VertexId n, util::PodVector<CsrOffset> offsets,
     mirrored_parts[b] = found;
     degree_parts[b] = max_degree;
   };
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_index(blocks, validate_block);
-  } else {
-    for (std::size_t b = 0; b < blocks; ++b) validate_block(b);
-  }
+  util::for_each_index(pool, blocks, validate_block);
   std::uint64_t mirrored = 0;
   for (std::size_t b = 0; b < blocks; ++b) {
     mirrored += mirrored_parts[b];

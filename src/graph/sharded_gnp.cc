@@ -139,34 +139,6 @@ std::uint64_t block_count(VertexId n) {
   return (std::uint64_t{n} + kBlockVertices - 1) / kBlockVertices;
 }
 
-/// Runs fn(b) for every block, over the pool when present (dynamic
-/// claim order; every write fn makes is claim-order independent) and
-/// in index order when not.
-template <typename Fn>
-void for_each_block(std::uint64_t blocks, util::ThreadPool* pool, Fn&& fn) {
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_index(blocks, fn);
-  } else {
-    for (std::uint64_t b = 0; b < blocks; ++b) fn(b);
-  }
-}
-
-/// Runs fn(begin, end) over contiguous chunks of [0, total): the
-/// pool's parallel_for_range chunks when present, one serial chunk
-/// when not.
-template <typename Fn>
-void for_each_range(std::uint64_t total, util::ThreadPool* pool, Fn&& fn) {
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_range(
-        total,
-        [&fn](std::size_t, std::size_t begin, std::size_t end) {
-          fn(begin, end);
-        });
-  } else {
-    fn(std::uint64_t{0}, total);
-  }
-}
-
 }  // namespace
 
 Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
@@ -194,7 +166,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
   std::atomic<std::uint64_t> rng_digest{0};
   {
     obs::Span span("gen", "degree_pass", blocks);
-    for_each_block(blocks, pool, [&](std::uint64_t b) {
+    // Blocks are claimed in any order; every write is claim-order
+    // independent.
+    util::for_each_index(pool, blocks, [&](std::size_t b) {
       // SLUMBER-STREAM-DISCIPLINE(block-counter): one stream per vertex
       // block; the dense block id b is the stream key and blocks never
       // share a row, so no tag mixing is needed (see README).
@@ -243,9 +217,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
     CsrOffset* cur = cursor.data();
     const CsrOffset* off = offsets.data();
     const std::uint32_t* dn = down.data();
-    for_each_range(n, pool, [cur, off, dn](std::uint64_t begin,
-                                           std::uint64_t end) {
-      for (std::uint64_t v = begin; v < end; ++v) cur[v] = off[v] + dn[v];
+    util::for_each_chunk(pool, n, [cur, off, dn](std::size_t, std::size_t lo,
+                                                 std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) cur[v] = off[v] + dn[v];
     });
   }
   // Folded into offsets/cursor; genuinely release (swap — `= {}` would
@@ -255,17 +229,17 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
   // --- pass 2: fill -------------------------------------------------
   util::PodVector<VertexId> adjacency;
   adjacency.resize(offsets[n]);
-  if (pool != nullptr && pool->num_threads() > 1) {
+  if (util::chunk_count(pool, offsets[n]) > 1) {
     // Deliberate page placement; every slot is overwritten below.
     VertexId* adj = adjacency.data();
-    for_each_range(offsets[n], pool,
-                   [adj](std::uint64_t begin, std::uint64_t end) {
-                     for (std::uint64_t i = begin; i < end; ++i) adj[i] = 0;
-                   });
+    util::for_each_chunk(pool, offsets[n], [adj](std::size_t, std::size_t lo,
+                                                  std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) adj[i] = 0;
+    });
   }
   {
     obs::Span span("gen", "fill_pass", blocks);
-    for_each_block(blocks, pool, [&](std::uint64_t b) {
+    util::for_each_index(pool, blocks, [&](std::size_t b) {
       // SLUMBER-STREAM-DISCIPLINE(block-counter): same per-block stream
       // as the degree pass, replayed so pass 2 sees pass 1's edges.
       Rng rng = util::stream_rng(seed, b);
@@ -319,9 +293,9 @@ Graph gnp_sharded_csr(VertexId n, double p, std::uint64_t seed,
     VertexId* adj = adjacency.data();
     const CsrOffset* off = offsets.data();
     const std::uint32_t* dn = down.data();
-    for_each_range(n, pool, [adj, off, dn](std::uint64_t begin,
-                                           std::uint64_t end) {
-      for (std::uint64_t v = begin; v < end; ++v) {
+    util::for_each_chunk(pool, n, [adj, off, dn](std::size_t, std::size_t lo,
+                                                 std::size_t hi) {
+      for (std::size_t v = lo; v < hi; ++v) {
         std::sort(adj + off[v] + dn[v], adj + off[v + 1]);
       }
     });

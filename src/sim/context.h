@@ -16,6 +16,7 @@
 // Returning from the root protocol coroutine terminates the node.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <optional>
@@ -72,15 +73,24 @@ class Context {
     return ExchangeAwaiter{this};
   }
 
-  /// Awaitable: one awake round with explicit per-port messages. Throws
-  /// std::out_of_range if a port is not below degree().
+  /// Awaitable: one awake round with explicit per-port messages, at
+  /// most one per port (the model carries one message per edge per
+  /// round). Throws std::out_of_range if a port is not below degree()
+  /// and std::invalid_argument if a port repeats.
   auto exchange(std::vector<std::pair<std::uint32_t, Message>> msgs) {
-    for (const auto& [port, msg] : msgs) {
+    for (auto it = msgs.begin(); it != msgs.end(); ++it) {
+      const std::uint32_t port = it->first;
       if (port >= degree_) {
         throw std::out_of_range(
             "node " + std::to_string(id_) + " sends on port " +
             std::to_string(port) + " but has degree " +
             std::to_string(degree_));
+      }
+      if (std::any_of(msgs.begin(), it,
+                      [port](const auto& m) { return m.first == port; })) {
+        throw std::invalid_argument(
+            "node " + std::to_string(id_) + " sends twice on port " +
+            std::to_string(port) + " in one round");
       }
     }
     pending_out_.per_port = std::move(msgs);

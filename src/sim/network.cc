@@ -3,9 +3,33 @@
 #include <algorithm>
 #include <bit>
 #include <span>
+#include <stdexcept>
 #include <string>
 
 namespace slumber::sim {
+namespace {
+
+// A run that resumes nodes more often than this is a runaway protocol.
+constexpr std::uint64_t kMaxResumes = std::uint64_t{1} << 40;
+
+[[noreturn, gnu::cold]] void throw_clock_overflow(VertexId v) {
+  throw std::overflow_error("node " + std::to_string(v) +
+                            " sleeps past the 64-bit round clock");
+}
+
+// round + sleep + extra on node v's 64-bit round clock, which would
+// wrap back to an earlier round past 2^64 - 1.
+std::uint64_t clock_after(VertexId v, std::uint64_t round, std::uint64_t sleep,
+                          std::uint64_t extra) {
+  std::uint64_t sum = 0;
+  if (__builtin_add_overflow(round, sleep, &sum) ||
+      __builtin_add_overflow(sum, extra, &sum)) {
+    throw_clock_overflow(v);
+  }
+  return sum;
+}
+
+}  // namespace
 
 std::uint32_t congest_bits_for(std::uint64_t n) {
   const auto log_n = static_cast<std::uint32_t>(
@@ -157,7 +181,8 @@ const Metrics& Network::run(const Protocol& protocol) {
       // the node's local clock to its true return time.
       metrics_.node[v].finish_round = contexts_[v]->pending_sleep_;
     } else {
-      const std::uint64_t next = 1 + contexts_[v]->requested_sleep_;
+      const std::uint64_t next =
+          clock_after(v, 0, contexts_[v]->requested_sleep_, 1);
       wake_buckets_[next].push_back(v);
     }
   }
@@ -168,9 +193,6 @@ const Metrics& Network::run(const Protocol& protocol) {
     current_round_ = first->first;
     awake = std::move(first->second);
     wake_buckets_.erase(first);
-    if (current_round_ > options_.max_rounds) {
-      throw std::runtime_error("Network: exceeded max_rounds safety valve");
-    }
     ++metrics_.distinct_active_rounds;
 
     // Crash injection happens first: a node that fail-stops this round
@@ -207,14 +229,15 @@ const Metrics& Network::run(const Protocol& protocol) {
                                   kInvalidVertex, MsgKind::kCustom, 0});
       }
       ctx.resume_point_.resume();
-      if (++resumes > options_.max_resumes) {
+      if (++resumes > kMaxResumes) {
         throw std::runtime_error("Network: exceeded max_resumes safety valve");
       }
       if (tasks_[v].done()) {
         tasks_[v].rethrow_if_failed();
         // Include trailing sleeps so "all nodes return in the same
         // round" (Lemma 1, Condition 1) is observable in the metrics.
-        node.finish_round = current_round_ + ctx.pending_sleep_;
+        node.finish_round =
+            clock_after(v, current_round_, ctx.pending_sleep_, 0);
         if (options_.trace != nullptr) {
           options_.trace->on_event({TraceEventKind::kTerminate,
                                     current_round_, v, kInvalidVertex,
@@ -222,7 +245,7 @@ const Metrics& Network::run(const Protocol& protocol) {
         }
       } else {
         const std::uint64_t next =
-            current_round_ + 1 + ctx.requested_sleep_;
+            clock_after(v, current_round_, ctx.requested_sleep_, 1);
         wake_buckets_[next].push_back(v);
       }
     }

@@ -65,10 +65,6 @@ struct NetworkOptions {
   const fault::FaultPlan* fault = nullptr;
   /// Optional event sink (see sim/trace.h); must outlive the run.
   TraceSink* trace = nullptr;
-  /// Safety valve: abort the run if the virtual clock passes this.
-  std::uint64_t max_rounds = std::uint64_t{1} << 62;
-  /// Safety valve: abort if total resumes exceed this (runaway protocol).
-  std::uint64_t max_resumes = std::uint64_t{1} << 40;
 };
 
 /// The standard CONGEST(log n) budget used in this library: enough for a
@@ -85,7 +81,9 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Runs `protocol` on every node to completion and returns the metrics.
-  /// May be called only once per Network instance.
+  /// May be called only once per Network instance. Throws
+  /// std::overflow_error, naming the node, if a sleep would carry a
+  /// node's next wake or finish round past 2^64 - 1.
   const Metrics& run(const Protocol& protocol);
 
   const Graph& graph() const { return graph_; }

@@ -62,24 +62,19 @@ class DefaultInitAllocator : public std::allocator<T> {
 template <typename T>
 using PodVector = std::vector<T, DefaultInitAllocator<T>>;
 
-/// Returns a PodVector of `size` copies of `value`. With a pool, the
-/// fill shards into ThreadPool::parallel_for_range's contiguous chunks
-/// so each lane first-touches the slice it will later scan; without
-/// one, the fill is a plain serial loop. Contents are bitwise identical
-/// either way.
+/// Returns a PodVector of `size` copies of `value`. The fill runs in
+/// for_each_chunk's chunks, so with a multi-lane pool each lane
+/// first-touches the slice it will later scan; without one it is a
+/// plain serial loop. Contents are bitwise identical either way.
 template <typename T>
 PodVector<T> sharded_fill(std::size_t size, T value, ThreadPool* pool) {
   PodVector<T> out;
   out.resize(size);  // default-init: no page is touched yet
   T* data = out.data();
-  if (pool != nullptr && pool->num_threads() > 1) {
-    pool->parallel_for_range(
-        size, [data, value](std::size_t, std::size_t begin, std::size_t end) {
-          for (std::size_t i = begin; i < end; ++i) data[i] = value;
-        });
-  } else {
-    for (std::size_t i = 0; i < size; ++i) data[i] = value;
-  }
+  for_each_chunk(pool, size, [data, value](std::size_t, std::size_t lo,
+                                           std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) data[i] = value;
+  });
   return out;
 }
 

@@ -20,8 +20,14 @@
 // holds every lane), so nested calls are detected via a thread-local
 // marker and run serially inline on the calling thread — which is
 // deterministic and correct by the item-index contract.
+//
+// for_each_index / for_each_chunk / chunk_count below are the one place
+// that decides whether a pass shards: they take a nullable pool, shard
+// over it when it has more than one lane, and otherwise run the same
+// body on the caller.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -103,5 +109,38 @@ class ThreadPool {
   std::exception_ptr first_error_;
   std::vector<std::thread> workers_;
 };
+
+/// Runs fn(i) for every i in [0, n): over `pool` when it has more than
+/// one lane (dynamic claim order, so fn's writes must not depend on
+/// it), in index order on the caller otherwise.
+template <typename Fn>
+void for_each_index(ThreadPool* pool, std::size_t n, Fn&& fn) {
+  if (pool != nullptr && pool->num_threads() > 1) {
+    pool->parallel_for_index(n, fn);
+  } else {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+  }
+}
+
+/// The number of chunks for_each_chunk splits `total` items into: the
+/// pool's num_chunks(total), or one chunk (none for an empty range)
+/// without a pool. Callers size per-chunk partial arrays with it.
+inline std::size_t chunk_count(const ThreadPool* pool, std::size_t total) {
+  return pool != nullptr ? pool->num_chunks(total)
+                         : std::min<std::size_t>(total, 1);
+}
+
+/// Runs fn(chunk, begin, end) over chunk_count(pool, total) contiguous
+/// chunks of [0, total), with ThreadPool::parallel_for_range's
+/// boundaries: in parallel when there are several, as the single chunk
+/// [0, total) on the caller otherwise.
+template <typename Fn>
+void for_each_chunk(ThreadPool* pool, std::size_t total, Fn&& fn) {
+  if (chunk_count(pool, total) > 1) {
+    pool->parallel_for_range(total, fn);
+  } else if (total > 0) {
+    fn(std::size_t{0}, std::size_t{0}, total);
+  }
+}
 
 }  // namespace slumber::util

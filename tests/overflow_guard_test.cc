@@ -4,13 +4,15 @@
 // offset width (2|E| adjacency slots exceed 2^32 well before |E|
 // overflows EdgeId, so offsets must be 64-bit on every platform), and
 // recursion depths whose schedule T(K) the engine's round clock cannot
-// hold.
+// hold, and sleeps that would wrap the coroutine scheduler's 64-bit
+// round clock.
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "analysis/verify.h"
 #include "bulk/sleeping_mis.h"
 #include "core/fast_sleeping_mis.h"
 #include "core/schedule.h"
@@ -89,14 +91,6 @@ std::string rejection(const Run& run) {
   return "";
 }
 
-/// The coroutine scheduler with its round safety valve opened to the
-/// whole 64-bit clock.
-sim::NetworkOptions whole_clock() {
-  sim::NetworkOptions options;
-  options.max_rounds = ~std::uint64_t{0};
-  return options;
-}
-
 TEST(OverflowGuards, ScheduleLevelLimits) {
   // T(K) = 2^K (B + 3) - 3 must stay below 2^64.
   EXPECT_EQ(core::max_schedule_levels(), 62u);
@@ -113,10 +107,19 @@ TEST(OverflowGuards, CoroutineSleepingMisRejectsDepthPastTheClock) {
       [&] { sim::run_protocol(g, 1, core::sleeping_mis(options)); });
   EXPECT_NE(message.find("K <= 62"), std::string::npos) << message;
   EXPECT_NE(message.find("--engine bulk"), std::string::npos) << message;
-  options.levels = 62;
-  const auto run =
-      sim::run_protocol(g, 1, core::sleeping_mis(options), whole_clock());
-  EXPECT_EQ(run.metrics.makespan, core::schedule_duration(62));
+  // The deepest schedules the clock holds run to the end with default
+  // options; their right halves pass round 2^62.
+  const Graph ring = gen::cycle(16);
+  for (const std::uint32_t levels : {61u, 62u}) {
+    options.levels = levels;
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const auto run =
+          sim::run_protocol(ring, seed, core::sleeping_mis(options));
+      EXPECT_EQ(run.metrics.makespan, core::schedule_duration(levels));
+      EXPECT_TRUE(analysis::check_mis(ring, run.outputs).ok())
+          << "K = " << levels << ", seed " << seed;
+    }
+  }
 }
 
 TEST(OverflowGuards, CoroutineFastSleepingMisRejectsDepthPastTheClock) {
@@ -127,10 +130,64 @@ TEST(OverflowGuards, CoroutineFastSleepingMisRejectsDepthPastTheClock) {
   const std::string message = rejection(
       [&] { sim::run_protocol(g, 1, core::fast_sleeping_mis(options)); });
   EXPECT_NE(message.find("K <= 61"), std::string::npos) << message;
+  const Graph ring = gen::cycle(16);
   options.levels = 61;
-  const auto run =
-      sim::run_protocol(g, 1, core::fast_sleeping_mis(options), whole_clock());
-  EXPECT_EQ(run.metrics.makespan, core::schedule_duration(61, 2));
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const auto run =
+        sim::run_protocol(ring, seed, core::fast_sleeping_mis(options));
+    EXPECT_EQ(run.metrics.makespan, core::schedule_duration(61, 2));
+    EXPECT_TRUE(analysis::check_mis(ring, run.outputs).ok())
+        << "seed " << seed;
+  }
+}
+
+/// Runs `protocol` on path(2) and returns the std::overflow_error
+/// message it throws ("" if it does not throw).
+std::string clock_overflow(const sim::Protocol& protocol) {
+  try {
+    sim::run_protocol(gen::path(2), 1, protocol);
+  } catch (const std::overflow_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(OverflowGuards, CoroutineSleepPastTheClockThrows) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // Node 0 sleeps past round 2^64 - 1 in three ways; node 1 returns at
+  // once. Each must throw naming node 0 instead of wrapping the clock
+  // (waking at round 0, or finishing there).
+  const sim::Protocol wake_after_round_one = [](sim::Context& ctx)
+      -> sim::Task {
+    if (ctx.id() != 0) co_return;
+    co_await ctx.listen();
+    ctx.sleep(kMax - 1);  // the next wake would be round 2^64
+    co_await ctx.listen();
+  };
+  const sim::Protocol first_wake = [](sim::Context& ctx) -> sim::Task {
+    if (ctx.id() != 0) co_return;
+    ctx.sleep(kMax);
+    co_await ctx.listen();
+  };
+  const sim::Protocol trailing_sleep = [](sim::Context& ctx) -> sim::Task {
+    if (ctx.id() != 0) co_return;
+    co_await ctx.listen();
+    ctx.sleep(kMax);
+  };
+  for (const sim::Protocol* protocol :
+       {&wake_after_round_one, &first_wake, &trailing_sleep}) {
+    const std::string message = clock_overflow(*protocol);
+    EXPECT_NE(message.find("node 0 "), std::string::npos) << message;
+    EXPECT_NE(message.find("64-bit round clock"), std::string::npos)
+        << message;
+  }
+  // The clock's last round itself is reachable.
+  const auto run = sim::run_protocol(
+      gen::path(2), 1, [](sim::Context& ctx) -> sim::Task {
+        ctx.sleep(kMax - 1);
+        co_await ctx.listen();
+      });
+  EXPECT_EQ(run.metrics.makespan, kMax);
 }
 
 TEST(OverflowGuards, BulkSleepingMisRejectsDepthPastTheClock) {

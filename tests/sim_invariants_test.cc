@@ -5,23 +5,46 @@
 //
 //   I1  delivered + dropped + injected == sent
 //   I2  sum over nodes of awake_rounds == total_awake_node_rounds
-//   I3  every delivered message's receiver was awake that round
-//       (checked by construction through echo counting)
+//   I3  every delivered message's receiver was awake that round, and
+//       the deliveries number total_messages (checked through the
+//       trace: each kDeliver's (round, receiver) is a kWake)
 //   I4  makespan == max finish_round; finish >= decided for deciders
 //   I5  identical seeds => identical everything (determinism)
+#include <algorithm>
+#include <cstdint>
+#include <set>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "fault/fault.h"
 #include "graph/generators.h"
 #include "sim/network.h"
+#include "sim/trace.h"
 
 namespace slumber::sim {
 namespace {
 
+// Who was awake in which round, and where each delivered message went.
+class DeliveryLog : public TraceSink {
+ public:
+  void on_event(const TraceEvent& event) override {
+    if (event.kind == TraceEventKind::kWake) {
+      wakes.insert({event.round, event.node});
+    } else if (event.kind == TraceEventKind::kDeliver) {
+      deliveries.push_back({event.round, event.peer});
+    }
+  }
+
+  std::set<std::pair<std::uint64_t, VertexId>> wakes;
+  std::vector<std::pair<std::uint64_t, VertexId>> deliveries;
+};
+
 // A protocol driven by a per-node random plan: each step either sleeps
-// a random duration, broadcasts, listens, or sends on random ports;
-// terminates after a random number of steps. Every receive is counted
-// into the node's output so runs can be compared exactly.
+// a random duration, broadcasts, listens, or sends on random distinct
+// ports; terminates after a random number of steps. Every receive is
+// counted into the node's output so runs can be compared exactly.
 Task chaos_protocol(Context& ctx) {
   const std::uint64_t steps = 1 + ctx.rng().below(12);
   std::int64_t received_total = 0;
@@ -35,9 +58,13 @@ Task chaos_protocol(Context& ctx) {
       std::vector<std::pair<std::uint32_t, Message>> out;
       const std::uint64_t sends = ctx.rng().below(ctx.degree()) + 1;
       for (std::uint64_t i = 0; i < sends; ++i) {
-        out.push_back({static_cast<std::uint32_t>(
-                           ctx.rng().below(ctx.degree())),
-                       Message::hello()});
+        const auto port =
+            static_cast<std::uint32_t>(ctx.rng().below(ctx.degree()));
+        if (std::any_of(out.begin(), out.end(),
+                        [port](const auto& s) { return s.first == port; })) {
+          continue;  // one message per edge per round
+        }
+        out.push_back({port, Message::hello()});
       }
       inbox = co_await ctx.exchange(std::move(out));
     } else if (action == 2) {
@@ -59,8 +86,10 @@ TEST_P(SimInvariantsTest, ConservationAndConsistency) {
   for (const double loss : {0.0, 0.15}) {
     fault::FaultPlan plan;
     plan.loss_prob = loss;
+    DeliveryLog log;
     NetworkOptions options;
     options.fault = &plan;
+    options.trace = &log;
     Network net(g, seed, options);
     const Metrics& metrics = net.run(chaos_protocol);
 
@@ -81,6 +110,15 @@ TEST_P(SimInvariantsTest, ConservationAndConsistency) {
     EXPECT_EQ(awake_sum, metrics.total_awake_node_rounds);
     EXPECT_GE(metrics.distinct_active_rounds, 1u);
     EXPECT_LE(metrics.distinct_active_rounds, awake_sum);
+
+    // I3: deliveries reach only nodes awake in that round.
+    EXPECT_EQ(log.deliveries.size(), metrics.total_messages);
+    EXPECT_EQ(std::count_if(log.deliveries.begin(), log.deliveries.end(),
+                            [&log](const auto& d) {
+                              return !log.wakes.contains(d);
+                            }),
+              0)
+        << "loss " << loss;
 
     // I4: timing relations.
     std::uint64_t max_finish = 0;

@@ -155,6 +155,30 @@ TEST(SimTest, PerPortSendPastDegreeThrows) {
   }
 }
 
+TEST(SimTest, PerPortSendTwiceOnOnePortThrows) {
+  // One message per edge per round, even when both fit the budget.
+  const Graph g = path(2);
+  auto protocol = [](Context& ctx) -> Task {
+    std::vector<std::pair<std::uint32_t, Message>> out;
+    if (ctx.id() == 0) {
+      out.push_back({0u, Message::hello()});
+      out.push_back({0u, Message::hello()});
+    }
+    co_await ctx.exchange(std::move(out));
+    ctx.decide(0);
+  };
+  NetworkOptions options;
+  options.max_message_bits = congest_bits_for(2);
+  Network net(g, 1, options);
+  try {
+    net.run(protocol);
+    ADD_FAILURE() << "node 0 sent two messages over one edge in a round";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "node 0 sends twice on port 0 in one round");
+  }
+}
+
 TEST(SimTest, ReceivedPortIdentifiesSender) {
   // Unequal degrees, so a wrong arrival port rarely names the sender.
   Rng rng(11);

@@ -65,22 +65,19 @@ PLANTS = [
     (
         # The announce-and-join scan's tally hoisted out of the lambda
         # into the free helper that hands it to scan_awake: every lane
-        # then adds into one captured counter. D5 must analyze a scan
-        # body that lives in a free helper, not in a protocol's run().
+        # then adds into one captured counter from its reach callback.
+        # D5 must analyze a scan body that lives in a free helper, not
+        # in a protocol's run(), and see a store in a nested callback.
         "d5-join-scan-hoisted-tally",
         "src/bulk/baselines.cc",
         "  const auto join = [&](BulkChunk& chunk, "
         "std::span<const VertexId> part) {\n"
         "    for (const VertexId v : part) {\n"
-        "      std::uint64_t awake_nbrs = 0;\n"
-        "      std::uint64_t delivered_out = 0;\n"
         "      std::uint64_t joins_heard = 0;\n",
         "  std::uint64_t joins_heard = 0;\n"
         "  const auto join = [&](BulkChunk& chunk, "
         "std::span<const VertexId> part) {\n"
-        "    for (const VertexId v : part) {\n"
-        "      std::uint64_t awake_nbrs = 0;\n"
-        "      std::uint64_t delivered_out = 0;\n",
+        "    for (const VertexId v : part) {\n",
         "slumber-d5",
         "src/bulk/baselines.cc",
     ),

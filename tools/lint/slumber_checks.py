@@ -45,13 +45,16 @@ graph.
               above).
   slumber-d5  Race discipline in pool lambdas, across the whole scan.
               For every lambda handed to a sharding dispatcher
-              (parallel_for_range / parallel_for_index / for_range /
-              scan_range / scan_awake / for_each_block /
-              for_each_range), inline or by the name of a local lambda
+              (parallel_for_range / parallel_for_index /
+              util::for_each_chunk / util::for_each_index / scan_range /
+              scan_awake), inline or by the name of a local lambda
               defined earlier, resolve which names are lane-local: the
               chunk/index parameters, everything derived from them
               (transitively, through initializers and range-fors over
-              the handed span), and body locals. A store through a
+              the handed span), and body locals, which include the
+              parameters of a callback nested in the body (such as a
+              BulkEngine::reach visitor, whose stores are the body's
+              stores). A store through a
               captured reference (`x = ...`, `++x`, `*p = ...`) whose
               target (also after a braceless if/for/while/switch head
               or an else) is not lane-local, not atomic (in this file or
@@ -644,11 +647,10 @@ def check_d4(m: FileModel) -> list[Finding]:
 # a lane-owned span (iterating it yields lane-local work items).
 DISPATCHERS: dict[str, dict[str, tuple[int, ...]]] = {
     "parallel_for_range": {"index": (0, 1, 2)},
-    "for_range": {"index": (0, 1, 2)},
+    "for_each_chunk": {"index": (0, 1, 2)},
     "scan_range": {"index": (1, 2)},
     "parallel_for_index": {"index": (0,)},
-    "for_each_block": {"index": (0,)},
-    "for_each_range": {"index": (0, 1)},
+    "for_each_index": {"index": (0,)},
     "scan_awake": {"span": (1,)},
 }
 DISPATCH_RE = re.compile(
