@@ -6,6 +6,7 @@
 #include <string>
 #include <utility>
 
+#include "core/coin_kernel.h"
 #include "core/mis_state.h"
 #include "core/schedule.h"
 #include "obs/obs.h"
@@ -304,9 +305,11 @@ void BulkSleepingMis::run(BulkEngine& engine) {
         engine.options().pool);
   }
 
-  // Draw the coin bits X_1..X_K with the coroutine protocol's kernel,
-  // from the same per-node streams. Sharded over the pool: each node's
-  // stream and bit words belong to one lane.
+  // Draw the coin bits X_1..X_K from the coroutine protocol's per-node
+  // streams, Rng(seed).split(v) as engine.node_rng(v) gives them, with
+  // the batch kernel: it writes what the coroutine engine's per-node
+  // kernel does. Sharded over the pool: each node's stream and bit words
+  // belong to one lane. A RecursionTrace unpacks the words afterwards.
   if (trace_ != nullptr) {
     trace_->levels = levels;
     if (trace_->bits.size() != n) trace_->bits.resize(n);
@@ -314,15 +317,18 @@ void BulkSleepingMis::run(BulkEngine& engine) {
   obs::progress_phase("coins");
   {
     obs::Span coin_span("mis", "draw_coins", n);
+    obs::counter("coin_kernel_lanes",
+                 static_cast<double>(core::coin_kernel_lanes()));
+    const Rng master(engine.seed());
     const std::uint64_t threshold =
         core::bernoulli_threshold(options_.coin_bias);
     engine.scan_range(n, [&](BulkChunk&, std::size_t begin, std::size_t end) {
+      core::draw_level_bits_range(master, begin, end - begin, levels, threshold,
+                                  {w.bits.data() + begin * w.words_per_node,
+                                   (end - begin) * w.words_per_node});
+      if (trace_ == nullptr) return;
       for (VertexId v = static_cast<VertexId>(begin); v < end; ++v) {
-        Rng rng = engine.node_rng(v);
-        core::draw_level_bits(rng, levels, threshold, w.coins(v));
-        if (trace_ != nullptr) {
-          trace_->bits[v] = core::unpack_level_bits(w.coins(v), levels);
-        }
+        trace_->bits[v] = core::unpack_level_bits(w.coins(v), levels);
       }
     });
   }

@@ -34,6 +34,11 @@ namespace slumber::sim {
 
 class Network;
 
+/// Throws the std::overflow_error for node v's sleep running past the
+/// 64-bit round clock. Out of line and cold, so the checks that call it
+/// stay small on the hot path.
+[[noreturn, gnu::cold]] void throw_clock_overflow(VertexId v);
+
 /// Everything a node receives in one awake round: a view of the node's
 /// own receive buffer, which the network reuses every round. It stays
 /// valid until the node's next awake round, so copy it into a vector
@@ -60,8 +65,13 @@ class Context {
   Rng& rng() { return rng_; }
 
   /// Sleep for `rounds` rounds before the next awake round. Accumulates;
-  /// costs zero awake rounds.
-  void sleep(std::uint64_t rounds) { pending_sleep_ += rounds; }
+  /// costs zero awake rounds. Throws std::overflow_error naming the node
+  /// if the accumulated sleep passes 2^64 - 1 rounds.
+  void sleep(std::uint64_t rounds) {
+    if (__builtin_add_overflow(pending_sleep_, rounds, &pending_sleep_)) {
+      throw_clock_overflow(id_);
+    }
+  }
 
   // The three awaitables below queue their messages when called; the
   // network sends them in the node's next awake round. Await each one

@@ -12,11 +12,6 @@ namespace {
 // A run that resumes nodes more often than this is a runaway protocol.
 constexpr std::uint64_t kMaxResumes = std::uint64_t{1} << 40;
 
-[[noreturn, gnu::cold]] void throw_clock_overflow(VertexId v) {
-  throw std::overflow_error("node " + std::to_string(v) +
-                            " sleeps past the 64-bit round clock");
-}
-
 // round + sleep + extra on node v's 64-bit round clock, which would
 // wrap back to an earlier round past 2^64 - 1.
 std::uint64_t clock_after(VertexId v, std::uint64_t round, std::uint64_t sleep,
@@ -30,6 +25,11 @@ std::uint64_t clock_after(VertexId v, std::uint64_t round, std::uint64_t sleep,
 }
 
 }  // namespace
+
+void throw_clock_overflow(VertexId v) {
+  throw std::overflow_error("node " + std::to_string(v) +
+                            " sleeps past the 64-bit round clock");
+}
 
 std::uint32_t congest_bits_for(std::uint64_t n) {
   const auto log_n = static_cast<std::uint32_t>(
@@ -180,6 +180,10 @@ const Metrics& Network::run(const Protocol& protocol) {
       // Trailing ctx.sleep() calls with no later exchange still advance
       // the node's local clock to its true return time.
       metrics_.node[v].finish_round = contexts_[v]->pending_sleep_;
+      if (options_.trace != nullptr) {
+        options_.trace->on_event({TraceEventKind::kTerminate, 0, v,
+                                  kInvalidVertex, MsgKind::kCustom, 0});
+      }
     } else {
       const std::uint64_t next =
           clock_after(v, 0, contexts_[v]->requested_sleep_, 1);

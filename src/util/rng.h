@@ -87,11 +87,23 @@ class Rng {
   /// A fair coin flip (the paper's X_i bits).
   bool coin() { return (next() >> 63) != 0; }
 
+  /// The two state words split() mixes a stream id into: child stream
+  /// `stream_id` is Rng(splitmix64(sm)) for
+  /// sm = xor_word ^ (add_word + 0x9e3779b97f4a7c15 * (stream_id + 1)).
+  /// Batch kernels that seed many child streams side by side read them
+  /// here (core::draw_level_bits_range).
+  struct SplitKey {
+    std::uint64_t xor_word;
+    std::uint64_t add_word;
+  };
+  SplitKey split_key() const { return {state_[0], state_[3]}; }
+
   /// Derives an independent child stream. Deterministic in (this stream's
   /// seed history, `stream_id`), and does not advance this generator.
   Rng split(std::uint64_t stream_id) const {
+    const SplitKey key = split_key();
     std::uint64_t sm =
-        state_[0] ^ (state_[3] + 0x9e3779b97f4a7c15ULL * (stream_id + 1));
+        key.xor_word ^ (key.add_word + 0x9e3779b97f4a7c15ULL * (stream_id + 1));
     return Rng(splitmix64(sm));
   }
 

@@ -140,6 +140,39 @@ TEST(BulkParallelTrace, RecursionTraceMatchesAtEveryLaneCount) {
   }
 }
 
+// --- coin words past the first 64 levels -----------------------------
+
+TEST(BulkParallelTrace, DeepCoinWordsMatchPerNodeStreams) {
+  // K >= 64 puts X_64.. in a node's second coin word (and third, at
+  // K = 126). The recursion trace unpacks the words the bulk run drew;
+  // each must equal the node's own per-level draws from
+  // Rng(seed).split(v). 1001 nodes leave a sub-8 tail in every chunk.
+  const std::uint64_t seed = 11;
+  const Graph g = gen::gnp_avg_degree_sharded_csr(1001, 8.0, seed);
+  for (const std::uint32_t levels : {64u, 69u, 126u}) {
+    core::SleepingMisOptions options;
+    options.levels = levels;
+    std::vector<std::vector<std::uint8_t>> expected(g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      Rng rng = Rng(seed).split(v);
+      expected[v].assign(levels + 1, 0);
+      for (std::uint32_t i = 1; i <= levels; ++i) {
+        expected[v][i] = rng.bernoulli(options.coin_bias) ? 1 : 0;
+      }
+    }
+    for (const unsigned lanes : {1u, 3u}) {
+      SCOPED_TRACE(testing::Message() << "K=" << levels << " lanes=" << lanes);
+      util::ThreadPool pool(lanes);
+      core::RecursionTrace trace;
+      const auto run = bulk::bulk_sleeping_mis(g, seed, options, &trace,
+                                               parallel_options(g, &pool));
+      EXPECT_EQ(trace.levels, levels);
+      EXPECT_EQ(trace.bits, expected);
+      EXPECT_TRUE(analysis::check_mis(g, run.outputs).ok());
+    }
+  }
+}
+
 // --- protocols outside the MisEngine enum ----------------------------
 
 TEST(BulkParallelBaselines, IsraeliItaiAgreesAcrossLaneCounts) {

@@ -190,6 +190,21 @@ TEST(OverflowGuards, CoroutineSleepPastTheClockThrows) {
   EXPECT_EQ(run.metrics.makespan, kMax);
 }
 
+TEST(OverflowGuards, CoroutineSleepSumPastTheClockThrows) {
+  constexpr std::uint64_t kMax = ~std::uint64_t{0};
+  // Two sleeps whose sum passes 2^64 - 1 must throw naming node 0, not
+  // wrap to a sleep of 0 rounds (a wake in round 1).
+  const sim::Protocol split_sleep = [](sim::Context& ctx) -> sim::Task {
+    if (ctx.id() != 0) co_return;
+    ctx.sleep(kMax);
+    ctx.sleep(1);
+    co_await ctx.listen();
+  };
+  const std::string message = clock_overflow(split_sleep);
+  EXPECT_NE(message.find("node 0 "), std::string::npos) << message;
+  EXPECT_NE(message.find("64-bit round clock"), std::string::npos) << message;
+}
+
 TEST(OverflowGuards, BulkSleepingMisRejectsDepthPastTheClock) {
   const Graph g = gen::path(2);
   core::SleepingMisOptions options;

@@ -27,6 +27,33 @@ TEST(TraceTest, RecordsWakeDeliverDecideTerminate) {
   EXPECT_EQ(trace.count(TraceEventKind::kDropSleep), 0u);
 }
 
+TEST(TraceTest, RecordsTerminateOfANodeThatReturnsAtOnce) {
+  // Node 0 decides and returns before its first exchange, in round 0;
+  // node 1 listens once. Both terminations are events.
+  const Graph g = gen::path(2);
+  RingTrace trace;
+  auto protocol = [](Context& ctx) -> Task {
+    if (ctx.id() == 1) {
+      co_await ctx.listen();
+    }
+    ctx.decide(ctx.id());
+  };
+  NetworkOptions options;
+  options.trace = &trace;
+  Network net(g, 1, options);
+  net.run(protocol);
+  EXPECT_EQ(trace.count(TraceEventKind::kWake), 1u);
+  EXPECT_EQ(trace.count(TraceEventKind::kDecide), 2u);
+  EXPECT_EQ(trace.count(TraceEventKind::kTerminate), 2u);
+  bool node0_terminates_in_round0 = false;
+  for (const TraceEvent& e : trace.events()) {
+    if (e.kind == TraceEventKind::kTerminate && e.node == 0) {
+      node0_terminates_in_round0 = e.round == 0;
+    }
+  }
+  EXPECT_TRUE(node0_terminates_in_round0);
+}
+
 TEST(TraceTest, RecordsSleepDrops) {
   const Graph g = gen::path(2);
   RingTrace trace;
